@@ -1,12 +1,9 @@
-// Switch-lattice determinism meta-test for the structure-of-arrays batch
-// evaluation path (PR 6). Every perf layer carries a Disable switch and must
-// be bit-identical to every other combination; this test walks the full
-// batch×delta×prefilter×cache lattice so no pairwise interaction can drift.
-//
-// The test names start with "TestBatch" on purpose: the CI race step runs
-// `go test -race -run 'TestBatch'` at GOMAXPROCS 1 and 8 to exercise the
-// chunked batch dispatch under the race detector in both the inline and the
-// fan-out regime.
+// Determinism meta-tests of one generation's evaluation batch: the switch
+// lattice of the evaluation layers that remain (delta bottom levels ×
+// prefilter), observer transparency, and the worker-count lever of the
+// shared-cursor dispatch. The CI engine race step runs them at GOMAXPROCS 1
+// and 8, so the inline loop and the goroutine fan-out both run under the
+// race detector.
 package emts_test
 
 import (
@@ -28,17 +25,15 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 		for _, useRejection := range []bool{false, true} {
 			base := core.EMTS5(42)
 			base.UseRejection = useRejection
-			want, err := core.Run(g, tab, base) // every layer on: batch, delta, prefilter, cache
+			want, err := core.Run(g, tab, base) // every layer on: delta, prefilter
 			if err != nil {
 				t.Fatal(err)
 			}
-			for mask := 0; mask < 16; mask++ {
+			for mask := 0; mask < 4; mask++ {
 				p := core.EMTS5(42)
 				p.UseRejection = useRejection
-				p.DisableBatch = mask&1 != 0
-				p.DisableDelta = mask&2 != 0
-				p.DisablePrefilter = mask&4 != 0
-				p.DisableCache = mask&8 != 0
+				p.DisableDelta = mask&1 != 0
+				p.DisablePrefilter = mask&2 != 0
 				got, err := core.Run(g, tab, p)
 				if err != nil {
 					t.Fatal(err)
@@ -49,29 +44,19 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 					!reflect.DeepEqual(got.History, want.History) ||
 					got.Evaluations != want.Evaluations ||
 					got.Rejections != want.Rejections {
-					t.Errorf("%s rejection=%v batch=%v delta=%v prefilter=%v cache=%v: diverged from all-on baseline (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
-						ctx, useRejection, !p.DisableBatch, !p.DisableDelta, !p.DisablePrefilter, !p.DisableCache,
+					t.Errorf("%s rejection=%v delta=%v prefilter=%v: diverged from all-on baseline (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
+						ctx, useRejection, !p.DisableDelta, !p.DisablePrefilter,
 						got.Makespan, want.Makespan, got.Evaluations, want.Evaluations, got.Rejections, want.Rejections)
 				}
-				// CacheHits and PrefilterRejections are observability counters
-				// of their own layer: exact within the same switch setting,
-				// necessarily zero when the layer is off.
-				if p.DisableCache {
-					if got.CacheHits != 0 {
-						t.Errorf("%s: CacheHits = %d with the cache disabled", ctx, got.CacheHits)
-					}
-				} else if got.CacheHits != want.CacheHits {
-					t.Errorf("%s rejection=%v batch=%v: CacheHits %d, want %d",
-						ctx, useRejection, !p.DisableBatch, got.CacheHits, want.CacheHits)
-				}
+				// PrefilterRejections is the prefilter's own counter: exact
+				// while the prefilter runs, necessarily zero when it is off.
 				if p.DisablePrefilter || !useRejection {
 					if got.PrefilterRejections != 0 {
 						t.Errorf("%s: PrefilterRejections = %d with the prefilter off or no bound", ctx, got.PrefilterRejections)
 					}
 				} else if got.PrefilterRejections != want.PrefilterRejections {
-					t.Errorf("%s rejection=%v batch=%v delta=%v cache=%v: PrefilterRejections %d, want %d",
-						ctx, useRejection, !p.DisableBatch, !p.DisableDelta, !p.DisableCache,
-						got.PrefilterRejections, want.PrefilterRejections)
+					t.Errorf("%s rejection=%v delta=%v: PrefilterRejections %d, want %d",
+						ctx, useRejection, !p.DisableDelta, got.PrefilterRejections, want.PrefilterRejections)
 				}
 			}
 		}
@@ -84,7 +69,7 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 // observed run is bit-identical to the unobserved one, the callback fires
 // exactly once per completed generation, and the streamed snapshots agree
 // with the final result (incumbent fitness and cumulative counters). Runs
-// under the TestBatch race step at GOMAXPROCS 1 and 8, so the once-per-
+// under the engine race step at GOMAXPROCS 1 and 8, so the once-per-
 // generation callback point is exercised in both dispatch regimes.
 func TestBatchObserverTransparency(t *testing.T) {
 	for _, g := range determinismGraphs(t) {
@@ -114,7 +99,6 @@ func TestBatchObserverTransparency(t *testing.T) {
 			!reflect.DeepEqual(got.History, want.History) ||
 			got.Evaluations != want.Evaluations ||
 			got.Rejections != want.Rejections ||
-			got.CacheHits != want.CacheHits ||
 			got.PrefilterRejections != want.PrefilterRejections {
 			t.Errorf("%s: observed run diverged from unobserved baseline (makespan %g vs %g)",
 				ctx, got.Makespan, want.Makespan)
@@ -133,11 +117,10 @@ func TestBatchObserverTransparency(t *testing.T) {
 				ctx, last.BestEver, got.Makespan)
 		}
 		if last.Evaluations != got.Evaluations ||
-			last.CacheHits != got.CacheHits ||
 			last.PrefilterRejections != got.PrefilterRejections {
-			t.Errorf("%s: last snapshot counters (evals %d, cache %d, prefilter %d) != final result (%d, %d, %d)",
-				ctx, last.Evaluations, last.CacheHits, last.PrefilterRejections,
-				got.Evaluations, got.CacheHits, got.PrefilterRejections)
+			t.Errorf("%s: last snapshot counters (evals %d, prefilter %d) != final result (%d, %d)",
+				ctx, last.Evaluations, last.PrefilterRejections,
+				got.Evaluations, got.PrefilterRejections)
 		}
 		// BestEver is non-increasing by plus-selection, mirroring History.
 		for i := 1; i < len(stats); i++ {
@@ -149,9 +132,10 @@ func TestBatchObserverTransparency(t *testing.T) {
 	}
 }
 
-// TestBatchWorkerCountDeterminism pins the chunked dispatch against the
-// worker-count lever: chunk boundaries move with the worker count, so this
-// is the axis most likely to expose an order dependence in the batch path.
+// TestBatchWorkerCountDeterminism pins the shared-cursor dispatch against the
+// worker-count lever: which worker evaluates which offspring moves with the
+// worker count, so this is the axis most likely to expose an order
+// dependence in the evaluation path.
 func TestBatchWorkerCountDeterminism(t *testing.T) {
 	for _, g := range determinismGraphs(t) {
 		tab, err := model.NewTable(g, model.Synthetic{}, platform.Grelon())
@@ -177,7 +161,6 @@ func TestBatchWorkerCountDeterminism(t *testing.T) {
 				!reflect.DeepEqual(got.History, want.History) ||
 				got.Evaluations != want.Evaluations ||
 				got.Rejections != want.Rejections ||
-				got.CacheHits != want.CacheHits ||
 				got.PrefilterRejections != want.PrefilterRejections {
 				t.Errorf("%s workers=%d: diverged from default-workers baseline (makespan %g vs %g)",
 					g.Name(), workers, got.Makespan, want.Makespan)

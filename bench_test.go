@@ -505,8 +505,7 @@ func BenchmarkTimeTableBuild(b *testing.B) {
 
 // emtsInstanceBench measures one complete EMTS optimization of a 100-task
 // PTG on Grelon — the unit of the run-time table — and reports the fraction
-// of fitness evaluations answered by the memoization cache and the fraction
-// cut short by the admissible lower-bound prefilter.
+// of fitness evaluations cut short by the admissible lower-bound prefilter.
 func emtsInstanceBench(b *testing.B, mkParams func(int64) core.Params) {
 	g, tab, _ := benchInstance(b)
 	b.ResetTimer()
@@ -516,7 +515,6 @@ func emtsInstanceBench(b *testing.B, mkParams func(int64) core.Params) {
 			b.Fatal(err)
 		}
 		if i == 0 && res.Evaluations > 0 {
-			b.ReportMetric(float64(res.CacheHits)/float64(res.Evaluations), "cache_hit_rate")
 			b.ReportMetric(float64(res.PrefilterRejections)/float64(res.Evaluations), "prefilter_reject_rate")
 		}
 	}
@@ -543,7 +541,7 @@ func BenchmarkEMTS10Instance(b *testing.B) { emtsInstanceBench(b, withRejection(
 
 // BenchmarkEMTS5InstanceNoRejection is the pre-PR 3 headline workload: no
 // rejection bound, so neither the prefilter nor in-loop rejection can fire
-// and only memoization and delta bottom levels help.
+// and only delta bottom levels help.
 func BenchmarkEMTS5InstanceNoRejection(b *testing.B) { emtsInstanceBench(b, core.EMTS5) }
 
 // BenchmarkEMTS5InstanceNoFastPath is the A/B control for DESIGN.md §10:
@@ -559,36 +557,10 @@ func BenchmarkEMTS5InstanceNoFastPath(b *testing.B) {
 	})
 }
 
-// BenchmarkEMTS5InstanceNoBatch is the A/B control for DESIGN.md §13: the
-// headline workload with the structure-of-arrays batch path switched off,
-// falling back to per-individual scalar dispatch.
-func BenchmarkEMTS5InstanceNoBatch(b *testing.B) {
-	emtsInstanceBench(b, func(seed int64) core.Params {
-		p := core.EMTS5(seed)
-		p.UseRejection = true
-		p.DisableBatch = true
-		return p
-	})
-}
-
-// BenchmarkEMTS10InstanceNoBatch is the EMTS10 variant of the batch A/B
-// control.
-func BenchmarkEMTS10InstanceNoBatch(b *testing.B) {
-	emtsInstanceBench(b, func(seed int64) core.Params {
-		p := core.EMTS10(seed)
-		p.UseRejection = true
-		p.DisableBatch = true
-		return p
-	})
-}
-
 // perIndividualBench runs a (10+λ)×5 optimization of the 100-task instance
-// and reports the average evaluation cost per individual, the number the
-// per-individual cost curve of artifacts/BENCH_PR6.json is built from.
-// Evaluations counts every individual (cache-answered ones included), so the
-// metric is the end-to-end cost of putting one more individual through a
-// generation, not just the map-loop time of a cache miss.
-func perIndividualBench(b *testing.B, lambda int, disableBatch bool) {
+// and reports the average evaluation cost per individual: the end-to-end cost
+// of putting one more individual through a generation.
+func perIndividualBench(b *testing.B, lambda int) {
 	g, tab, _ := benchInstance(b)
 	b.ResetTimer()
 	totalEvals := 0
@@ -598,7 +570,6 @@ func perIndividualBench(b *testing.B, lambda int, disableBatch bool) {
 		p.Lambda = lambda
 		p.Generations = 5
 		p.UseRejection = true
-		p.DisableBatch = disableBatch
 		res, err := core.Run(g, tab, p)
 		if err != nil {
 			b.Fatal(err)
@@ -611,34 +582,10 @@ func perIndividualBench(b *testing.B, lambda int, disableBatch bool) {
 }
 
 // BenchmarkPerIndividual measures the per-individual cost curve at
-// λ ∈ {25, 100, 400}, batch vs scalar dispatch (ROADMAP item 5: the batch
-// path should flatten the curve as λ grows).
+// λ ∈ {25, 100, 400}.
 func BenchmarkPerIndividual(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batch", false}, {"scalar", true}} {
-		for _, lambda := range []int{25, 100, 400} {
-			b.Run(fmt.Sprintf("%s/lambda%d", mode.name, lambda), func(b *testing.B) {
-				perIndividualBench(b, lambda, mode.disable)
-			})
-		}
-	}
-}
-
-// BenchmarkEMTS5InstanceNoCache is the A/B control: the same optimization
-// with the memoized, arena-reusing evaluation engine (and with it the
-// delta-evaluation path) disabled.
-func BenchmarkEMTS5InstanceNoCache(b *testing.B) {
-	g, tab, _ := benchInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := core.EMTS5(1)
-		p.UseRejection = true
-		p.DisableCache = true
-		if _, err := core.Run(g, tab, p); err != nil {
-			b.Fatal(err)
-		}
+	for _, lambda := range []int{25, 100, 400} {
+		b.Run(fmt.Sprintf("lambda%d", lambda), func(b *testing.B) { perIndividualBench(b, lambda) })
 	}
 }
 
@@ -649,7 +596,7 @@ func BenchmarkEMTS5InstanceNoCache(b *testing.B) {
 // an M-core host ns/generation should stay roughly flat up to N ≈ M islands
 // (the islands hide behind each other), while on a single core it grows
 // linearly in N — parity of per-island cost, not wall-clock speedup.
-func islandInstanceBench(b *testing.B, islands int, steal bool) {
+func islandInstanceBench(b *testing.B, islands int) {
 	g, tab, _ := benchInstance(b)
 	b.ResetTimer()
 	gens := 0
@@ -658,7 +605,6 @@ func islandInstanceBench(b *testing.B, islands int, steal bool) {
 		p.UseRejection = true
 		p.Islands = islands
 		p.MigrationInterval = 2
-		p.DisableWorkStealing = !steal
 		res, err := core.Run(g, tab, p)
 		if err != nil {
 			b.Fatal(err)
@@ -671,11 +617,9 @@ func islandInstanceBench(b *testing.B, islands int, steal bool) {
 }
 
 // BenchmarkEMTSIslands measures the island-count scaling curve at
-// N ∈ {1, 2, 4, 8} with work stealing on, plus the 4-island A/B control with
-// stealing disabled (fixed contiguous chunks).
+// N ∈ {1, 2, 4, 8}.
 func BenchmarkEMTSIslands(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("islands%d", n), func(b *testing.B) { islandInstanceBench(b, n, true) })
+		b.Run(fmt.Sprintf("islands%d", n), func(b *testing.B) { islandInstanceBench(b, n) })
 	}
-	b.Run("islands4nosteal", func(b *testing.B) { islandInstanceBench(b, 4, false) })
 }

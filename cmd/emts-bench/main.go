@@ -6,14 +6,15 @@
 // It shells out to `go test -run ^$ -bench <pattern> -benchmem` and parses
 // the standard benchmark output: the header lines (goos/goarch/pkg/cpu), and
 // one record per benchmark with iterations, ns/op, B/op, allocs/op, and any
-// custom b.ReportMetric pairs (cache_hit_rate, prefilter_reject_rate, ...).
+// custom b.ReportMetric pairs (prefilter_reject_rate, ...). The report
+// records the host (cpu, num_cpu) and GOMAXPROCS, and a "summary" section
+// gives every benchmark's median and interquartile range of ns/op over the
+// -count runs: the noise band any comparison must beat.
 //
-// With -curve it additionally runs the per-individual cost-curve benchmark
-// (BenchmarkPerIndividual: λ ∈ {25, 100, 400}, batch vs scalar dispatch) and
-// distills the ns/individual metrics into a "curve" section — one point per
-// λ with both dispatch costs and their ratio — so the flattening effect of
-// the structure-of-arrays batch path (ROADMAP item 5) is directly visible in
-// the committed artifact.
+// With -baseline it embeds a previous report (for example one measured on
+// the parent commit) and adds a "compare" section: for every benchmark
+// measured in both, the two medians, their ratio, and whether the difference
+// lies within the baseline's interquartile range.
 //
 // With -islands it additionally runs the island-count scaling benchmark
 // (BenchmarkEMTSIslands) and distills the ns/generation metrics into an
@@ -26,8 +27,8 @@
 //
 //	emts-bench -bench 'EMTS5Instance$' -benchtime 1x
 //	emts-bench -bench 'BenchmarkEMTS' -benchtime 2s -out artifacts/BENCH_PR3.json
-//	emts-bench -bench 'EMTS(5|10)Instance(NoBatch)?$' -curve -out artifacts/BENCH_PR6.json
 //	emts-bench -bench 'EMTS(5|10)Instance$' -islands 1,2,4,8 -out artifacts/BENCH_PR10.json
+//	emts-bench -bench 'EMTS(5|10)Instance$' -count 10 -baseline parent.json -out artifacts/BENCH_PR13.json
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,34 +52,36 @@ func main() {
 		count     = flag.Int("count", 1, "go test -count value")
 		pkg       = flag.String("pkg", ".", "package to benchmark")
 		out       = flag.String("out", "-", "output file, or - for stdout")
-		curve     = flag.Bool("curve", false, "also run BenchmarkPerIndividual and emit a per-λ batch-vs-scalar cost curve")
 		islands   = flag.String("islands", "", "comma-separated island counts (e.g. 1,2,4,8): also run BenchmarkEMTSIslands and emit an islands scaling curve")
 		note      = flag.String("note", "", "free-text annotation recorded in the report (host caveats, run conditions)")
+		baseline  = flag.String("baseline", "", "previous emts-bench report to embed and compare against")
 	)
 	flag.Parse()
-	if err := run(*bench, *benchtime, *count, *pkg, *out, *curve, *islands, *note); err != nil {
+	if err := run(*bench, *benchtime, *count, *pkg, *out, *islands, *note, *baseline); err != nil {
 		fmt.Fprintln(os.Stderr, "emts-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(bench, benchtime string, count int, pkg, out string, curve bool, islands, note string) error {
+func run(bench, benchtime string, count int, pkg, out, islands, note, baseline string) error {
+	var base *Report
+	if baseline != "" {
+		raw, err := os.ReadFile(baseline)
+		if err != nil {
+			return err
+		}
+		base = &Report{}
+		if err := json.Unmarshal(raw, base); err != nil {
+			return fmt.Errorf("baseline %s: %w", baseline, err)
+		}
+		base.Summary = summarize(base.Benchmarks)
+	}
 	rep, err := goBench(bench, benchtime, count, pkg)
 	if err != nil {
 		return err
 	}
 	rep.Note = note
-	if curve {
-		crep, err := goBench("^BenchmarkPerIndividual$", benchtime, count, pkg)
-		if err != nil {
-			return fmt.Errorf("curve run: %w", err)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, crep.Benchmarks...)
-		rep.Curve, err = buildCurve(crep.Benchmarks)
-		if err != nil {
-			return err
-		}
-	}
+	rep.GOMAXPROCS, rep.NumCPU = runtime.GOMAXPROCS(0), runtime.NumCPU()
 	if islands != "" {
 		counts, err := parseIslandCounts(islands)
 		if err != nil {
@@ -92,6 +96,11 @@ func run(bench, benchtime string, count int, pkg, out string, curve bool, island
 		if err != nil {
 			return err
 		}
+	}
+	rep.Summary = summarize(rep.Benchmarks)
+	if base != nil {
+		rep.Baseline = base
+		rep.Compare = compare(base.Summary, rep.Summary)
 	}
 	var w io.Writer = os.Stdout
 	if out != "-" {
@@ -127,23 +136,131 @@ type Report struct {
 	GoArch     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NumCPU     int         `json:"num_cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Note       string      `json:"note,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// Curve is the per-individual cost curve (one point per λ), present only
-	// with -curve.
-	Curve []CurvePoint `json:"curve,omitempty"`
+	// Summary has one entry per benchmark name, in first-seen order.
+	Summary []Summary `json:"summary,omitempty"`
 	// Islands is the island-count scaling curve (one point per island
 	// count), present only with -islands.
 	Islands []IslandPoint `json:"islands,omitempty"`
+	// Baseline is the -baseline report, embedded with its summary; Compare
+	// sets this report against it.
+	Baseline *Report      `json:"baseline,omitempty"`
+	Compare  []Comparison `json:"compare,omitempty"`
 }
 
-// CurvePoint is one λ of the per-individual cost curve: the amortized cost of
-// evaluating one offspring under scalar and batch dispatch, and their ratio.
-type CurvePoint struct {
-	Lambda           int     `json:"lambda"`
-	ScalarNsPerIndiv float64 `json:"scalar_ns_per_individual"`
-	BatchNsPerIndiv  float64 `json:"batch_ns_per_individual"`
-	ScalarOverBatch  float64 `json:"scalar_over_batch"`
+// Summary is the distribution of one benchmark over its runs: the median and
+// quartiles of ns/op, the interquartile range as a percentage of the median
+// (the run-to-run noise band), and the medians of B/op and allocs/op.
+type Summary struct {
+	Name              string  `json:"name"`
+	Runs              int     `json:"runs"`
+	MedianNsPerOp     float64 `json:"median_ns_per_op"`
+	Q1NsPerOp         float64 `json:"q1_ns_per_op"`
+	Q3NsPerOp         float64 `json:"q3_ns_per_op"`
+	IQRPct            float64 `json:"iqr_pct"`
+	MedianBytesPerOp  float64 `json:"median_bytes_per_op"`
+	MedianAllocsPerOp float64 `json:"median_allocs_per_op"`
+}
+
+// Comparison sets one benchmark's median against the baseline's. Ratio is
+// median / baseline median; WithinNoise reports whether the two medians are
+// at most the baseline's interquartile range apart.
+type Comparison struct {
+	Name                string  `json:"name"`
+	BaselineMedianNs    float64 `json:"baseline_median_ns_per_op"`
+	MedianNs            float64 `json:"median_ns_per_op"`
+	Ratio               float64 `json:"ratio"`
+	BaselineIQRPct      float64 `json:"baseline_iqr_pct"`
+	WithinNoise         bool    `json:"within_noise"`
+	BaselineBytesPerOp  float64 `json:"baseline_median_bytes_per_op"`
+	BytesPerOp          float64 `json:"median_bytes_per_op"`
+	BaselineAllocsPerOp float64 `json:"baseline_median_allocs_per_op"`
+	AllocsPerOp         float64 `json:"median_allocs_per_op"`
+}
+
+// summarize groups benchmark records by name and summarizes each group.
+func summarize(benchmarks []Benchmark) []Summary {
+	var names []string
+	byName := map[string][]Benchmark{}
+	for _, b := range benchmarks {
+		if _, ok := byName[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	out := make([]Summary, 0, len(names))
+	for _, name := range names {
+		var ns, bytes, allocs []float64
+		for _, b := range byName[name] {
+			ns = append(ns, b.NsPerOp)
+			bytes = append(bytes, b.BytesPerOp)
+			allocs = append(allocs, b.AllocsPerOp)
+		}
+		s := Summary{
+			Name:              name,
+			Runs:              len(ns),
+			MedianNsPerOp:     quantile(ns, 0.5),
+			Q1NsPerOp:         quantile(ns, 0.25),
+			Q3NsPerOp:         quantile(ns, 0.75),
+			MedianBytesPerOp:  quantile(bytes, 0.5),
+			MedianAllocsPerOp: quantile(allocs, 0.5),
+		}
+		if s.MedianNsPerOp > 0 {
+			s.IQRPct = 100 * (s.Q3NsPerOp - s.Q1NsPerOp) / s.MedianNsPerOp
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// quantile is the p-quantile of xs, interpolating linearly between order
+// statistics. It sorts xs in place.
+func quantile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	h := p * float64(len(xs)-1)
+	lo := int(h)
+	if lo+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[lo] + (h-float64(lo))*(xs[lo+1]-xs[lo])
+}
+
+// compare sets every summary that the baseline also has against it.
+func compare(base, cur []Summary) []Comparison {
+	byName := map[string]Summary{}
+	for _, s := range base {
+		byName[s.Name] = s
+	}
+	var out []Comparison
+	for _, s := range cur {
+		b, ok := byName[s.Name]
+		if !ok || b.MedianNsPerOp == 0 {
+			continue
+		}
+		diff := s.MedianNsPerOp - b.MedianNsPerOp
+		if diff < 0 {
+			diff = -diff
+		}
+		out = append(out, Comparison{
+			Name:                s.Name,
+			BaselineMedianNs:    b.MedianNsPerOp,
+			MedianNs:            s.MedianNsPerOp,
+			Ratio:               s.MedianNsPerOp / b.MedianNsPerOp,
+			BaselineIQRPct:      b.IQRPct,
+			WithinNoise:         diff <= b.Q3NsPerOp-b.Q1NsPerOp,
+			BaselineBytesPerOp:  b.MedianBytesPerOp,
+			BytesPerOp:          s.MedianBytesPerOp,
+			BaselineAllocsPerOp: b.MedianAllocsPerOp,
+			AllocsPerOp:         s.MedianAllocsPerOp,
+		})
+	}
+	return out
 }
 
 // IslandPoint is one island count of the scaling curve. A generation of an
@@ -152,16 +269,13 @@ type CurvePoint struct {
 // and throughput_vs_single = N × ns_gen(1) / ns_gen(N) is the search-
 // throughput ratio against the classic single population: ≈N when the
 // islands fully hide behind spare cores, ≈1 on a single core (parity —
-// islands then cost exactly their extra work). NoStealNsPerGeneration, when
-// present, is the A/B control with work stealing disabled at the same
-// island count.
+// islands then cost exactly their extra work).
 type IslandPoint struct {
-	Islands                int     `json:"islands"`
-	NsPerOp                float64 `json:"ns_per_op"`
-	NsPerGeneration        float64 `json:"ns_per_generation"`
-	PerIslandNsPerGen      float64 `json:"per_island_ns_per_generation"`
-	ThroughputVsSingle     float64 `json:"throughput_vs_single"`
-	NoStealNsPerGeneration float64 `json:"nosteal_ns_per_generation,omitempty"`
+	Islands            int     `json:"islands"`
+	NsPerOp            float64 `json:"ns_per_op"`
+	NsPerGeneration    float64 `json:"ns_per_generation"`
+	PerIslandNsPerGen  float64 `json:"per_island_ns_per_generation"`
+	ThroughputVsSingle float64 `json:"throughput_vs_single"`
 }
 
 // parseIslandCounts parses the -islands flag value.
@@ -179,25 +293,13 @@ func parseIslandCounts(s string) ([]int, error) {
 }
 
 // buildIslandCurve distills BenchmarkEMTSIslands sub-benchmark results
-// (BenchmarkEMTSIslands/islands4-8, BenchmarkEMTSIslands/islands4nosteal-8,
-// each reporting an "ns/generation" metric) into one IslandPoint per
-// requested count. A requested count with no measurement is an error, not a
-// silent gap; the curve needs islands=1 as the throughput baseline.
+// (BenchmarkEMTSIslands/islands4-8 etc., each reporting an "ns/generation"
+// metric) into one IslandPoint per requested count. A requested count with
+// no measurement is an error, not a silent gap; the curve needs islands=1 as
+// the throughput baseline.
 func buildIslandCurve(benchmarks []Benchmark, counts []int) ([]IslandPoint, error) {
-	type meas struct {
-		nsPerOp, nsPerGen float64
-		noSteal           float64
-		ok                bool
-	}
-	byCount := map[int]*meas{}
-	get := func(n int) *meas {
-		m := byCount[n]
-		if m == nil {
-			m = &meas{}
-			byCount[n] = m
-		}
-		return m
-	}
+	type meas struct{ nsPerOp, nsPerGen float64 }
+	byCount := map[int]meas{}
 	for _, b := range benchmarks {
 		rest, ok := strings.CutPrefix(b.Name, "BenchmarkEMTSIslands/islands")
 		if !ok {
@@ -207,10 +309,6 @@ func buildIslandCurve(benchmarks []Benchmark, counts []int) ([]IslandPoint, erro
 		if i := strings.IndexByte(rest, '-'); i >= 0 {
 			rest = rest[:i]
 		}
-		noSteal := false
-		if s, ok := strings.CutSuffix(rest, "nosteal"); ok {
-			rest, noSteal = s, true
-		}
 		n, err := strconv.Atoi(rest)
 		if err != nil {
 			return nil, fmt.Errorf("unrecognized islands benchmark name %q", b.Name)
@@ -219,30 +317,24 @@ func buildIslandCurve(benchmarks []Benchmark, counts []int) ([]IslandPoint, erro
 		if !ok {
 			return nil, fmt.Errorf("islands benchmark %q reported no ns/generation metric", b.Name)
 		}
-		m := get(n)
-		if noSteal {
-			m.noSteal = ns
-		} else {
-			m.nsPerOp, m.nsPerGen, m.ok = b.NsPerOp, ns, true
-		}
+		byCount[n] = meas{nsPerOp: b.NsPerOp, nsPerGen: ns}
 	}
 	single, ok := byCount[1]
-	if !ok || !single.ok {
+	if !ok {
 		return nil, fmt.Errorf("islands curve needs the islands1 baseline measurement")
 	}
 	curve := make([]IslandPoint, 0, len(counts))
 	for _, n := range counts {
-		m := byCount[n]
-		if m == nil || !m.ok {
+		m, ok := byCount[n]
+		if !ok {
 			return nil, fmt.Errorf("island count %d requested but not measured", n)
 		}
 		curve = append(curve, IslandPoint{
-			Islands:                n,
-			NsPerOp:                m.nsPerOp,
-			NsPerGeneration:        m.nsPerGen,
-			PerIslandNsPerGen:      m.nsPerGen / float64(n),
-			ThroughputVsSingle:     float64(n) * single.nsPerGen / m.nsPerGen,
-			NoStealNsPerGeneration: m.noSteal,
+			Islands:            n,
+			NsPerOp:            m.nsPerOp,
+			NsPerGeneration:    m.nsPerGen,
+			PerIslandNsPerGen:  m.nsPerGen / float64(n),
+			ThroughputVsSingle: float64(n) * single.nsPerGen / m.nsPerGen,
 		})
 	}
 	return curve, nil
@@ -256,75 +348,8 @@ type Benchmark struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Metrics holds b.ReportMetric pairs keyed by unit, e.g.
-	// "cache_hit_rate" or "prefilter_reject_rate".
+	// "prefilter_reject_rate" or "ns/generation".
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// buildCurve distills BenchmarkPerIndividual sub-benchmark results
-// (BenchmarkPerIndividual/batch/lambda100-8 etc., each reporting an
-// "ns/individual" metric) into one CurvePoint per λ. Both dispatch modes must
-// be present for every λ; a half-measured point is an error, not a silent gap.
-func buildCurve(benchmarks []Benchmark) ([]CurvePoint, error) {
-	type pair struct {
-		scalar, batch       float64
-		hasScalar, hasBatch bool
-	}
-	pairs := map[int]*pair{}
-	var lambdas []int
-	for _, b := range benchmarks {
-		rest, ok := strings.CutPrefix(b.Name, "BenchmarkPerIndividual/")
-		if !ok {
-			continue
-		}
-		mode, rest, ok := strings.Cut(rest, "/lambda")
-		if !ok {
-			return nil, fmt.Errorf("unrecognized curve benchmark name %q", b.Name)
-		}
-		// Strip the -<procs> suffix go test appends for GOMAXPROCS>1.
-		if i := strings.IndexByte(rest, '-'); i >= 0 {
-			rest = rest[:i]
-		}
-		lambda, err := strconv.Atoi(rest)
-		if err != nil {
-			return nil, fmt.Errorf("bad λ in curve benchmark name %q: %w", b.Name, err)
-		}
-		ns, ok := b.Metrics["ns/individual"]
-		if !ok {
-			return nil, fmt.Errorf("curve benchmark %q reported no ns/individual metric", b.Name)
-		}
-		p := pairs[lambda]
-		if p == nil {
-			p = &pair{}
-			pairs[lambda] = p
-			lambdas = append(lambdas, lambda)
-		}
-		switch mode {
-		case "scalar":
-			p.scalar, p.hasScalar = ns, true
-		case "batch":
-			p.batch, p.hasBatch = ns, true
-		default:
-			return nil, fmt.Errorf("unrecognized dispatch mode in curve benchmark name %q", b.Name)
-		}
-	}
-	if len(lambdas) == 0 {
-		return nil, fmt.Errorf("no BenchmarkPerIndividual results found")
-	}
-	sort.Ints(lambdas)
-	curve := make([]CurvePoint, 0, len(lambdas))
-	for _, l := range lambdas {
-		p := pairs[l]
-		if !p.hasScalar || !p.hasBatch {
-			return nil, fmt.Errorf("λ=%d measured under only one dispatch mode", l)
-		}
-		curve = append(curve, CurvePoint{
-			Lambda:           l,
-			ScalarNsPerIndiv: p.scalar,
-			BatchNsPerIndiv:  p.batch,
-			ScalarOverBatch:  p.scalar / p.batch,
-		})
-	}
-	return curve, nil
 }
 
 // parseBench parses `go test -bench` output. Lines it does not recognize
@@ -368,7 +393,7 @@ func parseBench(r io.Reader) (*Report, error) {
 
 // parseBenchLine parses one result line:
 //
-//	BenchmarkEMTS5Instance  195  6073383 ns/op  0.0077 cache_hit_rate  368208 B/op  947 allocs/op
+//	BenchmarkEMTS5Instance  195  6073383 ns/op  0.9154 prefilter_reject_rate  368208 B/op  947 allocs/op
 //
 // i.e. name, iteration count, then (value, unit) pairs. The -<procs> suffix
 // go test appends for GOMAXPROCS>1 is kept as part of the name.

@@ -72,7 +72,6 @@ func TestBuildIslandCurve(t *testing.T) {
 		{Name: "BenchmarkEMTSIslands/islands1-8", NsPerOp: 3e6, Metrics: map[string]float64{"ns/generation": 6e5}},
 		{Name: "BenchmarkEMTSIslands/islands2-8", NsPerOp: 3.2e6, Metrics: map[string]float64{"ns/generation": 6.4e5}},
 		{Name: "BenchmarkEMTSIslands/islands4-8", NsPerOp: 3.5e6, Metrics: map[string]float64{"ns/generation": 7e5}},
-		{Name: "BenchmarkEMTSIslands/islands4nosteal-8", NsPerOp: 3.9e6, Metrics: map[string]float64{"ns/generation": 7.8e5}},
 	}
 	curve, err := buildIslandCurve(benchmarks, []int{1, 2, 4})
 	if err != nil {
@@ -87,12 +86,6 @@ func TestBuildIslandCurve(t *testing.T) {
 	}
 	if want := 4 * 6e5 / 7e5; p.ThroughputVsSingle != want {
 		t.Errorf("throughput_vs_single = %v, want %v", p.ThroughputVsSingle, want)
-	}
-	if p.NoStealNsPerGeneration != 7.8e5 {
-		t.Errorf("nosteal = %v", p.NoStealNsPerGeneration)
-	}
-	if curve[0].NoStealNsPerGeneration != 0 {
-		t.Errorf("islands1 unexpectedly has a nosteal control: %+v", curve[0])
 	}
 
 	// A requested-but-unmeasured count and a missing baseline are errors.
@@ -116,5 +109,51 @@ func TestParseIslandCounts(t *testing.T) {
 		if _, err := parseIslandCounts(bad); err == nil {
 			t.Errorf("parseIslandCounts(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+func TestSummarizeAndCompare(t *testing.T) {
+	var base, cur []Benchmark
+	for i, ns := range []float64{10, 14, 11, 13, 12} {
+		base = append(base, Benchmark{Name: "BenchmarkA-2", NsPerOp: ns, AllocsPerOp: float64(100 + i)})
+		cur = append(cur, Benchmark{Name: "BenchmarkA-2", NsPerOp: ns + 0.5, AllocsPerOp: 50})
+	}
+	base = append(base, Benchmark{Name: "BenchmarkGone-2", NsPerOp: 7})
+	cur = append(cur, Benchmark{Name: "BenchmarkSlow-2", NsPerOp: 9})
+
+	bs := summarize(base)
+	if len(bs) != 2 || bs[0].Name != "BenchmarkA-2" || bs[0].Runs != 5 {
+		t.Fatalf("summary = %+v", bs)
+	}
+	a := bs[0]
+	if a.MedianNsPerOp != 12 || a.Q1NsPerOp != 11 || a.Q3NsPerOp != 13 || a.MedianAllocsPerOp != 102 {
+		t.Errorf("A summary = %+v", a)
+	}
+	if want := 100 * 2.0 / 12; a.IQRPct != want {
+		t.Errorf("iqr_pct = %v, want %v", a.IQRPct, want)
+	}
+
+	cmp := compare(bs, summarize(cur))
+	if len(cmp) != 1 || cmp[0].Name != "BenchmarkA-2" {
+		t.Fatalf("compare = %+v: only benchmarks measured on both sides are compared", cmp)
+	}
+	if c := cmp[0]; c.Ratio != 12.5/12 || !c.WithinNoise || c.BaselineAllocsPerOp != 102 || c.AllocsPerOp != 50 {
+		t.Errorf("comparison = %+v", c)
+	}
+	far := compare(bs, []Summary{{Name: "BenchmarkA-2", MedianNsPerOp: 9}})
+	if far[0].WithinNoise {
+		t.Errorf("a 3ns shift against a 2ns IQR reported within noise: %+v", far[0])
+	}
+}
+
+func TestQuantileInterpolates(t *testing.T) {
+	if got := quantile([]float64{4, 1, 3, 2}, 0.5); got != 2.5 {
+		t.Errorf("median of 1..4 = %v, want 2.5", got)
+	}
+	if got := quantile([]float64{7}, 0.25); got != 7 {
+		t.Errorf("quantile of one value = %v", got)
+	}
+	if got := quantile(nil, 0.5); got != 0 {
+		t.Errorf("quantile of no values = %v", got)
 	}
 }

@@ -1,6 +1,6 @@
-// Determinism regression tests for the memoized, arena-reusing fitness
-// evaluation engine: with equal seeds, EMTS must produce bit-identical results
-// whether or not the cache and per-worker Mapper arenas are in play.
+// Determinism regression tests for the arena-reusing fitness evaluation
+// engine: with equal seeds, EMTS must produce bit-identical results whichever
+// evaluation layers, Mapper pool, and worker count are in play.
 package emts_test
 
 import (
@@ -49,44 +49,11 @@ func TestEvaluationEngineDeterminism(t *testing.T) {
 			for _, useRejection := range []bool{false, true} {
 				p := pr.mk(42)
 				p.UseRejection = useRejection
-
-				withCache, err := core.Run(g, tab, p)
+				ref, err := core.Run(g, tab, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p.DisableCache = true
-				plain, err := core.Run(g, tab, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-
 				ctx := g.Name() + "/" + pr.name
-				if withCache.Makespan != plain.Makespan {
-					t.Errorf("%s rejection=%v: makespan %g with cache, %g without",
-						ctx, useRejection, withCache.Makespan, plain.Makespan)
-				}
-				if !reflect.DeepEqual(withCache.Alloc, plain.Alloc) {
-					t.Errorf("%s rejection=%v: best allocations differ", ctx, useRejection)
-				}
-				if !reflect.DeepEqual(withCache.History, plain.History) {
-					t.Errorf("%s rejection=%v: histories differ", ctx, useRejection)
-				}
-				if withCache.Evaluations != plain.Evaluations {
-					t.Errorf("%s rejection=%v: Evaluations %d with cache, %d without — the search budget must not depend on memoization",
-						ctx, useRejection, withCache.Evaluations, plain.Evaluations)
-				}
-				if withCache.Rejections != plain.Rejections {
-					t.Errorf("%s rejection=%v: Rejections %d with cache, %d without",
-						ctx, useRejection, withCache.Rejections, plain.Rejections)
-				}
-				if withCache.CacheHits == 0 {
-					t.Errorf("%s rejection=%v: expected cache hits (plus-selection re-evaluates parents every generation)",
-						ctx, useRejection)
-				}
-				if plain.CacheHits != 0 {
-					t.Errorf("%s rejection=%v: CacheHits = %d with the cache disabled",
-						ctx, useRejection, plain.CacheHits)
-				}
 
 				// Fast-path axes (DESIGN.md §10): disabling the lower-bound
 				// prefilter and/or delta bottom levels must not change any
@@ -107,35 +74,34 @@ func TestEvaluationEngineDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Makespan != withCache.Makespan ||
-						!reflect.DeepEqual(got.Alloc, withCache.Alloc) ||
-						!reflect.DeepEqual(got.History, withCache.History) ||
-						got.Evaluations != withCache.Evaluations ||
-						got.Rejections != withCache.Rejections ||
-						got.CacheHits != withCache.CacheHits {
+					if got.Makespan != ref.Makespan ||
+						!reflect.DeepEqual(got.Alloc, ref.Alloc) ||
+						!reflect.DeepEqual(got.History, ref.History) ||
+						got.Evaluations != ref.Evaluations ||
+						got.Rejections != ref.Rejections {
 						t.Errorf("%s rejection=%v %s: diverged from fast-path run (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
-							ctx, useRejection, c.name, got.Makespan, withCache.Makespan,
-							got.Evaluations, withCache.Evaluations, got.Rejections, withCache.Rejections)
+							ctx, useRejection, c.name, got.Makespan, ref.Makespan,
+							got.Evaluations, ref.Evaluations, got.Rejections, ref.Rejections)
 					}
 					if c.noPre && got.PrefilterRejections != 0 {
 						t.Errorf("%s rejection=%v %s: PrefilterRejections = %d with the prefilter disabled",
 							ctx, useRejection, c.name, got.PrefilterRejections)
 					}
 				}
-				if useRejection && withCache.PrefilterRejections == 0 {
+				if useRejection && ref.PrefilterRejections == 0 {
 					t.Errorf("%s: expected prefilter rejections with rejection enabled (rejected fraction is high on these instances)", ctx)
 				}
-				if !useRejection && withCache.PrefilterRejections != 0 {
-					t.Errorf("%s: PrefilterRejections = %d without a rejection bound", ctx, withCache.PrefilterRejections)
+				if !useRejection && ref.PrefilterRejections != 0 {
+					t.Errorf("%s: PrefilterRejections = %d without a rejection bound", ctx, ref.PrefilterRejections)
 				}
 			}
 		}
 	}
 }
 
-// TestCrossRequestLayerDeterminism pins the PR 5 axes: the shared Mapper
-// pool, the sharded memo cache, and the worker count (the CPU governor's
-// lever) must each leave every search-visible output bit-identical.
+// TestCrossRequestLayerDeterminism pins the cross-request axes: the shared
+// Mapper pool and the worker count (the CPU governor's lever) must each leave
+// every search-visible output bit-identical.
 func TestCrossRequestLayerDeterminism(t *testing.T) {
 	pool := evalpool.New(0, 0)
 	for _, g := range determinismGraphs(t) {
@@ -151,17 +117,14 @@ func TestCrossRequestLayerDeterminism(t *testing.T) {
 		for _, c := range []struct {
 			name    string
 			pooled  bool
-			shards  int
 			workers int
 		}{
-			{"pool", true, 0, 0},
-			{"shards1", false, 1, 0},
-			{"shards4", false, 4, 4},
-			{"workers1", false, 0, 1},
-			{"pool+shards64+workers2", true, 64, 2},
+			{"pool", true, 0},
+			{"workers1", false, 1},
+			{"workers4", false, 4},
+			{"pool+workers2", true, 2},
 		} {
 			p := core.EMTS5(42)
-			p.CacheShards = c.shards
 			p.Workers = c.workers
 			if c.pooled {
 				p.MapperPool = pool
@@ -174,10 +137,10 @@ func TestCrossRequestLayerDeterminism(t *testing.T) {
 				!reflect.DeepEqual(got.Alloc, want.Alloc) ||
 				!reflect.DeepEqual(got.History, want.History) ||
 				got.Evaluations != want.Evaluations ||
-				got.CacheHits != want.CacheHits {
-				t.Errorf("%s/%s: diverged from baseline (makespan %g vs %g, evals %d vs %d, hits %d vs %d)",
+				got.PrefilterRejections != want.PrefilterRejections {
+				t.Errorf("%s/%s: diverged from baseline (makespan %g vs %g, evals %d vs %d)",
 					g.Name(), c.name, got.Makespan, want.Makespan,
-					got.Evaluations, want.Evaluations, got.CacheHits, want.CacheHits)
+					got.Evaluations, want.Evaluations)
 			}
 		}
 	}

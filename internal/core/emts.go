@@ -65,34 +65,18 @@ type Params struct {
 	// UseRejection enables the future-work rejection strategy of Section VI
 	// inside the fitness function.
 	UseRejection bool
-	// DisableCache turns off the memoized, arena-reusing fitness-evaluation
-	// engine: every evaluation then rebuilds its scratch state and duplicate
-	// allocations are re-mapped from scratch. Results are bit-identical
-	// either way; the switch exists for A/B measurement and the determinism
-	// regression tests.
-	DisableCache bool
 	// DisablePrefilter turns off the O(V) admissible lower-bound prefilter
 	// that short-circuits the map loop for rejected individuals when
 	// UseRejection is set (DESIGN.md §10, Layer 1). Results are bit-identical
-	// either way; A/B switch like DisableCache.
+	// either way; the switch exists for A/B measurement and the determinism
+	// regression tests.
 	DisablePrefilter bool
 	// DisableDelta turns off delta-aware bottom-level evaluation: offspring
 	// are then evaluated with a full O(V+E) bottom-level sweep instead of
 	// recomputing only the alleles their mutation touched plus affected
 	// ancestors (DESIGN.md §10, Layer 3). Results are bit-identical either
-	// way; A/B switch like DisableCache. Delta evaluation requires the
-	// engine, so DisableCache implies it.
+	// way; A/B switch like DisablePrefilter.
 	DisableDelta bool
-	// DisableBatch turns off structure-of-arrays batch evaluation: each
-	// generation's cache misses are then dispatched to the workers one
-	// individual at a time through scalar Mappers instead of per-worker
-	// chunks over a listsched.BatchMapper (DESIGN.md §13). Results are
-	// bit-identical either way; A/B switch like DisableCache.
-	DisableBatch bool
-	// DisableWorkStealing forces the fixed contiguous-chunk batch dispatch
-	// instead of the work-stealing deques (DESIGN.md §17). Results are
-	// bit-identical either way; A/B switch like DisableBatch.
-	DisableWorkStealing bool
 	// Islands, when > 1, runs the EA as that many independent populations
 	// with periodic migration (the island model, DESIGN.md §17). Each island
 	// derives a private RNG stream from Seed, so results are deterministic
@@ -111,9 +95,6 @@ type Params struct {
 	// Workers bounds fitness-evaluation parallelism (0 = GOMAXPROCS). With
 	// Islands > 1 the budget is divided evenly across the islands.
 	Workers int
-	// CacheShards stripes the fitness memo cache (see ea.Config.CacheShards).
-	// Results are bit-identical for any value; 0 picks a default.
-	CacheShards int
 	// MapperPool, when non-nil, supplies the listsched.Mapper arenas for this
 	// run — the seed evaluator, every EA worker's evaluator pair, and the
 	// final schedule materialization — instead of constructing fresh ones.
@@ -180,11 +161,12 @@ type Result struct {
 	// generation (non-increasing).
 	History []float64
 	// Evaluations counts fitness evaluations; Rejections counts the ones cut
-	// short by the rejection bound. Evaluations is independent of the
-	// fitness cache: memoized answers still count toward the budget.
+	// short by the rejection bound.
 	Evaluations, Rejections int
-	// CacheHits counts fitness evaluations answered by the memoization
-	// cache instead of a fresh list-scheduling pass (see ea.Result.CacheHits).
+	// CacheHits is always 0.
+	//
+	// Deprecated: the fitness memo cache it counted was removed; the field
+	// stays so existing readers still compile.
 	CacheHits int
 	// PrefilterRejections counts the rejections decided by the O(V)
 	// lower-bound prefilter instead of the map loop (see
@@ -250,15 +232,14 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	// newMapper checks arenas out of the configured pool (warm checkouts
 	// rebind existing arenas with zero allocations) or constructs them fresh;
 	// every checked-out Mapper is returned when the run ends. Within one
-	// evaluation engine the factories run serially before its worker
-	// goroutines (evalEngine.evaluator documents the contract), but an
-	// Islands > 1 run constructs N engines' evaluators concurrently — one
-	// per island goroutine — so the checkout lists take a mutex. Cold path:
-	// O(workers + islands) acquisitions per run, never per evaluation.
+	// evaluation engine the factory runs serially before its worker
+	// goroutines, but an Islands > 1 run constructs N engines' evaluators
+	// concurrently — one per island goroutine — so the checkout list takes a
+	// mutex. Cold path: O(workers + islands) acquisitions per run, never per
+	// evaluation.
 	var (
-		mapperMu        sync.Mutex
-		checkedOut      []*listsched.Mapper
-		checkedOutBatch []*listsched.BatchMapper
+		mapperMu   sync.Mutex
+		checkedOut []*listsched.Mapper
 	)
 	newMapper := func() (*listsched.Mapper, error) {
 		if p.MapperPool == nil {
@@ -273,25 +254,9 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		mapperMu.Unlock()
 		return m, nil
 	}
-	newBatchMapper := func() (*listsched.BatchMapper, error) {
-		if p.MapperPool == nil {
-			return listsched.NewBatchMapper(g, tab)
-		}
-		bm, err := p.MapperPool.GetBatch(g, tab)
-		if err != nil {
-			return nil, err
-		}
-		mapperMu.Lock()
-		checkedOutBatch = append(checkedOutBatch, bm)
-		mapperMu.Unlock()
-		return bm, nil
-	}
 	defer func() {
 		for _, m := range checkedOut {
 			p.MapperPool.Put(m)
-		}
-		for _, bm := range checkedOutBatch {
-			p.MapperPool.PutBatch(bm)
 		}
 	}()
 
@@ -333,95 +298,37 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		return err
 	}
 
-	// fitness is the legacy shared evaluator; with the evaluation engine
-	// enabled (the default) each EA worker instead owns an arena-backed
-	// Mapper from the factory below, so a warm fitness call allocates
-	// nothing. Both paths produce bit-identical makespans.
-	fitness := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
-		s, err := listsched.MapWithOptions(g, tab, a, listsched.Options{
-			SkipProcSets:     true,
-			RejectAbove:      rejectAbove,
-			DisablePrefilter: p.DisablePrefilter,
-		})
+	// factory hands each EA worker its own Mapper for the whole run, so a
+	// warm fitness call allocates nothing. Both closures share the Mapper
+	// (and thus its bottom-level arena and parent-baseline ring); the engine
+	// calls them from a single worker goroutine, never concurrently.
+	baseOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
+	factory := func() (ea.Evaluator, ea.DeltaEvaluator) {
+		m, err := newMapper()
 		if err != nil {
-			return 0, mapErr(err)
+			// Unreachable (sizes were validated above), but a constructor
+			// error must surface: every evaluation then reports it.
+			return func(schedule.Allocation, float64) (float64, error) { return 0, err }, nil
 		}
-		return s.Makespan(), nil
-	}
-	var deltaFactory func() (ea.Evaluator, ea.DeltaEvaluator)
-	if !p.DisableCache {
-		baseOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
-		deltaFactory = func() (ea.Evaluator, ea.DeltaEvaluator) {
-			m, err := newMapper()
+		plain := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
+			opt := baseOpt
+			opt.RejectAbove = rejectAbove
+			f, err := m.MakespanOpts(a, opt)
 			if err != nil {
-				return fitness, nil // unreachable: sizes were validated above
+				return 0, mapErr(err)
 			}
-			// Both closures share one Mapper (and thus its bottom-level
-			// arena and parent-baseline cache); the engine calls them from a
-			// single worker goroutine, never concurrently.
-			plain := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
-				opt := baseOpt
-				opt.RejectAbove = rejectAbove
-				f, err := m.MakespanOpts(a, opt)
-				if err != nil {
-					return 0, mapErr(err)
-				}
-				return f, nil
-			}
-			delta := func(a, parent schedule.Allocation, mutated []int, rejectAbove float64) (float64, error) {
-				opt := baseOpt
-				opt.RejectAbove = rejectAbove
-				f, err := m.MakespanDelta(a, parent, mutated, opt)
-				if err != nil {
-					return 0, mapErr(err)
-				}
-				return f, nil
-			}
-			return plain, delta
+			return f, nil
 		}
-	}
-
-	// The batch factory hands each EA worker a BatchMapper evaluating its
-	// whole chunk of the generation over structure-of-arrays planes
-	// (DESIGN.md §13). It is independent of the cache switch: with the
-	// cache off every individual reaches the batch; with it on, only misses
-	// do. The ea mirror types are converted into listsched items through a
-	// closure-owned scratch slice, reused across generations.
-	var batchFactory func() ea.BatchEvaluator
-	if !p.DisableBatch {
-		batchOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
-		batchFactory = func() ea.BatchEvaluator {
-			bm, err := newBatchMapper()
+		delta := func(a, parent schedule.Allocation, mutated []int, rejectAbove float64) (float64, error) {
+			opt := baseOpt
+			opt.RejectAbove = rejectAbove
+			f, err := m.MakespanDelta(a, parent, mutated, opt)
 			if err != nil {
-				// Unreachable (sizes were validated above), but a constructor
-				// error must surface: the engine files it on every individual
-				// of the chunk.
-				return func([]ea.BatchItem, float64, []float64, []error) error { return err }
+				return 0, mapErr(err)
 			}
-			var scratch []listsched.BatchItem
-			return func(items []ea.BatchItem, rejectAbove float64, fitness []float64, errs []error) error {
-				if cap(scratch) < len(items) {
-					scratch = make([]listsched.BatchItem, len(items))
-				}
-				scratch = scratch[:len(items)]
-				for i := range items {
-					scratch[i] = listsched.BatchItem{
-						Alloc:   items[i].Alloc,
-						Parent:  items[i].Parent,
-						Mutated: items[i].Mutated,
-					}
-				}
-				opt := batchOpt
-				opt.RejectAbove = rejectAbove
-				bm.EvalBatch(scratch, opt, fitness, errs)
-				for i := range scratch {
-					if errs[i] != nil {
-						errs[i] = mapErr(errs[i])
-					}
-				}
-				return nil
-			}
+			return f, nil
 		}
+		return plain, delta
 	}
 
 	cfg := ea.Config{
@@ -434,23 +341,18 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		UseRejection:          p.UseRejection,
 		Workers:               p.Workers,
 		Seed:                  p.Seed,
-		DeltaEvaluatorFactory: deltaFactory,
-		BatchEvaluatorFactory: batchFactory,
-		DisableBatch:          p.DisableBatch,
+		DeltaEvaluatorFactory: factory,
 		DisableDelta:          p.DisableDelta,
-		DisableCache:          p.DisableCache,
-		DisableWorkStealing:   p.DisableWorkStealing,
 		Islands:               p.Islands,
 		MigrationInterval:     p.MigrationInterval,
 		MigrationCount:        p.MigrationCount,
 		Topology:              p.Topology,
-		CacheShards:           p.CacheShards,
 		Strategy:              p.Strategy,
 		SelfAdaptive:          p.SelfAdaptive,
 		InitialSigma:          p.InitialSigma,
 		OnGeneration:          p.OnGeneration,
 	}
-	run, runErr := ea.RunContext(ctx, cfg, g.NumTasks(), procs, seedAllocs, fitness)
+	run, runErr := ea.RunContext(ctx, cfg, g.NumTasks(), procs, seedAllocs, nil)
 	if run == nil {
 		// Hard failure or a cancellation before the initial evaluation:
 		// nothing usable to materialize.
@@ -472,7 +374,6 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	res.History = run.History
 	res.Evaluations = run.Evaluations
 	res.Rejections = run.Rejections
-	res.CacheHits = run.CacheHits
 	res.PrefilterRejections = run.PrefilterRejections
 	res.Generations = run.Generations
 	res.Islands = 1

@@ -63,27 +63,6 @@ type Evaluator func(alloc schedule.Allocation, rejectAbove float64) (float64, er
 // implementations must then fall back to a full evaluation.
 type DeltaEvaluator func(alloc, parent schedule.Allocation, mutated []int, rejectAbove float64) (float64, error)
 
-// BatchItem is one individual of a batch evaluation: the allocation vector
-// plus optional lineage for delta-aware evaluation. It mirrors
-// listsched.BatchItem without importing the package, like the sentinel
-// errors below.
-type BatchItem struct {
-	Alloc   schedule.Allocation
-	Parent  schedule.Allocation
-	Mutated []int
-}
-
-// BatchEvaluator evaluates a whole slice of individuals in one call, writing
-// fitness[i] (on success) or errs[i] (ErrRejected / ErrRejectedPrefilter /
-// other) for every i < len(items); errs entries must be overwritten (nil on
-// success). The returned error reports a batch-level failure (e.g. the
-// evaluator could not be constructed), in which case the per-item outputs
-// are meaningless. Implementations must be bit-identical to evaluating each
-// item through the scalar Evaluator/DeltaEvaluator pair; see
-// listsched.BatchMapper. Like Evaluators, each instance is owned by a single
-// worker goroutine.
-type BatchEvaluator func(items []BatchItem, rejectAbove float64, fitness []float64, errs []error) error
-
 // ErrRejected is returned by an Evaluator that aborted due to rejectAbove.
 // It mirrors listsched.ErrRejected without importing the package.
 var ErrRejected = errors.New("ea: individual rejected by fitness bound")
@@ -292,13 +271,11 @@ type GenStats struct {
 	BestEver float64
 	// Rejected counts this generation's rejected offspring.
 	Rejected int
-	// Evaluations, CacheHits, and PrefilterRejections are cumulative
-	// snapshots of the run's counters (Result.Evaluations etc.) taken after
-	// this generation's evaluation pass — observers (progress streams,
-	// anytime dashboards) can report budget consumption without waiting for
-	// the final Result.
+	// Evaluations and PrefilterRejections are cumulative snapshots of the
+	// run's counters (Result.Evaluations etc.) taken after this generation's
+	// evaluation pass — observers (progress streams, anytime dashboards) can
+	// report budget consumption without waiting for the final Result.
 	Evaluations         int
-	CacheHits           int
 	PrefilterRejections int
 }
 
@@ -325,59 +302,22 @@ type Config struct {
 	// Workers bounds the parallelism of fitness evaluation; 0 means
 	// runtime.GOMAXPROCS(0). 1 forces sequential evaluation.
 	Workers int
-	// EvaluatorFactory, when non-nil, supplies one independent Evaluator per
-	// worker goroutine instead of sharing the Evaluator passed to Run. This
-	// lets arena-backed evaluators (listsched.Mapper) reuse their scratch
-	// state lock-free: each worker owns its instance for the whole run, so a
-	// (5+25)×5 EMTS run builds 𝑂(workers) arenas instead of ~130. Factory
-	// products must obey the same purity contract as Evaluator.
-	EvaluatorFactory func() Evaluator
 	// DeltaEvaluatorFactory, when non-nil, supplies one (plain, delta)
-	// evaluator pair per worker goroutine and takes precedence over
-	// EvaluatorFactory. The delta evaluator is used for offspring with a
-	// recorded lineage (pure mutations of a live parent); the plain one for
-	// everything else. Both must be backed by the same state so the delta
-	// path sees the same arenas (see core.Run's wiring of
-	// listsched.Mapper.MakespanDelta).
+	// evaluator pair per worker goroutine instead of sharing the Evaluator
+	// passed to Run. Each worker owns its pair for the whole run, so
+	// arena-backed evaluators (listsched.Mapper) reuse their scratch state
+	// lock-free: a (5+25)×5 EMTS run builds O(workers) arenas instead of ~130.
+	// The delta evaluator is used for offspring with a recorded lineage (pure
+	// mutations of a live parent), the plain one for everything else. Both
+	// must be backed by the same state, so the delta path sees the same arenas
+	// (see core.Run's wiring of listsched.Mapper.MakespanDelta), and both must
+	// obey the purity contract of Evaluator.
 	DeltaEvaluatorFactory func() (Evaluator, DeltaEvaluator)
-	// BatchEvaluatorFactory, when non-nil, supplies one BatchEvaluator per
-	// worker goroutine; unresolved individuals are then dispatched to the
-	// workers in contiguous chunks instead of one channel send per
-	// individual, and each worker evaluates its chunk in a single call over
-	// structure-of-arrays state (listsched.BatchMapper). The memoization and
-	// deduplication pre-pass is unchanged: only cache misses reach a batch.
-	// Results are bit-identical to the scalar factories, which remain wired
-	// as the fallback for DisableBatch.
-	BatchEvaluatorFactory func() BatchEvaluator
-	// DisableBatch ignores BatchEvaluatorFactory, forcing per-individual
-	// scalar dispatch. Results are bit-identical either way — the switch
-	// exists for A/B measurement and regression tests, like DisableCache.
-	DisableBatch bool
-	// DisableWorkStealing forces the fixed contiguous-chunk batch dispatch
-	// (each worker evaluates exactly rows [w·n/W, (w+1)·n/W)) instead of the
-	// work-stealing range deques that let idle workers take rows from loaded
-	// ones. Results are bit-identical either way — every row's outcome lands
-	// at its fixed index regardless of which worker claimed it — so the
-	// switch exists for A/B measurement and regression tests, like
-	// DisableBatch.
-	DisableWorkStealing bool
 	// DisableDelta ignores DeltaEvaluatorFactory's delta evaluator and
 	// lineage information, forcing full evaluations. Results are
-	// bit-identical either way (the delta sweep is exact) — the switch
-	// exists for A/B measurement and regression tests, like DisableCache.
+	// bit-identical either way (the delta sweep is exact); the switch exists
+	// for A/B measurement and regression tests.
 	DisableDelta bool
-	// DisableCache turns off fitness memoization and within-batch
-	// deduplication. Results are bit-identical either way (the cache is
-	// exact; see Result.CacheHits) — the switch exists for A/B measurement
-	// and regression tests.
-	DisableCache bool
-	// CacheShards stripes the fitness memo cache into this many
-	// independently locked shards (rounded up to a power of two, capped at
-	// 64) so concurrent workers inserting fresh results stop serializing on
-	// one map. 0 sizes the stripe count to Workers. Results are
-	// bit-identical for any shard count: the cache is exact and entries are
-	// located by full-vector comparison, so bucket order never matters.
-	CacheShards int
 	// Seed drives all stochastic choices; equal seeds give equal runs.
 	Seed int64
 	// Islands, when > 1, runs that many independent populations (the
@@ -459,23 +399,16 @@ type Result struct {
 	// History holds the best fitness after initialization (History[0]) and
 	// after each generation; it is non-increasing by plus-selection.
 	History []float64
-	// Evaluations counts fitness evaluations (including rejected ones). The
-	// count is independent of memoization: an individual answered from the
-	// fitness cache still counts, so the EA's evaluation budget reads the
-	// same with the cache on or off.
+	// Evaluations counts fitness evaluations, rejected ones included: one per
+	// individual of the initial pool and one per offspring.
 	Evaluations int
 	// Rejections counts evaluations aborted by the rejection bound.
 	Rejections int
 	// PrefilterRejections counts the subset of Rejections decided by an O(V)
 	// lower-bound prefilter before the full fitness computation
-	// (ErrRejectedPrefilter). Only actual evaluator calls are counted:
-	// rejections replayed from the memo cache or batch deduplication are
-	// not, so the counter measures map loops actually skipped.
+	// (ErrRejectedPrefilter): every evaluation reaches an evaluator, so the
+	// counter is exactly the number of map loops skipped.
 	PrefilterRejections int
-	// CacheHits counts the fitness evaluations answered without invoking an
-	// Evaluator: memoized results from earlier generations plus duplicates
-	// within one batch. Always 0 when Config.DisableCache is set.
-	CacheHits int
 	// Generations counts the generations actually completed. It equals
 	// Config.Generations for a full run and may be smaller when the run was
 	// cancelled mid-flight — Best then holds the incumbent at cancellation,
@@ -488,6 +421,8 @@ type Result struct {
 // (already-allocated vectors from heuristics such as MCPA and HCPA,
 // Section III-B). Missing parents are filled with uniform random individuals;
 // surplus seeds compete, and the best μ form the first parent generation.
+// fitness is shared by every worker; it may be nil when
+// cfg.DeltaEvaluatorFactory supplies per-worker evaluators instead.
 //
 // Because the paper uses a plus-strategy, the best solution is conserved: the
 // population never worsens across generations (Section IV, citing Schwefel &
@@ -521,6 +456,9 @@ func RunContext(ctx context.Context, cfg Config, v, procs int, seeds []schedule.
 	}
 	if procs < 1 {
 		return nil, fmt.Errorf("ea: procs = %d, want >= 1", procs)
+	}
+	if fitness == nil && cfg.DeltaEvaluatorFactory == nil {
+		return nil, errors.New("ea: no evaluator: pass a fitness function or set DeltaEvaluatorFactory")
 	}
 	if cfg.Islands > 1 {
 		return runIslands(ctx, cfg, v, procs, seeds, fitness)

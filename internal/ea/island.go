@@ -1,11 +1,11 @@
 // Island-model execution (DESIGN.md §17). An island is one self-contained
 // (μ+λ) population: it owns its parents, its offspring arena, its RNG stream
-// (seed.go), and its evaluation engine — including the engine's per-worker
-// evaluator checkouts and sharded memo cache, so islands never contend on
-// shared mutable state. A single-island run (Config.Islands <= 1) executes
-// exactly the statement sequence the pre-island RunContext executed, against
-// exactly the same RNG stream; the multi-island coordinator (runIslands)
-// composes the same island steps with deterministic migration barriers.
+// (seed.go), and its evaluation engine with the engine's per-worker
+// evaluators, so islands never contend on shared mutable state. A
+// single-island run (Config.Islands <= 1) executes exactly the statement
+// sequence the pre-island RunContext executed, against exactly the same RNG
+// stream; the multi-island coordinator (runIslands) composes the same island
+// steps with deterministic migration barriers.
 
 package ea
 
@@ -135,9 +135,8 @@ func (is *island) init() error {
 	// mutation call — offspring generation allocates nothing after this
 	// point. The aliasing rule making this safe: anything that must outlive
 	// the generation is copied out — selectBest clones arena-backed
-	// survivors and the memo cache stores private copies (evalEngine.insert)
-	// — so overwriting the arena next generation cannot corrupt survivors or
-	// cached entries.
+	// survivors — so overwriting the arena next generation cannot corrupt
+	// them.
 	is.offspring = make([]Individual, cfg.Lambda)
 	is.arena = make(schedule.Allocation, cfg.Lambda*is.v)
 	is.perm = make([]int, is.v)
@@ -230,7 +229,6 @@ func (is *island) step(u int) error {
 		gs := poolStats(u, is.pool, is.res.Best.Fitness, is.res.Rejections-rejectedBefore)
 		gs.Island = is.idx
 		gs.Evaluations = is.res.Evaluations
-		gs.CacheHits = is.res.CacheHits
 		gs.PrefilterRejections = is.res.PrefilterRejections
 		is.observe(gs)
 	}
@@ -454,7 +452,6 @@ func assembleIslands(isls []*island, gens int) *Result {
 		res.Evaluations += is.res.Evaluations
 		res.Rejections += is.res.Rejections
 		res.PrefilterRejections += is.res.PrefilterRejections
-		res.CacheHits += is.res.CacheHits
 		if i > 0 && bestLess(is.res.Best, isls[bestIdx].res.Best) {
 			bestIdx = i
 		}

@@ -1,8 +1,8 @@
 // Island-model determinism tests (DESIGN.md §17). The test names all contain
 // "Island" on purpose: the CI islands-race step runs
 // `go test -race ./internal/ea/... -run Island` at GOMAXPROCS 1 and 8, so the
-// epoch barriers, the work-stealing deques, and the buffered observer replay
-// are exercised under the race detector in both dispatch regimes.
+// epoch barriers, the shared evaluation cursor, and the buffered observer
+// replay are exercised under the race detector in both dispatch regimes.
 package ea
 
 import (
@@ -35,7 +35,6 @@ type islandFingerprint struct {
 	Evaluations         int
 	Rejections          int
 	PrefilterRejections int
-	CacheHits           int
 	Generations         int
 }
 
@@ -47,7 +46,6 @@ func fingerprintResult(r *Result) islandFingerprint {
 		Evaluations:         r.Evaluations,
 		Rejections:          r.Rejections,
 		PrefilterRejections: r.PrefilterRejections,
-		CacheHits:           r.CacheHits,
 		Generations:         r.Generations,
 	}
 }
@@ -89,7 +87,7 @@ func TestIslandSeedDerivationIdentity(t *testing.T) {
 // TestIslandSingleIslandIdentity pins the compatibility half of the island
 // contract: Islands 0 and 1 are the classic panmictic population, byte-
 // identical to a run predating the island layer for every combination of
-// DisableWorkStealing, worker count, and (ignored) migration parameters.
+// worker count and (ignored) migration parameters.
 func TestIslandSingleIslandIdentity(t *testing.T) {
 	const v, procs = 12, 6
 	fitness := sphereFitness(islandTarget(v, procs))
@@ -99,25 +97,22 @@ func TestIslandSingleIslandIdentity(t *testing.T) {
 	}
 	base := fingerprintResult(want)
 	for _, islands := range []int{0, 1} {
-		for _, steal := range []bool{false, true} {
-			for _, workers := range []int{0, 1, 3} {
-				cfg := defaultConfig(7)
-				cfg.Islands = islands
-				cfg.DisableWorkStealing = steal
-				cfg.Workers = workers
-				// Migration parameters are inert for a single population —
-				// the serving tier's cache key relies on that.
-				cfg.MigrationInterval = 3
-				cfg.MigrationCount = 2
-				cfg.Topology = TopologyFull
-				got, err := Run(cfg, v, procs, nil, fitness)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fp := fingerprintResult(got); !reflect.DeepEqual(fp, base) {
-					t.Errorf("islands=%d steal=%v workers=%d: diverged from the classic run (fitness %g vs %g, evals %d vs %d)",
-						islands, !steal, workers, fp.Fitness, base.Fitness, fp.Evaluations, base.Evaluations)
-				}
+		for _, workers := range []int{0, 1, 3} {
+			cfg := defaultConfig(7)
+			cfg.Islands = islands
+			cfg.Workers = workers
+			// Migration parameters are inert for a single population —
+			// the serving tier's cache key relies on that.
+			cfg.MigrationInterval = 3
+			cfg.MigrationCount = 2
+			cfg.Topology = TopologyFull
+			got, err := Run(cfg, v, procs, nil, fitness)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp := fingerprintResult(got); !reflect.DeepEqual(fp, base) {
+				t.Errorf("islands=%d workers=%d: diverged from the classic run (fitness %g vs %g, evals %d vs %d)",
+					islands, workers, fp.Fitness, base.Fitness, fp.Evaluations, base.Evaluations)
 			}
 		}
 	}
@@ -125,8 +120,8 @@ func TestIslandSingleIslandIdentity(t *testing.T) {
 
 // TestIslandMigrationLatticeDeterminism is the migration determinism property
 // test: for each topology × island count, the run is a pure function of
-// (Config, seed) — byte-identical results and identical Evaluations/CacheHits
-// across GOMAXPROCS 1 and 8, work-stealing on and off, and any worker budget.
+// (Config, seed) — byte-identical results and identical counters across
+// GOMAXPROCS 1 and 8 and any worker budget.
 func TestIslandMigrationLatticeDeterminism(t *testing.T) {
 	const v, procs = 12, 6
 	fitness := sphereFitness(islandTarget(v, procs))
@@ -137,36 +132,33 @@ func TestIslandMigrationLatticeDeterminism(t *testing.T) {
 			first := true
 			for _, gmp := range []int{1, 8} {
 				runtime.GOMAXPROCS(gmp)
-				for _, steal := range []bool{false, true} {
-					for _, workers := range []int{0, 1, 5} {
-						cfg := defaultConfig(11)
-						cfg.Islands = islands
-						cfg.MigrationInterval = 2
-						cfg.MigrationCount = 2
-						cfg.Topology = topo
-						cfg.DisableWorkStealing = steal
-						cfg.Workers = workers
-						res, err := Run(cfg, v, procs, nil, fitness)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := fingerprintResult(res)
-						if first {
-							want = got
-							first = false
-							for i := 1; i < len(got.History); i++ {
-								if got.History[i] > got.History[i-1] {
-									t.Fatalf("islands=%d topo=%s: aggregate history worsened at generation %d: %g after %g",
-										islands, topo, i, got.History[i], got.History[i-1])
-								}
+				for _, workers := range []int{0, 1, 5} {
+					cfg := defaultConfig(11)
+					cfg.Islands = islands
+					cfg.MigrationInterval = 2
+					cfg.MigrationCount = 2
+					cfg.Topology = topo
+					cfg.Workers = workers
+					res, err := Run(cfg, v, procs, nil, fitness)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := fingerprintResult(res)
+					if first {
+						want = got
+						first = false
+						for i := 1; i < len(got.History); i++ {
+							if got.History[i] > got.History[i-1] {
+								t.Fatalf("islands=%d topo=%s: aggregate history worsened at generation %d: %g after %g",
+									islands, topo, i, got.History[i], got.History[i-1])
 							}
-							continue
 						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("islands=%d topo=%s gomaxprocs=%d steal=%v workers=%d: diverged (fitness %g vs %g, evals %d vs %d, hits %d vs %d)",
-								islands, topo, gmp, !steal, workers,
-								got.Fitness, want.Fitness, got.Evaluations, want.Evaluations, got.CacheHits, want.CacheHits)
-						}
+						continue
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("islands=%d topo=%s gomaxprocs=%d workers=%d: diverged (fitness %g vs %g, evals %d vs %d)",
+							islands, topo, gmp, workers,
+							got.Fitness, want.Fitness, got.Evaluations, want.Evaluations)
 					}
 				}
 			}

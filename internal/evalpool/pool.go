@@ -32,13 +32,10 @@ type shape struct {
 
 // bucket is one shape class: a LIFO stack of released Mappers plus intrusive
 // LRU links (container/list would box every bucket through `any` on the
-// checkout path, which the hot-path lint forbids). Batch mappers share the
-// bucket — their planes are row-multiples of the same shape, so the same
-// size-class filing, LRU position, and per-shape bound apply.
+// checkout path, which the hot-path lint forbids).
 type bucket struct {
 	key        shape
 	mappers    []*listsched.Mapper
-	batch      []*listsched.BatchMapper
 	prev, next *bucket
 }
 
@@ -145,69 +142,6 @@ func (p *Pool) Put(m *listsched.Mapper) {
 	p.mu.Unlock()
 }
 
-// GetBatch checks a BatchMapper out of the pool, bound to (g, tab) and ready
-// for use — the batch twin of Get. On a pool hit the planes of the previous
-// run of this shape are rebound with zero allocations (the first EvalBatch
-// regrows them only if the batch is larger than any the instance has seen).
-//
-//schedlint:hotpath
-func (p *Pool) GetBatch(g *dag.Graph, tab *model.Table) (*listsched.BatchMapper, error) {
-	k := shape{tasks: tab.NumTasks(), procs: tab.Procs()}
-	var bm *listsched.BatchMapper
-	p.mu.Lock()
-	if b := p.shapes[k]; b != nil {
-		if n := len(b.batch); n > 0 {
-			bm = b.batch[n-1]
-			b.batch[n-1] = nil
-			b.batch = b.batch[:n-1]
-		}
-		p.touch(b)
-	}
-	p.mu.Unlock()
-	if bm == nil {
-		p.misses.Add(1)
-		return listsched.NewBatchMapper(g, tab)
-	}
-	if err := bm.Rebind(g, tab); err != nil {
-		return nil, err
-	}
-	p.hits.Add(1)
-	return bm, nil
-}
-
-// PutBatch releases bm's graph/table references and returns its planes to
-// the pool — the batch twin of Put. bm must not be used after PutBatch.
-//
-//schedlint:hotpath
-func (p *Pool) PutBatch(bm *listsched.BatchMapper) {
-	if bm == nil {
-		return
-	}
-	bm.Release()
-	tasks, procs := bm.Shape()
-	if tasks == 0 || procs == 0 {
-		return
-	}
-	k := shape{tasks: tasks, procs: procs}
-	p.mu.Lock()
-	b := p.shapes[k]
-	if b == nil {
-		//schedlint:allow hotescape -- cold first-sight-of-shape path: one bucket per (tasks, procs) shape for the pool's lifetime
-		b = &bucket{key: k, mappers: make([]*listsched.Mapper, 0, p.maxPerShape)}
-		p.shapes[k] = b
-		p.pushFront(b)
-		if len(p.shapes) > p.maxShapes {
-			p.evictLRU()
-		}
-	} else {
-		p.touch(b)
-	}
-	if len(b.batch) < p.maxPerShape {
-		b.batch = append(b.batch, bm)
-	}
-	p.mu.Unlock()
-}
-
 // Stats reports checkout hits (arena reused) and misses (fresh Mapper
 // constructed) since the pool was created.
 func (p *Pool) Stats() (hits, misses uint64) {
@@ -220,7 +154,7 @@ func (p *Pool) Len() int {
 	defer p.mu.Unlock()
 	n := 0
 	for _, b := range p.shapes {
-		n += len(b.mappers) + len(b.batch)
+		n += len(b.mappers)
 	}
 	return n
 }

@@ -2,8 +2,8 @@
 // switches: every `Disable*` config field must be exercised by at least one
 // determinism test.
 //
-// The perf layers ship behind paired switches (core.Params.DisableCache,
-// ea.Config.DisableBatch, server.Config.DisableInterning, ...) precisely so
+// The perf layers ship behind paired switches (core.Params.DisablePrefilter,
+// ea.Config.DisableDelta, server.Config.DisableInterning, ...) precisely so
 // tests can assert the paper-facing property: each optimization changes
 // nothing but speed, bit for bit. That methodology argument only holds while
 // every switch actually appears in such a test — an optimization added with

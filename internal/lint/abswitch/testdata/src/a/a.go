@@ -1,13 +1,13 @@
 // Fixture for the abswitch analyzer. The sibling a_test.go supplies the
 // coverage universe (abswitch.index-root pins the index to this directory):
-// DisableCache is referenced directly in a determinism test, DisableVar
+// DisableDirect is referenced directly in a determinism test, DisableVar
 // through a package-level test table, DisableHelper through a non-test helper
 // function — all three count. DisableOrphan appears in no test, and
 // DisableWrongTest only in a test whose name has no determinism flavor.
 package a
 
 type Config struct {
-	DisableCache     bool
+	DisableDirect    bool
 	DisableVar       bool
 	DisableHelper    bool
 	DisableOrphan    bool // want `A/B switch Config\.DisableOrphan is not referenced by any determinism test`

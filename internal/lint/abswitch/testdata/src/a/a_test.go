@@ -9,7 +9,7 @@ func determConfigs() []Config {
 }
 
 func TestBitIdenticalSwitches(t *testing.T) {
-	c := Config{DisableCache: true}
+	c := Config{DisableDirect: true}
 	_ = c
 	_ = identityCases
 	_ = determConfigs()

@@ -19,7 +19,7 @@
 //
 // Two escape hatches keep the signal clean. Escape diagnostics attributed to
 // a call of a sanctioned grow helper (conf: `set hotescape.grow-helpers
-// grow,growScratch,...`) are skipped: amortized arena doubling allocates by
+// grow,...`) are skipped: amortized arena doubling allocates by
 // design, on the cold first-growth path only. And any remaining cold-path
 // escape (error capture, once-per-shape setup) carries an inline
 // `//schedlint:allow hotescape -- <reason>` like every other analyzer.

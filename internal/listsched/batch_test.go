@@ -12,42 +12,62 @@ import (
 	"emts/internal/schedule"
 )
 
+// batchItem is one individual of an EA generation as a worker sees it: the
+// allocation plus, for pure mutations, the lineage MakespanDelta exploits.
+type batchItem struct {
+	alloc, parent schedule.Allocation
+	mutated       []int
+}
+
 // batchOf derives a mixed batch from parent: the parent itself (no lineage),
 // lineage offspring (children with their mutated positions recorded), plain
-// offspring (same vectors, lineage stripped), and one duplicate row. This is
-// the row mix the EA produces: full-sweep rows and delta rows interleaved.
-func batchOf(rng *rand.Rand, parent schedule.Allocation, procs int) []BatchItem {
-	items := []BatchItem{{Alloc: parent}}
+// offspring (lineage stripped), and one duplicate row. This is the row mix an
+// EA worker evaluates through its one Mapper: full sweeps and delta sweeps
+// interleaved, with warm state carried from row to row.
+func batchOf(rng *rand.Rand, parent schedule.Allocation, procs int) []batchItem {
+	items := []batchItem{{alloc: parent}}
 	for j := 0; j < 3; j++ {
 		child, mutated := mutateRandom(rng, parent, 1+rng.Intn(3), procs)
-		items = append(items, BatchItem{Alloc: child, Parent: parent, Mutated: mutated})
+		items = append(items, batchItem{alloc: child, parent: parent, mutated: mutated})
 	}
 	for j := 0; j < 2; j++ {
 		child, _ := mutateRandom(rng, parent, 1+rng.Intn(len(parent)), procs)
-		items = append(items, BatchItem{Alloc: child})
+		items = append(items, batchItem{alloc: child})
 	}
 	items = append(items, items[1]) // duplicate row: same vector, same lineage
 	return items
 }
 
-// checkBatchScalarIdentity evaluates items through EvalBatch and through the
-// scalar Mapper under the same options and reports whether every row's
-// (fitness, sentinel) outcome is bit-identical. Scalar dispatch mirrors the
-// engine's: lineage rows go through MakespanDelta, the rest through
+// evalBatch evaluates items in order through one warm Mapper, dispatching
+// like an EA worker: lineage rows through MakespanDelta, the rest through
 // MakespanOpts.
-func checkBatchScalarIdentity(t testing.TB, bm *BatchMapper, m *Mapper, items []BatchItem, opt Options) bool {
+func evalBatch(m *Mapper, items []batchItem, opt Options, fit []float64, errs []error) {
+	for i, it := range items {
+		if it.parent != nil {
+			fit[i], errs[i] = m.MakespanDelta(it.alloc, it.parent, it.mutated, opt)
+		} else {
+			fit[i], errs[i] = m.MakespanOpts(it.alloc, opt)
+		}
+	}
+}
+
+// checkBatchScalarIdentity evaluates items as a batch through the warm
+// Mapper m and one by one through the package-level MapWithOptions (a fresh
+// Mapper per row), and reports whether every row's (fitness, sentinel)
+// outcome is bit-identical.
+func checkBatchScalarIdentity(t testing.TB, m *Mapper, items []batchItem, opt Options) bool {
 	t.Helper()
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
-	bm.EvalBatch(items, opt, fit, errs)
+	evalBatch(m, items, opt, fit, errs)
+	scalarOpt := opt
+	scalarOpt.SkipProcSets = true
 	ok := true
 	for i, it := range items {
 		var want float64
-		var wantErr error
-		if it.Parent != nil {
-			want, wantErr = m.MakespanDelta(it.Alloc, it.Parent, it.Mutated, opt)
-		} else {
-			want, wantErr = m.MakespanOpts(it.Alloc, opt)
+		s, wantErr := MapWithOptions(m.g, m.tab, it.alloc, scalarOpt)
+		if wantErr == nil {
+			want = s.Makespan()
 		}
 		if wantErr != nil || errs[i] != nil {
 			// Sentinels must match exactly: the engine distinguishes
@@ -67,9 +87,9 @@ func checkBatchScalarIdentity(t testing.TB, bm *BatchMapper, m *Mapper, items []
 	return ok
 }
 
-// TestBatchMatchesScalar is the tentpole property test: across random
-// instances and mixed batches (full-sweep rows, delta rows, duplicates),
-// EvalBatch must be bit-identical to per-row scalar evaluation — unbounded,
+// TestBatchMatchesScalar: across random instances and mixed batches
+// (full-sweep rows, delta rows, duplicates), a worker's warm Mapper must be
+// bit-identical to a fresh one-shot evaluation of every row — unbounded,
 // across bounds straddling the makespan, and with the prefilter on and off.
 func TestBatchMatchesScalar(t *testing.T) {
 	f := func(seed int64) bool {
@@ -79,21 +99,17 @@ func TestBatchMatchesScalar(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bm, err := NewBatchMapper(g, tab)
-		if err != nil {
-			return false
-		}
 		full, err := m.Makespan(parent)
 		if err != nil {
 			return false
 		}
 		items := batchOf(rng, parent, tab.Procs())
-		if !checkBatchScalarIdentity(t, bm, m, items, Options{}) {
+		if !checkBatchScalarIdentity(t, m, items, Options{}) {
 			return false
 		}
 		for _, bound := range []float64{full * 0.5, full * 0.999, full, full * 1.0001, full * 2} {
 			for _, noPre := range []bool{false, true} {
-				if !checkBatchScalarIdentity(t, bm, m, items, Options{RejectAbove: bound, DisablePrefilter: noPre}) {
+				if !checkBatchScalarIdentity(t, m, items, Options{RejectAbove: bound, DisablePrefilter: noPre}) {
 					return false
 				}
 			}
@@ -125,10 +141,6 @@ func FuzzBatchScalarIdentity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm, err := NewBatchMapper(g, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
 		full, err := m.Makespan(parent)
 		if err != nil {
 			t.Fatal(err)
@@ -139,60 +151,16 @@ func FuzzBatchScalarIdentity(f *testing.F) {
 			{RejectAbove: full * scale},
 			{RejectAbove: full * scale, DisablePrefilter: true},
 		} {
-			if !checkBatchScalarIdentity(t, bm, m, items, opt) {
+			if !checkBatchScalarIdentity(t, m, items, opt) {
 				t.Fatalf("batch/scalar diverged: seed=%d scale=%g full=%g opt=%+v", seed, scale, full, opt)
 			}
 		}
 	})
 }
 
-// TestBatchMapperRebind pins the pool reset protocol: a BatchMapper rebound
-// to a second instance must produce the same results as a fresh one, and a
-// Release/Rebind cycle on the same shape must not allocate once the planes
-// are warm.
-func TestBatchMapperRebind(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g1, parent1, tab1 := randomInstance(rng)
-	g2, parent2, tab2 := randomInstance(rng)
-
-	bm, err := NewBatchMapper(g1, tab1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items1 := batchOf(rng, parent1, tab1.Procs())
-	fit := make([]float64, len(items1))
-	errs := make([]error, len(items1))
-	bm.EvalBatch(items1, Options{}, fit, errs)
-
-	bm.Release()
-	if tasks, procs := bm.Shape(); tasks != g1.NumTasks() || procs != tab1.Procs() {
-		t.Fatalf("Shape after Release = (%d, %d), want (%d, %d)", tasks, procs, g1.NumTasks(), tab1.Procs())
-	}
-	if err := bm.Rebind(g2, tab2); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewBatchMapper(g2, tab2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items2 := batchOf(rng, parent2, tab2.Procs())
-	gotFit := make([]float64, len(items2))
-	gotErrs := make([]error, len(items2))
-	wantFit := make([]float64, len(items2))
-	wantErrs := make([]error, len(items2))
-	bm.EvalBatch(items2, Options{}, gotFit, gotErrs)
-	fresh.EvalBatch(items2, Options{}, wantFit, wantErrs)
-	for i := range items2 {
-		if gotFit[i] != wantFit[i] || (gotErrs[i] == nil) != (wantErrs[i] == nil) {
-			t.Fatalf("row %d after rebind: fitness %g err %v, fresh mapper: %g err %v",
-				i, gotFit[i], gotErrs[i], wantFit[i], wantErrs[i])
-		}
-	}
-}
-
-// TestBatchEvalZeroAllocs pins the batch hot path: once the planes and the
-// parent baseline are warm, a full EvalBatch — delta rows, full-sweep rows,
-// prefilter sweep, rejections, and all — performs zero heap allocations.
+// TestBatchEvalZeroAllocs pins a worker's hot path: once the arenas and the
+// parent baseline are warm, evaluating a whole mixed batch — delta rows,
+// full-sweep rows, prefilter and in-loop rejections — allocates nothing.
 func TestBatchEvalZeroAllocs(t *testing.T) {
 	g, err := daggen.Random(daggen.RandomConfig{
 		N: 120, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 2,
@@ -201,7 +169,7 @@ func TestBatchEvalZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := model.MustTable(g, model.Synthetic{}, platform.Grelon())
-	bm, err := NewBatchMapper(g, tab)
+	m, err := NewMapper(g, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,75 +181,55 @@ func TestBatchEvalZeroAllocs(t *testing.T) {
 	items := batchOf(rng, parent, tab.Procs())
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
-	bm.EvalBatch(items, Options{}, fit, errs) // warm up: grows planes, builds the baseline
+	evalBatch(m, items, Options{}, fit, errs) // warm up: builds the baseline
 	full := fit[0]
 
 	for _, opt := range []Options{{}, {RejectAbove: full}, {RejectAbove: full / 2}} {
 		avg := testing.AllocsPerRun(100, func() {
-			bm.EvalBatch(items, opt, fit, errs)
+			evalBatch(m, items, opt, fit, errs)
 		})
 		if avg != 0 {
-			t.Fatalf("warm EvalBatch (opt %+v) allocates %.1f times per call, want 0", opt, avg)
+			t.Fatalf("warm batch (opt %+v) allocates %.1f times per batch, want 0", opt, avg)
 		}
-	}
-
-	// The EA's dispatch slices one logical batch into sub-spans — per-worker
-	// chunks, or finer work-stealing grains — and at GOMAXPROCS==1 runs them
-	// inline on the caller goroutine with no channel round-trips, so the
-	// sub-span calls ARE the single-core hot path and must stay
-	// allocation-free too (the row-independence contract in EvalBatch's doc).
-	half := len(items) / 2
-	avg := testing.AllocsPerRun(100, func() {
-		bm.EvalBatch(items[:half], Options{}, fit[:half], errs[:half])
-		bm.EvalBatch(items[half:], Options{}, fit[half:], errs[half:])
-	})
-	if avg != 0 {
-		t.Fatalf("warm sub-span EvalBatch pair allocates %.1f times per run, want 0", avg)
-	}
-	for r := range items {
-		if errs[r] != nil {
-			t.Fatalf("sub-span row %d failed: %v", r, errs[r])
-		}
-	}
-	if fit[0] != full {
-		t.Fatalf("sub-span evaluation diverged: row 0 = %g, want %g", fit[0], full)
 	}
 }
 
-// TestBatchInvalidRows pins per-row error isolation: invalid allocations must
-// fail their own row without disturbing neighbors.
+// TestBatchInvalidRows pins per-row error isolation: invalid allocations and
+// unusable lineage fail (or fall back) on their own row without disturbing
+// the warm Mapper's later rows.
 func TestBatchInvalidRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g, parent, tab := randomInstance(rng)
-	bm, err := NewBatchMapper(g, tab)
+	m, err := NewMapper(g, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMapper(g, tab)
+	want, err := Makespan(g, tab, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := parent.Clone()
 	bad[0] = tab.Procs() + 1 // out of range
 	short := parent[:len(parent)-1]
-	items := []BatchItem{{Alloc: parent}, {Alloc: bad}, {Alloc: short}, {Alloc: parent}}
+	items := []batchItem{
+		{alloc: parent},
+		{alloc: bad},
+		{alloc: short},
+		{alloc: parent, parent: bad, mutated: []int{0}}, // invalid parent baseline
+		{alloc: parent, parent: short, mutated: []int{0}},
+		{alloc: parent},
+	}
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
-	bm.EvalBatch(items, Options{}, fit, errs)
-	want, err := m.Makespan(parent)
-	if err != nil {
-		t.Fatal(err)
+	evalBatch(m, items, Options{}, fit, errs)
+	for _, r := range []int{0, 4, 5} {
+		if errs[r] != nil || fit[r] != want {
+			t.Errorf("row %d: fitness %g err %v, want %g nil", r, fit[r], errs[r], want)
+		}
 	}
-	if errs[0] != nil || fit[0] != want {
-		t.Errorf("row 0: fitness %g err %v, want %g nil", fit[0], errs[0], want)
-	}
-	if errs[1] == nil || errors.Is(errs[1], ErrRejected) {
-		t.Errorf("row 1 (out-of-range alloc): err %v, want a validation error", errs[1])
-	}
-	if errs[2] == nil || errors.Is(errs[2], ErrRejected) {
-		t.Errorf("row 2 (short alloc): err %v, want a validation error", errs[2])
-	}
-	if errs[3] != nil || fit[3] != want {
-		t.Errorf("row 3 after invalid rows: fitness %g err %v, want %g nil", fit[3], errs[3], want)
+	for _, r := range []int{1, 2, 3} {
+		if errs[r] == nil || errors.Is(errs[r], ErrRejected) {
+			t.Errorf("row %d: err %v, want a validation error", r, errs[r])
+		}
 	}
 }

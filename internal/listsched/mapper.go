@@ -11,11 +11,7 @@ import (
 // mapState bundles the mutable scratch one map-loop execution consumes: the
 // bottom levels driving the ready-heap priority, the consumable indegree and
 // data-ready-time arrays, per-processor availability with its incrementally
-// maintained (availability, index) order, and the ready heap itself. The
-// scalar Mapper points one mapState at its arenas for the Mapper's lifetime;
-// the BatchMapper assembles a mapState per individual whose per-task slices
-// are rows of its structure-of-arrays planes (batch.go). Both feed the same
-// runMapLoop, so the scalar and batch paths cannot drift apart.
+// maintained (availability, index) order, and the ready heap itself.
 type mapState struct {
 	bl        []float64
 	indeg     []int
@@ -36,18 +32,13 @@ type mapState struct {
 // — cheap enough to scale to large populations.
 //
 // A Mapper is NOT safe for concurrent use: each worker goroutine must own its
-// own instance (see ea.Config.EvaluatorFactory). Results are bit-identical to
-// the package-level Map/Makespan functions, which are now thin wrappers that
-// construct a throwaway Mapper.
+// own instance (see ea.Config.DeltaEvaluatorFactory). Results are
+// bit-identical to the package-level Map/Makespan functions, which are now
+// thin wrappers that construct a throwaway Mapper.
 type Mapper struct {
 	g     *dag.Graph
 	tab   *model.Table
 	procs int
-
-	// cur is the allocation of the call in flight; cost closes over it so
-	// one closure allocation at construction serves every call.
-	cur  schedule.Allocation
-	cost dag.CostFunc
 
 	st mapState
 
@@ -92,7 +83,6 @@ type blBaseline struct {
 // It fails if the table does not cover exactly the graph's tasks.
 func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
 	m := &Mapper{}
-	m.cost = func(id dag.TaskID) float64 { return m.tab.Time(id, m.cur[id]) }
 	if err := m.bind(g, tab); err != nil {
 		return nil, err
 	}
@@ -123,7 +113,6 @@ func (m *Mapper) Rebind(g *dag.Graph, tab *model.Table) error {
 func (m *Mapper) Release() {
 	m.g = nil
 	m.tab = nil
-	m.cur = nil
 	m.st.ready.bl = nil
 	for i := range m.baselines {
 		m.baselines[i].key = nil
@@ -192,7 +181,6 @@ func (m *Mapper) bind(g *dag.Graph, tab *model.Table) error {
 		m.baselines[i].key = nil
 	}
 	m.nextBase = 0
-	m.cur = nil
 	return nil
 }
 
@@ -266,10 +254,7 @@ func (m *Mapper) MakespanDelta(alloc, parent schedule.Allocation, mutated []int,
 	}
 	bl := m.st.bl[:n]
 	copy(bl, base)
-
-	m.cur = alloc
 	deltaBottomLevels(m.g, m.tab, alloc, bl, m.topoOrder, m.topoPos, m.inq, mutated)
-	m.cur = nil
 	return m.run(alloc, opt, nil, nil)
 }
 
@@ -281,8 +266,7 @@ func (m *Mapper) MakespanDelta(alloc, parent schedule.Allocation, mutated []int,
 // counts outstanding dirty tasks (predecessors always sit at lower positions,
 // so none can be missed) and lets the walk exit as soon as the last one is
 // resolved. inq must be all-false on entry; it is restored to all-false on
-// return. Shared by the scalar MakespanDelta and the batch lineage rows
-// (BatchMapper), so both produce the exact same bits.
+// return.
 //
 //schedlint:hotpath
 func deltaBottomLevels(g *dag.Graph, tab *model.Table, alloc schedule.Allocation, bl []float64,
@@ -344,11 +328,30 @@ func (m *Mapper) baseline(parent schedule.Allocation) ([]float64, error) {
 	}
 	slot := &m.baselines[m.nextBase]
 	m.nextBase = (m.nextBase + 1) % baselineCap
-	m.cur = parent
-	slot.bl = m.g.BottomLevelsInto(m.cost, slot.bl)
-	m.cur = nil
+	slot.bl = grow(slot.bl, len(parent))
+	bottomLevelsRow(m.g, m.tab, parent, slot.bl, m.topoOrder)
 	slot.key = key
 	return slot.bl, nil
+}
+
+// bottomLevelsRow fills bl with the bottom levels of alloc by the same
+// reverse-topological sweep as dag.BottomLevelsInto — same order, same float
+// operation sequence (bl[v] = T(v, s(v)) + maxSucc), so the bits match — but
+// with the execution time indexed straight out of the table instead of called
+// through a cost closure.
+//
+//schedlint:hotpath
+func bottomLevelsRow(g *dag.Graph, tab *model.Table, alloc schedule.Allocation, bl []float64, order []dag.TaskID) {
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		maxSucc := 0.0
+		for _, s := range g.Successors(v) {
+			if bl[s] > maxSucc {
+				maxSucc = bl[s]
+			}
+		}
+		bl[v] = tab.Time(v, alloc[v]) + maxSucc
+	}
 }
 
 // Map builds the full schedule for the given allocation with default options.
@@ -389,16 +392,10 @@ func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedu
 //
 //schedlint:hotpath
 func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
-	g := m.g
-	if err := alloc.Validate(g, m.procs); err != nil {
+	if err := alloc.Validate(m.g, m.procs); err != nil {
 		return 0, err
 	}
-
-	m.cur = alloc
-	bl := g.BottomLevelsInto(m.cost, m.st.bl)
-	m.st.bl = bl
-	m.cur = nil // cost is not consulted past this point; drop the reference
-
+	bottomLevelsRow(m.g, m.tab, alloc, m.st.bl, m.topoOrder)
 	return m.run(alloc, opt, entries, procArena)
 }
 
@@ -406,25 +403,14 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 // holds the bottom levels for alloc (either from a full sweep or a delta
 // update — both produce identical bits).
 //
-//schedlint:hotpath
-func (m *Mapper) run(alloc schedule.Allocation, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
-	return runMapLoop(m.g, m.tab, m.procs, alloc, &m.st, opt, entries, procArena)
-}
-
-// runMapLoop executes the map loop over the scratch bundled in st. It assumes
-// alloc has been validated and st.bl holds the bottom levels for alloc. Both
-// the scalar Mapper (st = its arenas) and the BatchMapper (st = one row of
-// its SoA planes) call it, which is what keeps the two paths bit-identical
-// by construction.
-//
 // When entries is non-nil, one Entry per task is recorded there. procArena,
 // consulted only when processor sets are recorded, must have capacity for
 // alloc.TotalProcs() entries; each task's Procs is carved from it, so a full
 // Map costs one arena allocation instead of one per task.
 //
 //schedlint:hotpath
-func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Allocation,
-	st *mapState, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
+func (m *Mapper) run(alloc schedule.Allocation, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
+	g, tab, procs, st := m.g, m.tab, m.procs, &m.st
 	n := g.NumTasks()
 	bl := st.bl[:n]
 
@@ -595,9 +581,7 @@ const areaSlack = 1e-9
 //
 // Both are true lower bounds, so a prefilter rejection implies the in-loop
 // check would have rejected as well: results with the prefilter on and off
-// are bit-identical. The BatchMapper runs the same two bounds as a sweep
-// over all rows of its bottom-level plane before mapping any of them
-// (batch.go), with identical float semantics.
+// are bit-identical.
 //
 //schedlint:hotpath
 func prefilterReject(tab *model.Table, procs int, alloc schedule.Allocation, bl []float64, bound float64) bool {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,8 @@ func FuzzRead(f *testing.F) {
 	f.Add("# comment\n\n grelon 120 3.1")
 	f.Add("a b c")
 	f.Add("")
+	f.Add("x 4 NaN")
+	f.Add("x 4 Inf")
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Read(strings.NewReader(src))
 		if err != nil {
@@ -20,6 +23,11 @@ func FuzzRead(f *testing.F) {
 		}
 		if err := c.Validate(); err != nil {
 			t.Fatalf("accepted invalid cluster %+v: %v", c, err)
+		}
+		// Independent of Validate: every derived execution time divides by
+		// the speed, so it must be a finite positive number.
+		if !(c.SpeedGFlops > 0) || math.IsInf(c.SpeedGFlops, 0) || c.Procs < 1 {
+			t.Fatalf("accepted unusable cluster %+v", c)
 		}
 	})
 }

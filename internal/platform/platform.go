@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -41,8 +42,10 @@ func (c Cluster) Validate() error {
 	if c.Procs <= 0 {
 		return fmt.Errorf("platform: cluster %q has %d processors, need >= 1", c.Name, c.Procs)
 	}
-	if c.SpeedGFlops <= 0 {
-		return fmt.Errorf("platform: cluster %q has speed %g GFLOPS, need > 0", c.Name, c.SpeedGFlops)
+	// NaN fails every comparison and +Inf passes > 0, so both need their own
+	// test: either would poison every execution time derived from the speed.
+	if !(c.SpeedGFlops > 0) || math.IsInf(c.SpeedGFlops, 1) {
+		return fmt.Errorf("platform: cluster %q has speed %g GFLOPS, need a finite value > 0", c.Name, c.SpeedGFlops)
 	}
 	return nil
 }

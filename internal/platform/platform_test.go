@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,9 @@ func TestValidate(t *testing.T) {
 		{Name: "neg-procs", Procs: -3, SpeedGFlops: 1},
 		{Name: "zero-speed", Procs: 4, SpeedGFlops: 0},
 		{Name: "neg-speed", Procs: 4, SpeedGFlops: -1},
+		{Name: "nan-speed", Procs: 4, SpeedGFlops: math.NaN()},
+		{Name: "inf-speed", Procs: 4, SpeedGFlops: math.Inf(1)},
+		{Name: "neg-inf-speed", Procs: 4, SpeedGFlops: math.Inf(-1)},
 	}
 	for _, c := range cases {
 		if err := c.Validate(); err == nil {
@@ -90,6 +94,8 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"chti twenty 4.3\n", // bad procs
 		"chti 20 fast\n",    // bad speed
 		"chti 0 4.3\n",      // invalid procs
+		"x 4 NaN\n",         // non-finite speed
+		"x 4 Inf\n",         // non-finite speed
 		`{"name":"x","procs":0,"speed_gflops":1}`, // invalid JSON cluster
 		`{"procs": "x"}`, // bad JSON types
 	}

@@ -58,7 +58,6 @@ type generationEvent struct {
 	PoolBest            float64 `json:"pool_best"`
 	PoolMean            float64 `json:"pool_mean"`
 	Evaluations         int     `json:"evaluations"`
-	CacheHits           int     `json:"cache_hits"`
 	PrefilterRejections int     `json:"prefilter_rejections"`
 	Rejected            int     `json:"rejected"`
 }
@@ -165,7 +164,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				PoolBest:            gs.Best,
 				PoolMean:            gs.Mean,
 				Evaluations:         gs.Evaluations,
-				CacheHits:           gs.CacheHits,
 				PrefilterRejections: gs.PrefilterRejections,
 				Rejected:            gs.Rejected,
 			}

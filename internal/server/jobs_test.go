@@ -586,8 +586,12 @@ func TestJobConcurrentSubscribers(t *testing.T) {
 			t.Fatalf("subscriber %d read a different stream:\n%q\nvs\n%q", i, streams[i], streams[0])
 		}
 	}
-	if s.metrics.sseSubscribers.Load() != 0 {
-		t.Fatalf("sse subscriber gauge = %d after streams closed", s.metrics.sseSubscribers.Load())
+	// A subscriber returns as soon as it has read the done frame, which can
+	// be before its handler has unwound and dropped the gauge. Close waits
+	// for every handler to return.
+	ts.Close()
+	if n := s.metrics.sseSubscribers.Load(); n != 0 {
+		t.Fatalf("sse subscriber gauge = %d after streams closed", n)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 // perfConfigs enumerates the cross-request performance layer's A/B corners:
-// every switch in both positions plus shard-count extremes. Responses must be
-// byte-identical across all of them.
+// every switch in both positions. Responses must be byte-identical across all
+// of them.
 func perfConfigs() map[string]Config {
 	return map[string]Config{
 		"all-on":      {Workers: 2},
@@ -24,15 +24,12 @@ func perfConfigs() map[string]Config {
 		"no-pool":     {Workers: 2, DisablePooling: true},
 		"no-governor": {Workers: 2, DisableGovernor: true},
 		"all-off":     {Workers: 2, DisableInterning: true, DisablePooling: true, DisableGovernor: true},
-		"shards1":     {Workers: 2, CacheShards: 1},
-		"shards64":    {Workers: 2, CacheShards: 64},
 	}
 }
 
 // TestPerfLayerBitIdentical is the server-level determinism meta-test of
 // DESIGN.md §12: for a fixed request stream, every combination of interning,
-// pooling, governor, and shard count must produce byte-identical response
-// bodies.
+// pooling, and governor must produce byte-identical response bodies.
 func TestPerfLayerBitIdentical(t *testing.T) {
 	graph := testGraphJSON(t)
 	var requests [][]byte
@@ -46,7 +43,7 @@ func TestPerfLayerBitIdentical(t *testing.T) {
 	// hits, pooled mappers) actually executes; the response cache would mask
 	// it, so it is disabled.
 	var baseline [][]byte
-	for _, name := range []string{"all-on", "no-intern", "no-pool", "no-governor", "all-off", "shards1", "shards64"} {
+	for _, name := range []string{"all-on", "no-intern", "no-pool", "no-governor", "all-off"} {
 		cfg := perfConfigs()[name]
 		cfg.CacheEntries = -1
 		s, ts := newTestServer(t, cfg)

@@ -69,6 +69,13 @@ func requestErrorf(field, msg string, args ...interface{}) *RequestError {
 	return &RequestError{Field: field, Msg: fmt.Sprintf(msg, args...)}
 }
 
+// maxTableCells bounds tasks × procs, the number of float64 cells
+// model.NewTable allocates eagerly for a request: 20000 × 120, the default
+// MaxTasks on the Grelon preset (about 19 MB of table). The cluster's
+// processor count is request-controlled, so without this bound a single
+// inline "procs" could make one request allocate without limit.
+const maxTableCells = 20000 * 120
+
 // parsedRequest is a fully validated schedule request: the decoded graph, the
 // resolved cluster, normalized names, and the canonical cache key.
 type parsedRequest struct {
@@ -145,6 +152,12 @@ func parseScheduleRequest(body []byte, maxTasks, maxIslands int, graphs *intern.
 	cluster, err := req.Cluster.resolve()
 	if err != nil {
 		return nil, err
+	}
+	// procs > ⌊cells/tasks⌋ ⇔ tasks × procs > cells, without the product
+	// that could overflow.
+	if cluster.Procs > maxTableCells/g.NumTasks() {
+		return nil, requestErrorf("cluster.procs", "%d processors × %d tasks exceeds the admission limit of %d table cells",
+			cluster.Procs, g.NumTasks(), maxTableCells)
 	}
 	if req.TimeoutMS < 0 {
 		return nil, requestErrorf("timeout_ms", "negative value %d", req.TimeoutMS)

@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"emts/internal/dag"
@@ -79,4 +81,24 @@ func TestParseStrictGraph(t *testing.T) {
 	if !errors.As(err, &decErr) {
 		t.Fatalf("want dag.DecodeError for out-of-range edge, got %v", err)
 	}
+}
+
+// TestParseTableCellBound: a request whose table would exceed maxTableCells
+// is rejected at admission on cluster.procs — for a huge inline processor
+// count, and for one whose tasks × procs product overflows int — while the
+// largest admissible shape passes.
+func TestParseTableCellBound(t *testing.T) {
+	for _, procs := range []int{1000000000, math.MaxInt, maxTableCells/2 + 1} {
+		body := fmt.Sprintf(`{"graph":%s,"cluster":{"procs":%d,"speed_gflops":1}}`, keyGraph, procs)
+		_, err := parseScheduleRequest([]byte(body), 0, 0, nil)
+		var reqErr *RequestError
+		if !errors.As(err, &reqErr) || reqErr.Field != "cluster.procs" {
+			t.Errorf("procs=%d on 2 tasks: want RequestError on cluster.procs, got %v", procs, err)
+		}
+	}
+	// The naive product check would wave the MaxInt request through.
+	if tasks, procs := 2, math.MaxInt; tasks*procs > maxTableCells {
+		t.Fatal("test premise: 2 × MaxInt must wrap around below the bound")
+	}
+	mustParse(t, fmt.Sprintf(`{"graph":%s,"cluster":{"procs":%d,"speed_gflops":1}}`, keyGraph, maxTableCells/2))
 }

@@ -91,9 +91,6 @@ type Config struct {
 	// TableEntries bounds the interned-table LRU (default 128; negative
 	// disables table interning).
 	TableEntries int
-	// CacheShards stripes each run's fitness memo cache (see
-	// ea.Config.CacheShards; 0 picks a default).
-	CacheShards int
 	// DisableInterning turns off graph and table interning: every request
 	// then decodes its graph and builds its table from scratch. Responses
 	// are bit-identical either way (interned objects are immutable and
@@ -450,7 +447,6 @@ func (s *Server) compute(j *job) jobResult {
 	// free; responses are identical for any grant (worker-count-independent
 	// engine), so only throughput depends on the grant.
 	opt := sim.Options{
-		CacheShards:       s.cfg.CacheShards,
 		MapperPool:        s.pool,
 		OnGeneration:      j.onGen,
 		Islands:           p.req.Islands,

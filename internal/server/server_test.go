@@ -125,6 +125,8 @@ func TestScheduleValidationErrors(t *testing.T) {
 		{"empty graph", `{"graph":{"tasks":[]},"cluster":{"preset":"chti"}}`, "graph.tasks"},
 		{"unknown preset", `{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"mars"}}`, "cluster.preset"},
 		{"bad inline cluster", `{"graph":{"tasks":[{"flops":1}]},"cluster":{"procs":-3,"speed_gflops":1}}`, "cluster"},
+		{"huge inline procs", `{"graph":{"tasks":[{"flops":1}]},"cluster":{"procs":1000000000,"speed_gflops":1}}`, "cluster.procs"},
+		{"overflowing table size", `{"graph":{"tasks":[{"flops":1},{"flops":1}]},"cluster":{"procs":9223372036854775807,"speed_gflops":1}}`, "cluster.procs"},
 		{"negative timeout", `{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"},"timeout_ms":-5}`, "timeout_ms"},
 	}
 	for _, tc := range cases {

@@ -120,7 +120,7 @@ func RunTable(g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorith
 }
 
 // Options tunes how a run executes: most fields affect only resource usage
-// (parallelism, arena reuse, lock striping) and leave results bit-identical
+// (parallelism, arena reuse) and leave results bit-identical
 // for any combination — the determinism meta-tests enforce this. The one
 // exception is the island-model group (Islands, MigrationInterval,
 // MigrationCount, Topology): islands change which search the EA performs, so
@@ -132,9 +132,6 @@ type Options struct {
 	// The server's CPU governor sets this per request so one lone request
 	// fans out to all cores while concurrent requests degrade gracefully.
 	Workers int
-	// CacheShards stripes the EMTS fitness memo cache (see
-	// ea.Config.CacheShards); 0 picks a default.
-	CacheShards int
 	// MapperPool, when non-nil, lends listsched.Mapper arenas to the run and
 	// takes them back when it finishes (see core.Params.MapperPool).
 	MapperPool *evalpool.Pool
@@ -181,7 +178,6 @@ func RunTableOpts(ctx context.Context, g *dag.Graph, cluster platform.Cluster, t
 			params = core.EMTS10(seed)
 		}
 		params.Workers = opt.Workers
-		params.CacheShards = opt.CacheShards
 		params.MapperPool = opt.MapperPool
 		params.OnGeneration = opt.OnGeneration
 		params.Islands = opt.Islands

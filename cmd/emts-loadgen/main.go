@@ -57,6 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -982,13 +983,14 @@ func reportJobs(out io.Writer, results []jobsResult, o loadOpts) error {
 	return nil
 }
 
-// percentile returns the q-quantile by the nearest-rank method; all must be
-// sorted ascending.
+// percentile returns the q-quantile by the nearest-rank method, the sample
+// of rank ⌈q·n⌉; all must be sorted ascending. The 1e-9 slack keeps float
+// error in q·n from pushing an exact rank up by one.
 func percentile(all []time.Duration, q float64) time.Duration {
 	if len(all) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(all))+0.5) - 1
+	i := int(math.Ceil(q*float64(len(all))-1e-9)) - 1
 	if i < 0 {
 		i = 0
 	}

@@ -42,14 +42,22 @@ func TestBuildBodies(t *testing.T) {
 }
 
 func TestPercentile(t *testing.T) {
-	all := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct {
+		n    int
 		q    float64
 		want time.Duration
-	}{{0.50, 5}, {0.90, 9}, {0.95, 10}, {0.99, 10}, {1.0, 10}}
+	}{
+		{10, 0.50, 5}, {10, 0.90, 9}, {10, 0.95, 10}, {10, 0.99, 10}, {10, 1.0, 10},
+		// q·n = 10.45, so the nearest rank is the 11th sample, not the 10th.
+		{11, 0.95, 11},
+	}
 	for _, tc := range cases {
+		all := make([]time.Duration, tc.n)
+		for i := range all {
+			all[i] = time.Duration(i + 1)
+		}
 		if got := percentile(all, tc.q); got != tc.want {
-			t.Errorf("percentile(%.2f) = %d, want %d", tc.q, got, tc.want)
+			t.Errorf("percentile(n=%d, %.2f) = %d, want %d", tc.n, tc.q, got, tc.want)
 		}
 	}
 	if got := percentile(nil, 0.5); got != 0 {

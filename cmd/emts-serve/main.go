@@ -10,12 +10,13 @@
 //	           [-quiet] [-instance id]
 //	           [-graph-entries 64] [-table-entries 128]
 //	           [-max-jobs 256] [-job-ttl 10m] [-sse-keepalive 15s]
-//	           [-no-intern] [-no-pool] [-no-governor]
+//	           [-no-governor]
 //	           [-pprof addr] [-mutex-profile-fraction 0] [-block-profile-rate 0]
 //
-// The -no-* switches disable individual pieces of the cross-request
-// performance layer (graph/table interning, the shared Mapper pool, the CPU
-// governor) for A/B measurement; responses are bit-identical either way.
+// Negative -graph-entries and -table-entries disable graph/table interning
+// and -no-governor disables the CPU governor, the two pieces of the
+// cross-request performance layer, for A/B measurement; responses are
+// bit-identical either way.
 //
 // -pprof starts net/http/pprof on a second listener (e.g. localhost:6060),
 // kept off the service address so profiles are never internet-facing by
@@ -75,8 +76,6 @@ func main() {
 		maxJobs      = flag.Int("max-jobs", 0, "async job store bound (0 = default 256, negative disables /v1/jobs)")
 		jobTTL       = flag.Duration("job-ttl", 0, "finished-job retention for polling and SSE replay (0 = default 10m)")
 		sseKeepalive = flag.Duration("sse-keepalive", 0, "SSE keep-alive comment period (0 = default 15s)")
-		noIntern     = flag.Bool("no-intern", false, "disable graph/table interning (A/B switch)")
-		noPool       = flag.Bool("no-pool", false, "disable the shared Mapper pool (A/B switch)")
 		noGovernor   = flag.Bool("no-governor", false, "disable the CPU governor (A/B switch)")
 
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
@@ -89,22 +88,20 @@ func main() {
 		logW = nil
 	}
 	cfg := server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		RequestTimeout:   *timeout,
-		CacheEntries:     *cache,
-		MaxTasks:         *maxTasks,
-		MaxIslands:       *maxIsl,
-		LogWriter:        logW,
-		InstanceID:       *instance,
-		GraphEntries:     *graphEntries,
-		TableEntries:     *tableEntries,
-		MaxJobs:          *maxJobs,
-		JobTTL:           *jobTTL,
-		SSEKeepAlive:     *sseKeepalive,
-		DisableInterning: *noIntern,
-		DisablePooling:   *noPool,
-		DisableGovernor:  *noGovernor,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		RequestTimeout:  *timeout,
+		CacheEntries:    *cache,
+		MaxTasks:        *maxTasks,
+		MaxIslands:      *maxIsl,
+		LogWriter:       logW,
+		InstanceID:      *instance,
+		GraphEntries:    *graphEntries,
+		TableEntries:    *tableEntries,
+		MaxJobs:         *maxJobs,
+		JobTTL:          *jobTTL,
+		SSEKeepAlive:    *sseKeepalive,
+		DisableGovernor: *noGovernor,
 	}
 	if *mutexFraction > 0 {
 		runtime.SetMutexProfileFraction(*mutexFraction)

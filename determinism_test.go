@@ -1,6 +1,7 @@
 // Determinism regression tests for the arena-reusing fitness evaluation
 // engine: with equal seeds, EMTS must produce bit-identical results whichever
-// evaluation layers, Mapper pool, and worker count are in play.
+// evaluation layers are in play (the worker-count axis is pinned by
+// TestEngineGoldenCorpus).
 package emts_test
 
 import (
@@ -10,7 +11,6 @@ import (
 	"emts/internal/core"
 	"emts/internal/dag"
 	"emts/internal/daggen"
-	"emts/internal/evalpool"
 	"emts/internal/model"
 	"emts/internal/platform"
 )
@@ -96,55 +96,5 @@ func TestEvaluationEngineDeterminism(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCrossRequestLayerDeterminism pins the cross-request axes: the shared
-// Mapper pool and the worker count (the CPU governor's lever) must each leave
-// every search-visible output bit-identical.
-func TestCrossRequestLayerDeterminism(t *testing.T) {
-	pool := evalpool.New(0, 0)
-	for _, g := range determinismGraphs(t) {
-		tab, err := model.NewTable(g, model.Synthetic{}, platform.Grelon())
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := core.EMTS5(42)
-		want, err := core.Run(g, tab, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			name    string
-			pooled  bool
-			workers int
-		}{
-			{"pool", true, 0},
-			{"workers1", false, 1},
-			{"workers4", false, 4},
-			{"pool+workers2", true, 2},
-		} {
-			p := core.EMTS5(42)
-			p.Workers = c.workers
-			if c.pooled {
-				p.MapperPool = pool
-			}
-			got, err := core.Run(g, tab, p)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", g.Name(), c.name, err)
-			}
-			if got.Makespan != want.Makespan ||
-				!reflect.DeepEqual(got.Alloc, want.Alloc) ||
-				!reflect.DeepEqual(got.History, want.History) ||
-				got.Evaluations != want.Evaluations ||
-				got.PrefilterRejections != want.PrefilterRejections {
-				t.Errorf("%s/%s: diverged from baseline (makespan %g vs %g, evals %d vs %d)",
-					g.Name(), c.name, got.Makespan, want.Makespan,
-					got.Evaluations, want.Evaluations)
-			}
-		}
-	}
-	if hits, misses := pool.Stats(); hits == 0 || misses == 0 {
-		t.Errorf("pool Stats = (%d, %d): the pooled runs should both miss (cold) and hit (warm)", hits, misses)
 	}
 }

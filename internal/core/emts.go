@@ -21,12 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"emts/internal/alloc"
 	"emts/internal/dag"
 	"emts/internal/ea"
-	"emts/internal/evalpool"
 	"emts/internal/listsched"
 	"emts/internal/model"
 	"emts/internal/schedule"
@@ -95,13 +93,6 @@ type Params struct {
 	// Workers bounds fitness-evaluation parallelism (0 = GOMAXPROCS). With
 	// Islands > 1 the budget is divided evenly across the islands.
 	Workers int
-	// MapperPool, when non-nil, supplies the listsched.Mapper arenas for this
-	// run — the seed evaluator, every EA worker's evaluator pair, and the
-	// final schedule materialization — instead of constructing fresh ones.
-	// All checked-out Mappers are returned before RunContext returns. Results
-	// are bit-identical with or without a pool (Mapper.Rebind resets all
-	// instance state); nil means allocate per run, the pre-pool behavior.
-	MapperPool *evalpool.Pool
 	// Seed drives every stochastic choice. Equal seeds ⇒ identical results,
 	// which is how the paper guarantees EMTS10 finds every EMTS5 solution.
 	Seed int64
@@ -229,38 +220,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	}
 	res := &Result{}
 
-	// newMapper checks arenas out of the configured pool (warm checkouts
-	// rebind existing arenas with zero allocations) or constructs them fresh;
-	// every checked-out Mapper is returned when the run ends. Within one
-	// evaluation engine the factory runs serially before its worker
-	// goroutines, but an Islands > 1 run constructs N engines' evaluators
-	// concurrently — one per island goroutine — so the checkout list takes a
-	// mutex. Cold path: O(workers + islands) acquisitions per run, never per
-	// evaluation.
-	var (
-		mapperMu   sync.Mutex
-		checkedOut []*listsched.Mapper
-	)
-	newMapper := func() (*listsched.Mapper, error) {
-		if p.MapperPool == nil {
-			return listsched.NewMapper(g, tab)
-		}
-		m, err := p.MapperPool.Get(g, tab)
-		if err != nil {
-			return nil, err
-		}
-		mapperMu.Lock()
-		checkedOut = append(checkedOut, m)
-		mapperMu.Unlock()
-		return m, nil
-	}
-	defer func() {
-		for _, m := range checkedOut {
-			p.MapperPool.Put(m)
-		}
-	}()
-
-	seedMapper, err := newMapper()
+	seedMapper, err := listsched.NewMapper(g, tab)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +264,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	// calls them from a single worker goroutine, never concurrently.
 	baseOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
 	factory := func() (ea.Evaluator, ea.DeltaEvaluator) {
-		m, err := newMapper()
+		m, err := listsched.NewMapper(g, tab)
 		if err != nil {
 			// Unreachable (sizes were validated above), but a constructor
 			// error must surface: every evaluation then reports it.

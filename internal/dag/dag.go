@@ -288,23 +288,6 @@ func (g *Graph) TopologicalOrder() ([]TaskID, error) {
 	return g.computeTopo()
 }
 
-// TopologicalOrderInto is TopologicalOrder writing into dst, which is grown
-// only when its capacity is insufficient — the allocation-free variant used
-// when a pooled Mapper is rebound to a new graph (DESIGN.md §12). The
-// returned slice aliases dst (when it fit) and is the caller's to modify.
-func (g *Graph) TopologicalOrderInto(dst []TaskID) ([]TaskID, error) {
-	if g.topo == nil && len(g.tasks) > 0 {
-		return g.computeTopo()
-	}
-	n := len(g.topo)
-	if cap(dst) < n {
-		dst = make([]TaskID, n)
-	}
-	dst = dst[:n]
-	copy(dst, g.topo)
-	return dst, nil
-}
-
 // topoOrder returns the cached topological order without copying. Internal
 // analysis passes use it read-only; a Graph that passed Build always has it.
 func (g *Graph) topoOrder() []TaskID {

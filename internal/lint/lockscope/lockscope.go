@@ -1,13 +1,13 @@
 // Package lockscope enforces two concurrency disciplines that the A/B
-// serving layers (evalpool, intern, server) depend on:
+// serving layers (intern, server) depend on:
 //
 //  1. No sync primitive is copied by value. A copied sync.Mutex is a fork of
 //     the lock state: both copies "work" under the race detector until the
-//     moment two goroutines serialize on different forks. The checkout paths
-//     in evalpool and intern hand pooled state between goroutines, which is
-//     exactly where an accidental by-value bucket or shard copy would slip
-//     through. Flagged: parameters, results, and plain copies (x := y,
-//     range values) whose type transitively contains a sync primitive.
+//     moment two goroutines serialize on different forks. The lookup paths
+//     in intern hand shared state between goroutines, which is exactly where
+//     an accidental by-value entry or LRU copy would slip through. Flagged:
+//     parameters, results, and plain copies (x := y, range values) whose
+//     type transitively contains a sync primitive.
 //
 //  2. No lock is held across a blocking channel operation. A mutex held
 //     across a send, receive, select, or sync Wait couples the lock's

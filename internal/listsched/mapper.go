@@ -79,50 +79,41 @@ type blBaseline struct {
 	bl  []float64
 }
 
-// NewMapper returns a Mapper for the given graph and execution-time table.
-// It fails if the table does not cover exactly the graph's tasks.
+// NewMapper returns a Mapper for the given graph and execution-time table,
+// with every arena sized for it. It fails if the table does not cover
+// exactly the graph's tasks.
 func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
-	m := &Mapper{}
-	if err := m.bind(g, tab); err != nil {
+	if tab.NumTasks() != g.NumTasks() {
+		return nil, fmt.Errorf("listsched: table covers %d tasks, graph has %d", tab.NumTasks(), g.NumTasks())
+	}
+	order, err := g.TopologicalOrder()
+	if err != nil {
 		return nil, err
+	}
+	n, procs := g.NumTasks(), tab.Procs()
+	m := &Mapper{
+		g:     g,
+		tab:   tab,
+		procs: procs,
+		st: mapState{
+			bl:        make([]float64, n),
+			indeg:     make([]int, n),
+			readyTime: make([]float64, n),
+			avail:     make([]float64, procs),
+			order:     make([]int, procs),
+			scratch:   make([]int, procs),
+			mark:      make([]bool, procs),
+			ready:     blHeap{items: make([]dag.TaskID, 0, n)},
+		},
+		topoPos:   make([]int32, n),
+		topoOrder: order,
+		inq:       make([]bool, n),
+	}
+	for i, v := range order {
+		m.topoPos[v] = int32(i)
 	}
 	return m, nil
 }
-
-// Rebind points an existing Mapper at a new (graph, table) pair, reusing
-// every arena whose capacity suffices — for a pair of the same shape (task
-// count, processor count) it performs zero heap allocations. All cached state
-// that depends on the previous pair (bottom-level baselines, delta dirty
-// flags) is cleared, so results after a Rebind are bit-identical to those of
-// a fresh NewMapper(g, tab). This is the pool reset protocol of DESIGN.md
-// §12: evalpool checks Mappers out per request and rebinds them instead of
-// reallocating ~10 arenas per worker per request.
-//
-//schedlint:hotpath
-func (m *Mapper) Rebind(g *dag.Graph, tab *model.Table) error {
-	return m.bind(g, tab)
-}
-
-// Release drops the graph, table, and baseline-key references so a Mapper
-// parked in a pool does not pin request-scoped objects (interned graphs and
-// tables must stay evictable, and baseline keys hold parent allocation
-// vectors alive). Arenas are retained; a subsequent Rebind restores the
-// Mapper to service.
-//
-//schedlint:hotpath
-func (m *Mapper) Release() {
-	m.g = nil
-	m.tab = nil
-	m.st.ready.bl = nil
-	for i := range m.baselines {
-		m.baselines[i].key = nil
-	}
-}
-
-// Shape reports the (task count, processor count) the Mapper's arenas are
-// sized for. It remains valid after Release, which is what lets a pool file a
-// released Mapper under its shape without holding the graph alive.
-func (m *Mapper) Shape() (tasks, procs int) { return len(m.st.bl), m.procs }
 
 // grow returns s resized to length n, reallocating only when the capacity is
 // insufficient. Reused elements keep their old values; callers that need a
@@ -132,56 +123,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// bind sizes every arena for (g, tab) and resets all pair-dependent state.
-// Shared by NewMapper (all capacities zero, so everything allocates) and
-// Rebind (same-shape pairs reuse every arena).
-//
-//schedlint:hotpath
-func (m *Mapper) bind(g *dag.Graph, tab *model.Table) error {
-	if tab.NumTasks() != g.NumTasks() {
-		//schedlint:allow hotalloc,sentinelerr,hotescape -- cold validation path: a shape mismatch is a caller bug, never the steady-state rebind
-		return fmt.Errorf("listsched: table covers %d tasks, graph has %d", tab.NumTasks(), g.NumTasks())
-	}
-	order, err := g.TopologicalOrderInto(m.topoOrder)
-	if err != nil {
-		return err
-	}
-	m.g, m.tab, m.procs = g, tab, tab.Procs()
-	n := g.NumTasks()
-	m.st.bl = grow(m.st.bl, n)
-	m.st.indeg = grow(m.st.indeg, n)
-	m.st.readyTime = grow(m.st.readyTime, n)
-	m.st.avail = grow(m.st.avail, m.procs)
-	m.st.order = grow(m.st.order, m.procs)
-	m.st.scratch = grow(m.st.scratch, m.procs)
-	m.st.mark = grow(m.st.mark, m.procs)
-	for i := range m.st.mark {
-		m.st.mark[i] = false
-	}
-	if cap(m.st.ready.items) < n {
-		//schedlint:allow hotescape -- amortized arena growth: reallocates only when the task count outgrows the retained capacity
-		m.st.ready.items = make([]dag.TaskID, 0, n)
-	}
-	m.st.ready.items = m.st.ready.items[:0]
-	m.st.ready.bl = nil
-	m.topoOrder = order
-	m.topoPos = grow(m.topoPos, n)
-	for i, v := range order {
-		m.topoPos[v] = int32(i)
-	}
-	m.inq = grow(m.inq, n)
-	for i := range m.inq {
-		m.inq[i] = false
-	}
-	// Baseline rows cache bottom levels of the previous pair; invalidate the
-	// keys but keep the float rows for reuse by the next binding.
-	for i := range m.baselines {
-		m.baselines[i].key = nil
-	}
-	m.nextBase = 0
-	return nil
 }
 
 // Makespan maps the allocation and returns only the resulting makespan — the

@@ -58,7 +58,6 @@ type metrics struct {
 	// feature is disabled; the series are then omitted).
 	graphStats        func() (hits, misses uint64)
 	tableStats        func() (hits, misses uint64)
-	poolStats         func() (hits, misses uint64)
 	governorAvailable func() int
 	governorCapacity  int
 
@@ -224,9 +223,6 @@ func (m *metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 	if m.tableStats != nil {
 		writeHitMiss("emts_intern_table", "Table-intern", m.tableStats)
-	}
-	if m.poolStats != nil {
-		writeHitMiss("emts_mapper_pool", "Mapper-pool checkout", m.poolStats)
 	}
 	if m.governorAvailable != nil {
 		fmt.Fprintln(cw, "# HELP emts_governor_tokens_available CPU governor tokens currently free (negative under overdraft).")

@@ -15,21 +15,20 @@ import (
 )
 
 // perfConfigs enumerates the cross-request performance layer's A/B corners:
-// every switch in both positions. Responses must be byte-identical across all
-// of them.
+// interning (off through negative LRU bounds) and the governor, each in both
+// positions. Responses must be byte-identical across all of them.
 func perfConfigs() map[string]Config {
 	return map[string]Config{
-		"all-on":      {Workers: 2},
-		"no-intern":   {Workers: 2, DisableInterning: true},
-		"no-pool":     {Workers: 2, DisablePooling: true},
-		"no-governor": {Workers: 2, DisableGovernor: true},
-		"all-off":     {Workers: 2, DisableInterning: true, DisablePooling: true, DisableGovernor: true},
+		"all-on":       {Workers: 2},
+		"intern-off":   {Workers: 2, GraphEntries: -1, TableEntries: -1},
+		"governor-off": {Workers: 2, DisableGovernor: true},
+		"all-off":      {Workers: 2, GraphEntries: -1, TableEntries: -1, DisableGovernor: true},
 	}
 }
 
 // TestPerfLayerBitIdentical is the server-level determinism meta-test of
-// DESIGN.md §12: for a fixed request stream, every combination of interning,
-// pooling, and governor must produce byte-identical response bodies.
+// DESIGN.md §12: for a fixed request stream, every combination of interning
+// and governor must produce byte-identical response bodies.
 func TestPerfLayerBitIdentical(t *testing.T) {
 	graph := testGraphJSON(t)
 	var requests [][]byte
@@ -40,10 +39,10 @@ func TestPerfLayerBitIdentical(t *testing.T) {
 		}
 	}
 	// The request set is replayed twice per server so warm-path code (intern
-	// hits, pooled mappers) actually executes; the response cache would mask
-	// it, so it is disabled.
+	// hits) actually executes; the response cache would mask it, so it is
+	// disabled.
 	var baseline [][]byte
-	for _, name := range []string{"all-on", "no-intern", "no-pool", "no-governor", "all-off"} {
+	for _, name := range []string{"all-on", "intern-off", "governor-off", "all-off"} {
 		cfg := perfConfigs()[name]
 		cfg.CacheEntries = -1
 		s, ts := newTestServer(t, cfg)
@@ -113,9 +112,6 @@ func TestInternedGraphStress(t *testing.T) {
 	if hits, _ := s.tables.Stats(); hits == 0 {
 		t.Error("no table-intern hits after hammering one graph")
 	}
-	if hits, _ := s.pool.Stats(); hits == 0 {
-		t.Error("no mapper-pool hits after repeated EMTS runs")
-	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -124,7 +120,7 @@ func TestInternedGraphStress(t *testing.T) {
 	metrics := string(readAll(t, resp))
 	for _, series := range []string{
 		"emts_intern_graph_hits_total", "emts_intern_table_hits_total",
-		"emts_mapper_pool_hits_total", "emts_governor_tokens_capacity",
+		"emts_governor_tokens_capacity",
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("/metrics missing %s:\n%s", series, metrics)
@@ -162,14 +158,14 @@ func computeJob(t testing.TB, s *Server, body []byte) *job {
 }
 
 // TestWarmRequestAllocations extends PR 1's zero-alloc regression to the full
-// server schedule path: once graph, table, and mappers are warm, a repeat
-// request must allocate several times less than the everything-disabled
+// server schedule path: once graph and table are interned, a repeat request
+// must allocate several times less than the everything-disabled
 // configuration. The workload is the repeat-structure benchmark shape (one
 // 300-task irregular PTG, many seeds), where the warm path skips JSON decode,
-// graph construction, V×P table evaluation, and Mapper construction; what
-// remains is EA-inherent per-run state (population clones, memo maps) plus
-// the response marshal, which both paths pay. The precise factor is recorded
-// in artifacts/BENCH_PR5.json; this floor is conservative so the test stays
+// graph construction, and V×P table evaluation; what remains is the per-run
+// Mapper construction and EA state (population clones) plus the response
+// marshal, which both paths pay. The precise factor is recorded in
+// artifacts/BENCH_PR14.json; this floor is conservative so the test stays
 // green across toolchains.
 func TestWarmRequestAllocations(t *testing.T) {
 	g, err := daggen.Random(daggen.RandomConfig{
@@ -188,11 +184,11 @@ func TestWarmRequestAllocations(t *testing.T) {
 	warmSrv := New(Config{Workers: 1, CacheEntries: -1})
 	defer warmSrv.Shutdown(context.Background())
 	coldSrv := New(Config{Workers: 1, CacheEntries: -1,
-		DisableInterning: true, DisablePooling: true, DisableGovernor: true})
+		GraphEntries: -1, TableEntries: -1, DisableGovernor: true})
 	defer coldSrv.Shutdown(context.Background())
 
 	measure := func(s *Server) float64 {
-		// Warm-up run: populates interns and the mapper pool where enabled.
+		// Warm-up run: populates the interns where enabled.
 		if res := s.compute(computeJob(t, s, body)); res.code != http.StatusOK {
 			t.Fatalf("warm-up compute: %d %s", res.code, res.body)
 		}

@@ -43,7 +43,6 @@ import (
 
 	"emts/internal/dag"
 	"emts/internal/ea"
-	"emts/internal/evalpool"
 	"emts/internal/intern"
 	"emts/internal/jobs"
 	"emts/internal/model"
@@ -86,26 +85,19 @@ type Config struct {
 	// it to assert which backend actually served a request.
 	InstanceID string
 	// GraphEntries bounds the interned-graph LRU (default 64; negative
-	// disables graph interning).
+	// disables graph interning: every request then decodes its graph).
 	GraphEntries int
 	// TableEntries bounds the interned-table LRU (default 128; negative
-	// disables table interning).
+	// disables table interning: every request then builds its table).
+	// Responses are bit-identical whatever the two bounds (interned objects
+	// are immutable and keyed by content), so negative values of both are
+	// the interning A/B switch.
 	TableEntries int
-	// DisableInterning turns off graph and table interning: every request
-	// then decodes its graph and builds its table from scratch. Responses
-	// are bit-identical either way (interned objects are immutable and
-	// keyed by content) — the switch exists for A/B measurement and the
-	// determinism meta-tests.
-	DisableInterning bool
-	// DisablePooling turns off the shared Mapper arena pool: every run then
-	// allocates fresh evaluation state. Responses are bit-identical either
-	// way (Mapper.Rebind resets all instance state); A/B switch like
-	// DisableInterning.
-	DisablePooling bool
 	// DisableGovernor turns off the global CPU governor: every run then
 	// fans out to GOMAXPROCS EA workers regardless of concurrent load.
 	// Responses are bit-identical either way (ea results are independent of
-	// worker count); A/B switch like DisableInterning.
+	// worker count) — the switch exists for A/B measurement and the
+	// determinism meta-tests.
 	DisableGovernor bool
 	// MaxJobs bounds the async job store behind /v1/jobs (default 256;
 	// negative disables the job API entirely — the routes are then not
@@ -191,12 +183,10 @@ type Server struct {
 	cache   *responseCache
 
 	// Cross-request performance layer (DESIGN.md §12): content-addressed
-	// graph/table interns, the shared Mapper arena pool, and the CPU
-	// governor. Each is nil when its Config switch disables it; responses
-	// are bit-identical in every combination.
+	// graph/table interns and the CPU governor. Each is nil when its Config
+	// setting disables it; responses are bit-identical in every combination.
 	graphs *intern.Graphs
 	tables *intern.Tables
-	pool   *evalpool.Pool
 	gov    *governor
 
 	// jobStore backs the /v1/jobs API; nil when Config.MaxJobs < 0.
@@ -252,16 +242,11 @@ func New(cfg Config) *Server {
 	if cfg.LogWriter != nil {
 		s.log = &logger{w: cfg.LogWriter}
 	}
-	if !cfg.DisableInterning {
-		if cfg.GraphEntries > 0 {
-			s.graphs = intern.NewGraphs(cfg.GraphEntries)
-		}
-		if cfg.TableEntries > 0 {
-			s.tables = intern.NewTables(cfg.TableEntries)
-		}
+	if cfg.GraphEntries > 0 {
+		s.graphs = intern.NewGraphs(cfg.GraphEntries)
 	}
-	if !cfg.DisablePooling {
-		s.pool = evalpool.New(0, 0)
+	if cfg.TableEntries > 0 {
+		s.tables = intern.NewTables(cfg.TableEntries)
 	}
 	if !cfg.DisableGovernor {
 		s.gov = newGovernor(runtime.GOMAXPROCS(0))
@@ -278,9 +263,6 @@ func New(cfg Config) *Server {
 	}
 	if s.tables != nil {
 		s.metrics.tableStats = s.tables.Stats
-	}
-	if s.pool != nil {
-		s.metrics.poolStats = s.pool.Stats
 	}
 	if s.gov != nil {
 		s.metrics.governorAvailable = s.gov.Available
@@ -447,7 +429,6 @@ func (s *Server) compute(j *job) jobResult {
 	// free; responses are identical for any grant (worker-count-independent
 	// engine), so only throughput depends on the grant.
 	opt := sim.Options{
-		MapperPool:        s.pool,
 		OnGeneration:      j.onGen,
 		Islands:           p.req.Islands,
 		MigrationInterval: p.req.MigrationInterval,

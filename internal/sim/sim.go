@@ -17,7 +17,6 @@ import (
 	"emts/internal/core"
 	"emts/internal/dag"
 	"emts/internal/ea"
-	"emts/internal/evalpool"
 	"emts/internal/listsched"
 	"emts/internal/model"
 	"emts/internal/onestep"
@@ -119,22 +118,19 @@ func RunTable(g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorith
 	return RunTableContext(context.Background(), g, cluster, tab, algorithm, seed)
 }
 
-// Options tunes how a run executes: most fields affect only resource usage
-// (parallelism, arena reuse) and leave results bit-identical
-// for any combination — the determinism meta-tests enforce this. The one
-// exception is the island-model group (Islands, MigrationInterval,
-// MigrationCount, Topology): islands change which search the EA performs, so
-// each distinct setting is a distinct deterministic result — still
-// independent of Workers and GOMAXPROCS, and Islands <= 1 is bit-identical
-// to the historical behavior. The zero value is the historical behavior.
+// Options tunes how a run executes: Workers affects only parallelism and
+// OnGeneration only observes, so both leave results bit-identical — the
+// determinism meta-tests enforce this. The one exception is the island-model
+// group (Islands, MigrationInterval, MigrationCount, Topology): islands change
+// which search the EA performs, so each distinct setting is a distinct
+// deterministic result — still independent of Workers and GOMAXPROCS, and
+// Islands <= 1 is bit-identical to the historical behavior. The zero value is
+// the historical behavior.
 type Options struct {
 	// Workers bounds EMTS fitness-evaluation parallelism (0 = GOMAXPROCS).
 	// The server's CPU governor sets this per request so one lone request
 	// fans out to all cores while concurrent requests degrade gracefully.
 	Workers int
-	// MapperPool, when non-nil, lends listsched.Mapper arenas to the run and
-	// takes them back when it finishes (see core.Params.MapperPool).
-	MapperPool *evalpool.Pool
 	// Islands, MigrationInterval, MigrationCount, and Topology configure the
 	// island-model EA for EMTS algorithms (ignored by the one-shot
 	// heuristics); see core.Params and ea.Config. Islands <= 1 is the
@@ -158,8 +154,8 @@ func RunTableContext(ctx context.Context, g *dag.Graph, cluster platform.Cluster
 }
 
 // RunTableOpts is RunTableContext with execution Options — the entry point
-// the serving path uses to plug in the shared Mapper pool and the CPU
-// governor's per-request worker budget.
+// the serving path uses to plug in the CPU governor's per-request worker
+// budget and the async jobs' progress observer.
 func RunTableOpts(ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorithm string, seed int64, opt Options) (*Report, error) {
 	rep := &Report{
 		Algorithm: strings.ToLower(algorithm),
@@ -178,7 +174,6 @@ func RunTableOpts(ctx context.Context, g *dag.Graph, cluster platform.Cluster, t
 			params = core.EMTS10(seed)
 		}
 		params.Workers = opt.Workers
-		params.MapperPool = opt.MapperPool
 		params.OnGeneration = opt.OnGeneration
 		params.Islands = opt.Islands
 		params.MigrationInterval = opt.MigrationInterval

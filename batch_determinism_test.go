@@ -1,5 +1,5 @@
 // Determinism meta-tests of one generation's evaluation batch: the switch
-// lattice of the evaluation layers that remain (delta bottom levels ×
+// lattice of the one evaluation layer that remains (the lower-bound
 // prefilter), observer transparency, and the worker-count lever of the
 // shared-cursor dispatch. The CI engine race step runs them at GOMAXPROCS 1
 // and 8, so the inline loop and the goroutine fan-out both run under the
@@ -25,15 +25,14 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 		for _, useRejection := range []bool{false, true} {
 			base := core.EMTS5(42)
 			base.UseRejection = useRejection
-			want, err := core.Run(g, tab, base) // every layer on: delta, prefilter
+			want, err := core.Run(g, tab, base) // prefilter on
 			if err != nil {
 				t.Fatal(err)
 			}
-			for mask := 0; mask < 4; mask++ {
+			for _, noPrefilter := range []bool{false, true} {
 				p := core.EMTS5(42)
 				p.UseRejection = useRejection
-				p.DisableDelta = mask&1 != 0
-				p.DisablePrefilter = mask&2 != 0
+				p.DisablePrefilter = noPrefilter
 				got, err := core.Run(g, tab, p)
 				if err != nil {
 					t.Fatal(err)
@@ -44,8 +43,8 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 					!reflect.DeepEqual(got.History, want.History) ||
 					got.Evaluations != want.Evaluations ||
 					got.Rejections != want.Rejections {
-					t.Errorf("%s rejection=%v delta=%v prefilter=%v: diverged from all-on baseline (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
-						ctx, useRejection, !p.DisableDelta, !p.DisablePrefilter,
+					t.Errorf("%s rejection=%v prefilter=%v: diverged from the prefilter-on baseline (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
+						ctx, useRejection, !p.DisablePrefilter,
 						got.Makespan, want.Makespan, got.Evaluations, want.Evaluations, got.Rejections, want.Rejections)
 				}
 				// PrefilterRejections is the prefilter's own counter: exact
@@ -55,8 +54,8 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 						t.Errorf("%s: PrefilterRejections = %d with the prefilter off or no bound", ctx, got.PrefilterRejections)
 					}
 				} else if got.PrefilterRejections != want.PrefilterRejections {
-					t.Errorf("%s rejection=%v delta=%v: PrefilterRejections %d, want %d",
-						ctx, useRejection, !p.DisableDelta, got.PrefilterRejections, want.PrefilterRejections)
+					t.Errorf("%s rejection=%v: PrefilterRejections %d, want %d",
+						ctx, useRejection, got.PrefilterRejections, want.PrefilterRejections)
 				}
 			}
 		}

@@ -541,18 +541,17 @@ func BenchmarkEMTS10Instance(b *testing.B) { emtsInstanceBench(b, withRejection(
 
 // BenchmarkEMTS5InstanceNoRejection is the pre-PR 3 headline workload: no
 // rejection bound, so neither the prefilter nor in-loop rejection can fire
-// and only delta bottom levels help.
+// and every offspring is mapped in full.
 func BenchmarkEMTS5InstanceNoRejection(b *testing.B) { emtsInstanceBench(b, core.EMTS5) }
 
-// BenchmarkEMTS5InstanceNoFastPath is the A/B control for DESIGN.md §10:
-// rejection enabled but the lower-bound prefilter and delta bottom levels
-// switched off — the PR 2 evaluation engine on today's workload.
-func BenchmarkEMTS5InstanceNoFastPath(b *testing.B) {
+// BenchmarkEMTS5InstanceNoPrefilter is the A/B control for DESIGN.md §10:
+// rejection enabled but the lower-bound prefilter switched off, so every
+// rejection is decided inside the map loop.
+func BenchmarkEMTS5InstanceNoPrefilter(b *testing.B) {
 	emtsInstanceBench(b, func(seed int64) core.Params {
 		p := core.EMTS5(seed)
 		p.UseRejection = true
 		p.DisablePrefilter = true
-		p.DisableDelta = true
 		return p
 	})
 }

@@ -1,6 +1,6 @@
 // Determinism regression tests for the arena-reusing fitness evaluation
-// engine: with equal seeds, EMTS must produce bit-identical results whichever
-// evaluation layers are in play (the worker-count axis is pinned by
+// engine: with equal seeds, EMTS must produce bit-identical results with the
+// lower-bound prefilter on and off (the worker-count axis is pinned by
 // TestEngineGoldenCorpus).
 package emts_test
 
@@ -55,38 +55,28 @@ func TestEvaluationEngineDeterminism(t *testing.T) {
 				}
 				ctx := g.Name() + "/" + pr.name
 
-				// Fast-path axes (DESIGN.md §10): disabling the lower-bound
-				// prefilter and/or delta bottom levels must not change any
-				// search-visible output relative to the all-layers-on run.
-				for _, c := range []struct {
-					name           string
-					noPre, noDelta bool
-				}{
-					{"no-prefilter", true, false},
-					{"no-delta", false, true},
-					{"no-fastpath", true, true},
-				} {
-					q := pr.mk(42)
-					q.UseRejection = useRejection
-					q.DisablePrefilter = c.noPre
-					q.DisableDelta = c.noDelta
-					got, err := core.Run(g, tab, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Makespan != ref.Makespan ||
-						!reflect.DeepEqual(got.Alloc, ref.Alloc) ||
-						!reflect.DeepEqual(got.History, ref.History) ||
-						got.Evaluations != ref.Evaluations ||
-						got.Rejections != ref.Rejections {
-						t.Errorf("%s rejection=%v %s: diverged from fast-path run (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
-							ctx, useRejection, c.name, got.Makespan, ref.Makespan,
-							got.Evaluations, ref.Evaluations, got.Rejections, ref.Rejections)
-					}
-					if c.noPre && got.PrefilterRejections != 0 {
-						t.Errorf("%s rejection=%v %s: PrefilterRejections = %d with the prefilter disabled",
-							ctx, useRejection, c.name, got.PrefilterRejections)
-					}
+				// Fast-path axis (DESIGN.md §10): disabling the lower-bound
+				// prefilter must not change any search-visible output
+				// relative to the prefilter-on run.
+				q := pr.mk(42)
+				q.UseRejection = useRejection
+				q.DisablePrefilter = true
+				got, err := core.Run(g, tab, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Makespan != ref.Makespan ||
+					!reflect.DeepEqual(got.Alloc, ref.Alloc) ||
+					!reflect.DeepEqual(got.History, ref.History) ||
+					got.Evaluations != ref.Evaluations ||
+					got.Rejections != ref.Rejections {
+					t.Errorf("%s rejection=%v no-prefilter: diverged from the prefilter run (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
+						ctx, useRejection, got.Makespan, ref.Makespan,
+						got.Evaluations, ref.Evaluations, got.Rejections, ref.Rejections)
+				}
+				if got.PrefilterRejections != 0 {
+					t.Errorf("%s rejection=%v no-prefilter: PrefilterRejections = %d with the prefilter disabled",
+						ctx, useRejection, got.PrefilterRejections)
 				}
 				if useRejection && ref.PrefilterRejections == 0 {
 					t.Errorf("%s: expected prefilter rejections with rejection enabled (rejected fraction is high on these instances)", ctx)

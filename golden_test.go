@@ -6,9 +6,14 @@
 // field pins that deleting those layers changed no schedule, no search
 // trajectory, and no counter.
 //
-// Regenerate it only for a deliberate change of search behavior:
+// testdata/engine_golden_strategies.json pins the strategy variants the
+// presets leave untouched — self-adaptation, comma-selection and crossover —
+// through the same core.Run path.
 //
-//	go test -run TestEngineGoldenCorpus -update-golden .
+// Regenerate a corpus only for a deliberate change of search behavior:
+//
+//	go test -run '^TestEngineGoldenCorpus$' -update-golden .
+//	go test -run '^TestEngineGoldenCorpusStrategies$' -update-golden .
 package emts_test
 
 import (
@@ -22,13 +27,13 @@ import (
 	"testing"
 
 	"emts/internal/core"
+	"emts/internal/dag"
+	"emts/internal/ea"
 	"emts/internal/model"
 	"emts/internal/platform"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/engine_golden.json from the current engine")
-
-const goldenPath = "testdata/engine_golden.json"
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden corpus of each test that runs from the current engine")
 
 // goldenRun is one corpus entry: every search-visible output of one core.Run.
 // Floats are stored as their IEEE-754 bits so the comparison is exact.
@@ -44,6 +49,28 @@ type goldenRun struct {
 }
 
 func floatBits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
+
+// runGolden runs core.Run and records its search-visible outputs under name.
+func runGolden(t *testing.T, name string, g *dag.Graph, tab *model.Table, p core.Params) goldenRun {
+	t.Helper()
+	res, err := core.Run(g, tab, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := goldenRun{
+		Name:                name,
+		MakespanBits:        floatBits(res.Makespan),
+		Alloc:               res.Alloc,
+		Evaluations:         res.Evaluations,
+		Rejections:          res.Rejections,
+		PrefilterRejections: res.PrefilterRejections,
+		Generations:         res.Generations,
+	}
+	for _, h := range res.History {
+		run.HistoryBits = append(run.HistoryBits, floatBits(h))
+	}
+	return run
+}
 
 // goldenCorpus runs the corpus grid: determinismGraphs × {emts5, emts10} ×
 // rejection {off, on} × Workers {1, 2, 8} × Islands {1, 3}.
@@ -67,24 +94,8 @@ func goldenCorpus(t *testing.T) []goldenRun {
 						p.UseRejection = rejection
 						p.Workers = workers
 						p.Islands = islands
-						res, err := core.Run(g, tab, p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						run := goldenRun{
-							Name: fmt.Sprintf("%s/%s/rejection=%v/workers=%d/islands=%d",
-								g.Name(), pr.name, rejection, workers, islands),
-							MakespanBits:        floatBits(res.Makespan),
-							Alloc:               res.Alloc,
-							Evaluations:         res.Evaluations,
-							Rejections:          res.Rejections,
-							PrefilterRejections: res.PrefilterRejections,
-							Generations:         res.Generations,
-						}
-						for _, h := range res.History {
-							run.HistoryBits = append(run.HistoryBits, floatBits(h))
-						}
-						out = append(out, run)
+						out = append(out, runGolden(t, fmt.Sprintf("%s/%s/rejection=%v/workers=%d/islands=%d",
+							g.Name(), pr.name, rejection, workers, islands), g, tab, p))
 					}
 				}
 			}
@@ -93,9 +104,45 @@ func goldenCorpus(t *testing.T) []goldenRun {
 	return out
 }
 
-// TestEngineGoldenCorpus reproduces the recorded corpus exactly.
-func TestEngineGoldenCorpus(t *testing.T) {
-	got := goldenCorpus(t)
+// strategyCorpus runs the strategy grid: determinismGraphs × {self-adaptive,
+// comma-selection, crossover 0.5} × rejection {off, on} × Islands {1, 3}, on
+// EMTS5 with seed 42.
+func strategyCorpus(t *testing.T) []goldenRun {
+	t.Helper()
+	variants := []struct {
+		name string
+		set  func(*core.Params)
+	}{
+		{"self-adaptive", func(p *core.Params) { p.SelfAdaptive = true }},
+		{"comma", func(p *core.Params) { p.Strategy = ea.Comma }},
+		{"crossover=0.5", func(p *core.Params) { p.CrossoverProb = 0.5 }},
+	}
+	var out []goldenRun
+	for _, g := range determinismGraphs(t) {
+		tab, err := model.NewTable(g, model.Synthetic{}, platform.Grelon())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants {
+			for _, rejection := range []bool{false, true} {
+				for _, islands := range []int{1, 3} {
+					p := core.EMTS5(42)
+					v.set(&p)
+					p.UseRejection = rejection
+					p.Islands = islands
+					out = append(out, runGolden(t, fmt.Sprintf("%s/emts5/%s/rejection=%v/islands=%d",
+						g.Name(), v.name, rejection, islands), g, tab, p))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkGolden compares got with the corpus at path, run for run, or rewrites
+// the file under -update-golden.
+func checkGolden(t *testing.T, path string, got []goldenRun) {
+	t.Helper()
 	if *updateGolden {
 		var buf bytes.Buffer
 		buf.WriteString("[\n")
@@ -111,12 +158,12 @@ func TestEngineGoldenCorpus(t *testing.T) {
 			buf.WriteByte('\n')
 		}
 		buf.WriteString("]\n")
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +172,22 @@ func TestEngineGoldenCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("corpus has %d runs, the grid produced %d", len(want), len(got))
+		t.Fatalf("%s has %d runs, the grid produced %d", path, len(want), len(got))
 	}
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("%s diverged from the golden corpus:\n got:  %+v\n want: %+v", want[i].Name, got[i], want[i])
+			t.Errorf("%s diverged from %s:\n got:  %+v\n want: %+v", want[i].Name, path, got[i], want[i])
 		}
 	}
+}
+
+// TestEngineGoldenCorpus reproduces the recorded preset corpus exactly.
+func TestEngineGoldenCorpus(t *testing.T) {
+	checkGolden(t, "testdata/engine_golden.json", goldenCorpus(t))
+}
+
+// TestEngineGoldenCorpusStrategies reproduces the recorded strategy-variant
+// corpus exactly.
+func TestEngineGoldenCorpusStrategies(t *testing.T) {
+	checkGolden(t, "testdata/engine_golden_strategies.json", strategyCorpus(t))
 }

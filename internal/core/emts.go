@@ -69,12 +69,6 @@ type Params struct {
 	// either way; the switch exists for A/B measurement and the determinism
 	// regression tests.
 	DisablePrefilter bool
-	// DisableDelta turns off delta-aware bottom-level evaluation: offspring
-	// are then evaluated with a full O(V+E) bottom-level sweep instead of
-	// recomputing only the alleles their mutation touched plus affected
-	// ancestors (DESIGN.md §10, Layer 3). Results are bit-identical either
-	// way; A/B switch like DisablePrefilter.
-	DisableDelta bool
 	// Islands, when > 1, runs the EA as that many independent populations
 	// with periodic migration (the island model, DESIGN.md §17). Each island
 	// derives a private RNG stream from Seed, so results are deterministic
@@ -259,18 +253,17 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	}
 
 	// factory hands each EA worker its own Mapper for the whole run, so a
-	// warm fitness call allocates nothing. Both closures share the Mapper
-	// (and thus its bottom-level arena and parent-baseline ring); the engine
-	// calls them from a single worker goroutine, never concurrently.
+	// warm fitness call allocates nothing. The engine calls each evaluator
+	// from a single worker goroutine, never concurrently.
 	baseOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
-	factory := func() (ea.Evaluator, ea.DeltaEvaluator) {
+	factory := func() ea.Evaluator {
 		m, err := listsched.NewMapper(g, tab)
 		if err != nil {
 			// Unreachable (sizes were validated above), but a constructor
 			// error must surface: every evaluation then reports it.
-			return func(schedule.Allocation, float64) (float64, error) { return 0, err }, nil
+			return func(schedule.Allocation, float64) (float64, error) { return 0, err }
 		}
-		plain := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
+		return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
 			opt := baseOpt
 			opt.RejectAbove = rejectAbove
 			f, err := m.MakespanOpts(a, opt)
@@ -279,38 +272,27 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 			}
 			return f, nil
 		}
-		delta := func(a, parent schedule.Allocation, mutated []int, rejectAbove float64) (float64, error) {
-			opt := baseOpt
-			opt.RejectAbove = rejectAbove
-			f, err := m.MakespanDelta(a, parent, mutated, opt)
-			if err != nil {
-				return 0, mapErr(err)
-			}
-			return f, nil
-		}
-		return plain, delta
 	}
 
 	cfg := ea.Config{
-		Mu:                    p.Mu,
-		Lambda:                p.Lambda,
-		Generations:           p.Generations,
-		Fm:                    p.Fm,
-		Mutator:               p.Mutation,
-		CrossoverProb:         p.CrossoverProb,
-		UseRejection:          p.UseRejection,
-		Workers:               p.Workers,
-		Seed:                  p.Seed,
-		DeltaEvaluatorFactory: factory,
-		DisableDelta:          p.DisableDelta,
-		Islands:               p.Islands,
-		MigrationInterval:     p.MigrationInterval,
-		MigrationCount:        p.MigrationCount,
-		Topology:              p.Topology,
-		Strategy:              p.Strategy,
-		SelfAdaptive:          p.SelfAdaptive,
-		InitialSigma:          p.InitialSigma,
-		OnGeneration:          p.OnGeneration,
+		Mu:                p.Mu,
+		Lambda:            p.Lambda,
+		Generations:       p.Generations,
+		Fm:                p.Fm,
+		Mutator:           p.Mutation,
+		CrossoverProb:     p.CrossoverProb,
+		UseRejection:      p.UseRejection,
+		Workers:           p.Workers,
+		Seed:              p.Seed,
+		EvaluatorFactory:  factory,
+		Islands:           p.Islands,
+		MigrationInterval: p.MigrationInterval,
+		MigrationCount:    p.MigrationCount,
+		Topology:          p.Topology,
+		Strategy:          p.Strategy,
+		SelfAdaptive:      p.SelfAdaptive,
+		InitialSigma:      p.InitialSigma,
+		OnGeneration:      p.OnGeneration,
 	}
 	run, runErr := ea.RunContext(ctx, cfg, g.NumTasks(), procs, seedAllocs, nil)
 	if run == nil {

@@ -30,20 +30,9 @@ type Individual struct {
 	// Sigma is the individual's mutation step size when the run uses
 	// self-adaptation (Config.SelfAdaptive); 0 otherwise.
 	Sigma float64
-
-	// parent and mutated record the offspring's lineage for delta-aware
-	// evaluation (DESIGN.md §10, Layer 3): parent is the parent's live
-	// allocation vector and mutated lists the allele positions the mutation
-	// operator touched, so Alloc[i] == parent[i] for every position not in
-	// mutated. Both are nil for seeds, crossover offspring, and selected
-	// parents (Clone and selectBest clear them). Run only sets them when the
-	// parent vector is guaranteed to stay unmutated for the rest of the run.
-	parent  schedule.Allocation
-	mutated []int
 }
 
-// Clone returns a deep copy of the individual. Lineage is not carried over:
-// a clone is a free-standing vector, not a delta against its parent.
+// Clone returns a deep copy of the individual.
 func (ind Individual) Clone() Individual {
 	return Individual{Alloc: ind.Alloc.Clone(), Fitness: ind.Fitness, Sigma: ind.Sigma}
 }
@@ -54,14 +43,6 @@ func (ind Individual) Clone() Individual {
 // individual is treated as infinitely unfit. Evaluators must be pure
 // functions: they are called concurrently from multiple goroutines.
 type Evaluator func(alloc schedule.Allocation, rejectAbove float64) (float64, error)
-
-// DeltaEvaluator is an Evaluator that additionally receives the offspring's
-// lineage: the parent allocation it was mutated from and the positions that
-// were mutated. Implementations may exploit the lineage to skip work (see
-// listsched.Mapper.MakespanDelta) but must return bit-identical results to a
-// lineage-free evaluation of alloc. parent may be nil (no usable lineage);
-// implementations must then fall back to a full evaluation.
-type DeltaEvaluator func(alloc, parent schedule.Allocation, mutated []int, rejectAbove float64) (float64, error)
 
 // ErrRejected is returned by an Evaluator that aborted due to rejectAbove.
 // It mirrors listsched.ErrRejected without importing the package.
@@ -85,18 +66,16 @@ type Mutator interface {
 }
 
 // PositionsMutator is an optional extension of Mutator for operators that can
-// report which positions they touched and work from a caller-owned scratch
-// buffer. Run uses it for two things: zero-allocation offspring generation
-// (the permutation buffer is reused across all offspring of a run) and
-// lineage threading to delta-aware evaluators. MutateInto must consume the
-// RNG in exactly the same call sequence as Mutate, so switching between the
-// two paths cannot change a seeded run.
+// draw their positions in a caller-owned scratch buffer. Run uses it for
+// zero-allocation offspring generation: one permutation buffer is reused
+// across all offspring of a run. MutateInto must consume the RNG in exactly
+// the same call sequence as Mutate, so switching between the two paths
+// cannot change a seeded run.
 type PositionsMutator interface {
 	Mutator
-	// MutateInto is Mutate using perm (grown if needed) as the position
-	// scratch buffer. It returns the mutated positions; the returned slice
-	// aliases perm and is only valid until the next call.
-	MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int) []int
+	// MutateInto is Mutate using perm as the position scratch buffer; a perm
+	// shorter than alloc is replaced by a fresh buffer for this call.
+	MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int)
 }
 
 // PaperMutator is the mutation operator of Section III-D. The number of
@@ -141,9 +120,8 @@ func (pm PaperMutator) Mutate(rng *rand.Rand, alloc schedule.Allocation, m, proc
 }
 
 // MutateInto implements PositionsMutator.
-func (pm PaperMutator) MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int) []int {
-	positions := samplePositionsInto(rng, len(alloc), m, perm)
-	for _, i := range positions {
+func (pm PaperMutator) MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int) {
+	for _, i := range samplePositionsInto(rng, len(alloc), m, perm) {
 		v := alloc[i] + pm.Delta(rng)
 		if v < 1 {
 			v = 1
@@ -153,7 +131,6 @@ func (pm PaperMutator) MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, 
 		}
 		alloc[i] = v
 	}
-	return positions
 }
 
 // UniformMutator resamples each selected allele uniformly from [1, procs].
@@ -170,12 +147,10 @@ func (UniformMutator) Mutate(rng *rand.Rand, alloc schedule.Allocation, m, procs
 }
 
 // MutateInto implements PositionsMutator.
-func (UniformMutator) MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int) []int {
-	positions := samplePositionsInto(rng, len(alloc), m, perm)
-	for _, i := range positions {
+func (UniformMutator) MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int) {
+	for _, i := range samplePositionsInto(rng, len(alloc), m, perm) {
 		alloc[i] = 1 + rng.Intn(procs)
 	}
-	return positions
 }
 
 // samplePositions draws min(m, n) distinct indices from [0, n) via a partial
@@ -302,22 +277,13 @@ type Config struct {
 	// Workers bounds the parallelism of fitness evaluation; 0 means
 	// runtime.GOMAXPROCS(0). 1 forces sequential evaluation.
 	Workers int
-	// DeltaEvaluatorFactory, when non-nil, supplies one (plain, delta)
-	// evaluator pair per worker goroutine instead of sharing the Evaluator
-	// passed to Run. Each worker owns its pair for the whole run, so
-	// arena-backed evaluators (listsched.Mapper) reuse their scratch state
+	// EvaluatorFactory, when non-nil, supplies one evaluator per worker
+	// goroutine instead of sharing the Evaluator passed to Run. Each worker
+	// owns its evaluator for the whole run, so arena-backed evaluators
+	// (listsched.Mapper, wired by core.Run) reuse their scratch state
 	// lock-free: a (5+25)×5 EMTS run builds O(workers) arenas instead of ~130.
-	// The delta evaluator is used for offspring with a recorded lineage (pure
-	// mutations of a live parent), the plain one for everything else. Both
-	// must be backed by the same state, so the delta path sees the same arenas
-	// (see core.Run's wiring of listsched.Mapper.MakespanDelta), and both must
-	// obey the purity contract of Evaluator.
-	DeltaEvaluatorFactory func() (Evaluator, DeltaEvaluator)
-	// DisableDelta ignores DeltaEvaluatorFactory's delta evaluator and
-	// lineage information, forcing full evaluations. Results are
-	// bit-identical either way (the delta sweep is exact); the switch exists
-	// for A/B measurement and regression tests.
-	DisableDelta bool
+	// The evaluators must obey the purity contract of Evaluator.
+	EvaluatorFactory func() Evaluator
 	// Seed drives all stochastic choices; equal seeds give equal runs.
 	Seed int64
 	// Islands, when > 1, runs that many independent populations (the
@@ -422,7 +388,7 @@ type Result struct {
 // Section III-B). Missing parents are filled with uniform random individuals;
 // surplus seeds compete, and the best μ form the first parent generation.
 // fitness is shared by every worker; it may be nil when
-// cfg.DeltaEvaluatorFactory supplies per-worker evaluators instead.
+// cfg.EvaluatorFactory supplies per-worker evaluators instead.
 //
 // Because the paper uses a plus-strategy, the best solution is conserved: the
 // population never worsens across generations (Section IV, citing Schwefel &
@@ -457,8 +423,8 @@ func RunContext(ctx context.Context, cfg Config, v, procs int, seeds []schedule.
 	if procs < 1 {
 		return nil, fmt.Errorf("ea: procs = %d, want >= 1", procs)
 	}
-	if fitness == nil && cfg.DeltaEvaluatorFactory == nil {
-		return nil, errors.New("ea: no evaluator: pass a fitness function or set DeltaEvaluatorFactory")
+	if fitness == nil && cfg.EvaluatorFactory == nil {
+		return nil, errors.New("ea: no evaluator: pass a fitness function or set EvaluatorFactory")
 	}
 	if cfg.Islands > 1 {
 		return runIslands(ctx, cfg, v, procs, seeds, fitness)
@@ -521,14 +487,11 @@ func uniformCrossover(rng *rand.Rand, child, other schedule.Allocation) {
 //
 // The first stable entries of pool are backed by vectors that stay live and
 // unmutated for the rest of the run (previous parents, or the fresh initial
-// pool); they are passed through without cloning, which both saves the copy
-// and preserves vector identity across generations — the property the
-// delta evaluator's parent-keyed baseline cache relies on
-// (listsched.Mapper.MakespanDelta). Entries at index >= stable are
-// arena-backed offspring and are cloned. Sorting indices instead of the
-// individuals keeps the tie-breaking identical to a stable sort of the pool
-// itself. Lineage fields are cleared either way: a parent is a free-standing
-// vector from now on.
+// pool); they are passed through without cloning. Cloning every survivor
+// instead raised an EMTS10 run from 190 to 282 allocations and from 195 to
+// 277 KB (DESIGN.md §10). Entries at index >= stable are arena-backed
+// offspring and are cloned. Sorting indices instead of the individuals
+// keeps the tie-breaking identical to a stable sort of the pool itself.
 func selectBest(pool []Individual, mu, stable int) []Individual {
 	idx := make([]int, len(pool))
 	for i := range idx {
@@ -543,7 +506,6 @@ func selectBest(pool []Individual, mu, stable int) []Individual {
 		j := idx[i]
 		if j < stable {
 			out[i] = pool[j]
-			out[i].parent, out[i].mutated = nil, nil
 		} else {
 			out[i] = pool[j].Clone()
 		}

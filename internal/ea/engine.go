@@ -10,7 +10,7 @@ import (
 
 // evalEngine evaluates the individuals of one Run (of one island, for
 // Islands > 1) — the loop EMTS spends its time in (paper §III-A). It owns one
-// evaluator pair per worker, built once from Config.DeltaEvaluatorFactory, so
+// evaluator per worker, built once from Config.EvaluatorFactory, so
 // arena-backed evaluators like listsched.Mapper are reused for the whole run
 // and never shared between goroutines.
 //
@@ -22,23 +22,14 @@ import (
 // worker the loop runs inline on the caller's goroutine.
 type evalEngine struct {
 	fallback Evaluator
-	factory  func() (Evaluator, DeltaEvaluator)
-	noDelta  bool
+	factory  func() Evaluator
 	workers  int
-	perW     []workerEval
+	perW     []Evaluator
 
 	// Dispatch state, reused across generations.
 	cursor  atomic.Int64
 	tallies []tally
 	wg      sync.WaitGroup
-}
-
-// workerEval is one worker's evaluator pair. delta is nil unless the run
-// wired a DeltaEvaluatorFactory and DisableDelta is off; when present it
-// handles individuals that carry a lineage, the plain evaluator the rest.
-type workerEval struct {
-	eval  Evaluator
-	delta DeltaEvaluator
 }
 
 // tally is one worker's share of a generation's bookkeeping, merged after the
@@ -53,8 +44,7 @@ type tally struct {
 func newEvalEngine(cfg Config, fitness Evaluator) *evalEngine {
 	eng := &evalEngine{
 		fallback: fitness,
-		factory:  cfg.DeltaEvaluatorFactory,
-		noDelta:  cfg.DisableDelta,
+		factory:  cfg.EvaluatorFactory,
 		workers:  cfg.Workers,
 	}
 	if eng.workers <= 0 {
@@ -69,22 +59,17 @@ func newEvalEngine(cfg Config, fitness Evaluator) *evalEngine {
 	return eng
 }
 
-// ensureEvaluators constructs the evaluator pairs of workers [0, n) that do
-// not exist yet. Called serially, before any worker goroutine starts.
+// ensureEvaluators constructs the evaluators of workers [0, n) that do not
+// exist yet. Called serially, before any worker goroutine starts.
 //
 //schedlint:hotpath
 func (eng *evalEngine) ensureEvaluators(n int) {
 	for len(eng.perW) < n {
-		we := workerEval{eval: eng.fallback}
+		ev := eng.fallback
 		if eng.factory != nil {
-			we.eval, we.delta = eng.factory()
-			if eng.noDelta {
-				// Keep the factory's plain evaluator (it shares arenas with
-				// the delta one) but never dispatch on lineage.
-				we.delta = nil
-			}
+			ev = eng.factory()
 		}
-		eng.perW = append(eng.perW, we)
+		eng.perW = append(eng.perW, ev)
 	}
 }
 
@@ -130,7 +115,7 @@ func (eng *evalEngine) spawned(w int, inds []Individual, rejectAbove float64) {
 }
 
 // work evaluates individuals claimed from the shared cursor until none is
-// left, through worker w's evaluator pair, and files worker w's tally.
+// left, through worker w's evaluator, and files worker w's tally.
 //
 //schedlint:hotpath
 func (eng *evalEngine) work(w int, inds []Individual, rejectAbove float64) {
@@ -142,13 +127,7 @@ func (eng *evalEngine) work(w int, inds []Individual, rejectAbove float64) {
 			break
 		}
 		ind := &inds[i]
-		var f float64
-		var err error
-		if ev.delta != nil && ind.parent != nil {
-			f, err = ev.delta(ind.Alloc, ind.parent, ind.mutated, rejectAbove)
-		} else {
-			f, err = ev.eval(ind.Alloc, rejectAbove)
-		}
+		f, err := ev(ind.Alloc, rejectAbove)
 		switch {
 		case err == nil:
 			ind.Fitness = f

@@ -113,53 +113,9 @@ func TestEngineLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestEngineDeltaDispatch: individuals with a lineage go to the worker's
-// delta evaluator, the rest to its plain one; DisableDelta routes everything
-// to the plain evaluator.
-func TestEngineDeltaDispatch(t *testing.T) {
-	const n, v, procs = 20, 5, 6
-	target := schedule.Ones(v)
-	for _, disable := range []bool{false, true} {
-		var plainCalls, deltaCalls atomic.Int64
-		cfg := Config{Workers: 3, DisableDelta: disable}
-		cfg.DeltaEvaluatorFactory = func() (Evaluator, DeltaEvaluator) {
-			plain := func(a schedule.Allocation, bound float64) (float64, error) {
-				plainCalls.Add(1)
-				return sphereFitness(target)(a, bound)
-			}
-			delta := func(a, _ schedule.Allocation, _ []int, bound float64) (float64, error) {
-				deltaCalls.Add(1)
-				return sphereFitness(target)(a, bound)
-			}
-			return plain, delta
-		}
-		inds := enginePopulation(n, v, procs)
-		withLineage := 0
-		for i := range inds {
-			if i%3 == 0 {
-				inds[i].parent, inds[i].mutated = target, []int{0}
-				withLineage++
-			}
-		}
-		eng := newEvalEngine(cfg, nil)
-		var res Result
-		if err := eng.evaluateAll(inds, 0, &res); err != nil {
-			t.Fatal(err)
-		}
-		wantDelta := int64(withLineage)
-		if disable {
-			wantDelta = 0
-		}
-		if deltaCalls.Load() != wantDelta || plainCalls.Load() != n-wantDelta {
-			t.Fatalf("DisableDelta=%v: %d delta and %d plain calls, want %d and %d",
-				disable, deltaCalls.Load(), plainCalls.Load(), wantDelta, n-wantDelta)
-		}
-	}
-}
-
 // TestEvaluatorFactoryUsedPerWorker: when a factory is configured, Run builds
-// one evaluator pair per worker, never calls the fallback, and calls an
-// evaluator exactly once per counted evaluation.
+// one evaluator per worker, never calls the fallback, and calls an evaluator
+// exactly once per counted evaluation.
 func TestEvaluatorFactoryUsedPerWorker(t *testing.T) {
 	const v, procs = 8, 4
 	target := schedule.Ones(v)
@@ -167,16 +123,12 @@ func TestEvaluatorFactoryUsedPerWorker(t *testing.T) {
 	var built, calls, fallbackCalls atomic.Int64
 	cfg := defaultConfig(11)
 	cfg.Workers = 3
-	cfg.DeltaEvaluatorFactory = func() (Evaluator, DeltaEvaluator) {
+	cfg.EvaluatorFactory = func() Evaluator {
 		built.Add(1)
-		plain := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
+		return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
 			calls.Add(1)
 			return sphereFitness(target)(a, rejectAbove)
 		}
-		delta := func(a, _ schedule.Allocation, _ []int, rejectAbove float64) (float64, error) {
-			return plain(a, rejectAbove)
-		}
-		return plain, delta
 	}
 	fallback := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
 		fallbackCalls.Add(1)
@@ -201,7 +153,7 @@ func TestEvaluatorFactoryUsedPerWorker(t *testing.T) {
 	if _, err := Run(cfg, v, procs, nil, nil); err != nil {
 		t.Fatalf("nil fitness with a factory: %v", err)
 	}
-	cfg.DeltaEvaluatorFactory = nil
+	cfg.EvaluatorFactory = nil
 	if _, err := Run(cfg, v, procs, nil, nil); err == nil {
 		t.Fatal("Run with neither a fitness function nor a factory succeeded")
 	}

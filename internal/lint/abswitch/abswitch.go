@@ -3,7 +3,7 @@
 // determinism test.
 //
 // The perf layers ship behind paired switches (core.Params.DisablePrefilter,
-// ea.Config.DisableDelta, server.Config.DisableGovernor, ...) precisely so
+// server.Config.DisableGovernor, ...) precisely so
 // tests can assert the paper-facing property: each optimization changes
 // nothing but speed, bit for bit. That methodology argument only holds while
 // every switch actually appears in such a test — an optimization added with

@@ -12,42 +12,26 @@ import (
 	"emts/internal/schedule"
 )
 
-// batchItem is one individual of an EA generation as a worker sees it: the
-// allocation plus, for pure mutations, the lineage MakespanDelta exploits.
-type batchItem struct {
-	alloc, parent schedule.Allocation
-	mutated       []int
-}
-
-// batchOf derives a mixed batch from parent: the parent itself (no lineage),
-// lineage offspring (children with their mutated positions recorded), plain
-// offspring (lineage stripped), and one duplicate row. This is the row mix an
-// EA worker evaluates through its one Mapper: full sweeps and delta sweeps
-// interleaved, with warm state carried from row to row.
-func batchOf(rng *rand.Rand, parent schedule.Allocation, procs int) []batchItem {
-	items := []batchItem{{alloc: parent}}
+// batchOf derives a mixed batch from parent: the parent itself, offspring
+// with a few and with many mutated positions, and one duplicate row. This is
+// the row mix an EA worker evaluates through its one Mapper, with warm state
+// carried from row to row.
+func batchOf(rng *rand.Rand, parent schedule.Allocation, procs int) []schedule.Allocation {
+	items := []schedule.Allocation{parent}
 	for j := 0; j < 3; j++ {
-		child, mutated := mutateRandom(rng, parent, 1+rng.Intn(3), procs)
-		items = append(items, batchItem{alloc: child, parent: parent, mutated: mutated})
+		items = append(items, mutateRandom(rng, parent, 1+rng.Intn(3), procs))
 	}
 	for j := 0; j < 2; j++ {
-		child, _ := mutateRandom(rng, parent, 1+rng.Intn(len(parent)), procs)
-		items = append(items, batchItem{alloc: child})
+		items = append(items, mutateRandom(rng, parent, 1+rng.Intn(len(parent)), procs))
 	}
-	items = append(items, items[1]) // duplicate row: same vector, same lineage
-	return items
+	return append(items, items[1]) // duplicate row: same vector
 }
 
-// evalBatch evaluates items in order through one warm Mapper, dispatching
-// like an EA worker: lineage rows through MakespanDelta, the rest through
-// MakespanOpts.
-func evalBatch(m *Mapper, items []batchItem, opt Options, fit []float64, errs []error) {
-	for i, it := range items {
-		if it.parent != nil {
-			fit[i], errs[i] = m.MakespanDelta(it.alloc, it.parent, it.mutated, opt)
-		} else {
-			fit[i], errs[i] = m.MakespanOpts(it.alloc, opt)
-		}
+// evalBatch evaluates items in order through one warm Mapper, like an EA
+// worker.
+func evalBatch(m *Mapper, items []schedule.Allocation, opt Options, fit []float64, errs []error) {
+	for i, a := range items {
+		fit[i], errs[i] = m.MakespanOpts(a, opt)
 	}
 }
 
@@ -55,7 +39,7 @@ func evalBatch(m *Mapper, items []batchItem, opt Options, fit []float64, errs []
 // Mapper m and one by one through the package-level MapWithOptions (a fresh
 // Mapper per row), and reports whether every row's (fitness, sentinel)
 // outcome is bit-identical.
-func checkBatchScalarIdentity(t testing.TB, m *Mapper, items []batchItem, opt Options) bool {
+func checkBatchScalarIdentity(t testing.TB, m *Mapper, items []schedule.Allocation, opt Options) bool {
 	t.Helper()
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
@@ -63,9 +47,9 @@ func checkBatchScalarIdentity(t testing.TB, m *Mapper, items []batchItem, opt Op
 	scalarOpt := opt
 	scalarOpt.SkipProcSets = true
 	ok := true
-	for i, it := range items {
+	for i, a := range items {
 		var want float64
-		s, wantErr := MapWithOptions(m.g, m.tab, it.alloc, scalarOpt)
+		s, wantErr := MapWithOptions(m.g, m.tab, a, scalarOpt)
 		if wantErr == nil {
 			want = s.Makespan()
 		}
@@ -87,8 +71,8 @@ func checkBatchScalarIdentity(t testing.TB, m *Mapper, items []batchItem, opt Op
 	return ok
 }
 
-// TestBatchMatchesScalar: across random instances and mixed batches
-// (full-sweep rows, delta rows, duplicates), a worker's warm Mapper must be
+// TestBatchMatchesScalar: across random instances and mixed batches (small
+// and large mutations, duplicates), a worker's warm Mapper must be
 // bit-identical to a fresh one-shot evaluation of every row — unbounded,
 // across bounds straddling the makespan, and with the prefilter on and off.
 func TestBatchMatchesScalar(t *testing.T) {
@@ -158,9 +142,9 @@ func FuzzBatchScalarIdentity(f *testing.F) {
 	})
 }
 
-// TestBatchEvalZeroAllocs pins a worker's hot path: once the arenas and the
-// parent baseline are warm, evaluating a whole mixed batch — delta rows,
-// full-sweep rows, prefilter and in-loop rejections — allocates nothing.
+// TestBatchEvalZeroAllocs pins a worker's hot path: once the arenas are warm,
+// evaluating a whole mixed batch — accepted rows, prefilter and in-loop
+// rejections — allocates nothing.
 func TestBatchEvalZeroAllocs(t *testing.T) {
 	g, err := daggen.Random(daggen.RandomConfig{
 		N: 120, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 2,
@@ -181,7 +165,7 @@ func TestBatchEvalZeroAllocs(t *testing.T) {
 	items := batchOf(rng, parent, tab.Procs())
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
-	evalBatch(m, items, Options{}, fit, errs) // warm up: builds the baseline
+	evalBatch(m, items, Options{}, fit, errs) // warm up
 	full := fit[0]
 
 	for _, opt := range []Options{{}, {RejectAbove: full}, {RejectAbove: full / 2}} {
@@ -194,9 +178,8 @@ func TestBatchEvalZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchInvalidRows pins per-row error isolation: invalid allocations and
-// unusable lineage fail (or fall back) on their own row without disturbing
-// the warm Mapper's later rows.
+// TestBatchInvalidRows pins per-row error isolation: invalid allocations fail
+// on their own row without disturbing the warm Mapper's later rows.
 func TestBatchInvalidRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g, parent, tab := randomInstance(rng)
@@ -211,23 +194,16 @@ func TestBatchInvalidRows(t *testing.T) {
 	bad := parent.Clone()
 	bad[0] = tab.Procs() + 1 // out of range
 	short := parent[:len(parent)-1]
-	items := []batchItem{
-		{alloc: parent},
-		{alloc: bad},
-		{alloc: short},
-		{alloc: parent, parent: bad, mutated: []int{0}}, // invalid parent baseline
-		{alloc: parent, parent: short, mutated: []int{0}},
-		{alloc: parent},
-	}
+	items := []schedule.Allocation{parent, bad, short, parent}
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
 	evalBatch(m, items, Options{}, fit, errs)
-	for _, r := range []int{0, 4, 5} {
+	for _, r := range []int{0, 3} {
 		if errs[r] != nil || fit[r] != want {
 			t.Errorf("row %d: fitness %g err %v, want %g nil", r, fit[r], errs[r], want)
 		}
 	}
-	for _, r := range []int{1, 2, 3} {
+	for _, r := range []int{1, 2} {
 		if errs[r] == nil || errors.Is(errs[r], ErrRejected) {
 			t.Errorf("row %d: err %v, want a validation error", r, errs[r])
 		}

@@ -62,7 +62,7 @@ type Options struct {
 	// normally runs between the bottom-level sweep and the map loop when
 	// RejectAbove is set. The prefilter is exact — it fires only when the
 	// in-loop rejection check would also fire — so this switch exists purely
-	// for A/B regression tests and benchmarks, like ea.Config.DisableDelta.
+	// for A/B regression tests and benchmarks.
 	DisablePrefilter bool
 }
 

@@ -29,54 +29,22 @@ type mapState struct {
 // same arenas instead of reallocating them. After the first call on a given
 // (graph, table) pair, Makespan performs zero heap allocations, which is what
 // makes the EA's fitness evaluation — the dominant cost of EMTS (Section VI)
-// — cheap enough to scale to large populations.
+// — cheap enough to scale to large populations. Every call recomputes the
+// bottom levels with one full reverse-topological sweep.
 //
 // A Mapper is NOT safe for concurrent use: each worker goroutine must own its
-// own instance (see ea.Config.DeltaEvaluatorFactory). Results are
-// bit-identical to the package-level Map/Makespan functions, which are now
-// thin wrappers that construct a throwaway Mapper.
+// own instance (see ea.Config.EvaluatorFactory). Results are bit-identical to
+// the package-level Map/Makespan functions, which are thin wrappers that
+// construct a throwaway Mapper.
 type Mapper struct {
 	g     *dag.Graph
 	tab   *model.Table
 	procs int
+	// topoOrder is the graph's topological order; the bottom-level sweep
+	// walks it backwards.
+	topoOrder []dag.TaskID
 
 	st mapState
-
-	// Delta-evaluation state (DESIGN.md §10, Layer 3). topoPos[v] is v's
-	// index in the graph's topological order and topoOrder is its inverse.
-	// MakespanDelta walks topoOrder backwards from the highest mutated
-	// position, recomputing only tasks flagged dirty in inq, so every
-	// successor's bottom level is final before a task is recomputed. A clean
-	// task costs one flag load, which keeps the sweep no worse than the full
-	// O(V+E) one even when most of the graph is affected. inq is cleared as
-	// tasks are visited, so no O(V) reset is needed between calls.
-	topoPos   []int32
-	topoOrder []dag.TaskID
-	inq       []bool
-
-	// baselines is a small ring of parent bottom-level rows keyed by the
-	// identity (&parent[0]) of the parent's allocation vector. Identity
-	// keying is sound because the EA never mutates a parent vector after
-	// selection, and holding the pointer keeps the backing array alive, so
-	// an address is never reused while its entry is cached.
-	baselines [baselineCap]blBaseline
-	nextBase  int
-}
-
-// baselineCap bounds the baseline ring: parents per generation is μ (≤ 10
-// for the paper's strategies), so 16 slots cover a full generation with room
-// for the incumbent best.
-const baselineCap = 16
-
-// deltaMutatedDenom gates MakespanDelta: the delta sweep engages only when
-// mutated positions number at most NumTasks/deltaMutatedDenom. Measured on
-// the 100-task EMTS5 instance benchmark, the crossover between the delta and
-// full sweeps sits near a quarter of the tasks mutated.
-const deltaMutatedDenom = 4
-
-type blBaseline struct {
-	key *int
-	bl  []float64
 }
 
 // NewMapper returns a Mapper for the given graph and execution-time table,
@@ -91,10 +59,11 @@ func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
 		return nil, err
 	}
 	n, procs := g.NumTasks(), tab.Procs()
-	m := &Mapper{
-		g:     g,
-		tab:   tab,
-		procs: procs,
+	return &Mapper{
+		g:         g,
+		tab:       tab,
+		procs:     procs,
+		topoOrder: order,
 		st: mapState{
 			bl:        make([]float64, n),
 			indeg:     make([]int, n),
@@ -105,24 +74,7 @@ func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
 			mark:      make([]bool, procs),
 			ready:     blHeap{items: make([]dag.TaskID, 0, n)},
 		},
-		topoPos:   make([]int32, n),
-		topoOrder: order,
-		inq:       make([]bool, n),
-	}
-	for i, v := range order {
-		m.topoPos[v] = int32(i)
-	}
-	return m, nil
-}
-
-// grow returns s resized to length n, reallocating only when the capacity is
-// insufficient. Reused elements keep their old values; callers that need a
-// cleared arena must reset it explicitly.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	}, nil
 }
 
 // Makespan maps the allocation and returns only the resulting makespan — the
@@ -152,127 +104,6 @@ func (m *Mapper) MakespanBounded(alloc schedule.Allocation, rejectAbove float64)
 func (m *Mapper) MakespanOpts(alloc schedule.Allocation, opt Options) (float64, error) {
 	opt.SkipProcSets = true
 	return m.mapLoop(alloc, opt, nil, nil)
-}
-
-// MakespanDelta is MakespanOpts for an offspring whose allocation differs
-// from a known parent only at the given mutated positions. Instead of the
-// full O(V+E) bottom-level sweep it copies the parent's cached bottom levels
-// and recomputes only the mutated tasks and those of their ancestors whose
-// value actually changes, in reverse-topological order with the exact same
-// formula as dag.BottomLevelsInto — so the resulting array, and therefore
-// the schedule, is bit-for-bit identical to a full evaluation (DESIGN.md
-// §10, Layer 3).
-//
-// The caller contract: parent must be a live, never-again-mutated allocation
-// vector (EA parents satisfy this), len(parent) == len(alloc), and alloc[i]
-// == parent[i] for every i not listed in mutated. mutated may list positions
-// whose new value equals the old one; those simply terminate propagation
-// immediately. If parent is nil or the lineage is unusable, this falls back
-// to MakespanOpts.
-//
-//schedlint:hotpath
-func (m *Mapper) MakespanDelta(alloc, parent schedule.Allocation, mutated []int, opt Options) (float64, error) {
-	opt.SkipProcSets = true
-	n := m.g.NumTasks()
-	if parent == nil || len(parent) != len(alloc) || len(alloc) != n || len(mutated) == 0 {
-		return m.mapLoop(alloc, opt, nil, nil)
-	}
-	// The delta sweep only wins while the affected region is small: every
-	// changed task also scans its predecessor list to flag ancestors, so once
-	// a sizable fraction of tasks mutates the sweep costs more than the plain
-	// linear one. Mutation counts decay over generations (Eq. 1), so early
-	// broad steps fall through to the full sweep and later refinement steps
-	// take the delta path. Both paths are bit-identical by construction.
-	if len(mutated)*deltaMutatedDenom > n {
-		return m.mapLoop(alloc, opt, nil, nil)
-	}
-	if err := alloc.Validate(m.g, m.procs); err != nil {
-		return 0, err
-	}
-	base, err := m.baseline(parent)
-	if err != nil {
-		return 0, err
-	}
-	bl := m.st.bl[:n]
-	copy(bl, base)
-	deltaBottomLevels(m.g, m.tab, alloc, bl, m.topoOrder, m.topoPos, m.inq, mutated)
-	return m.run(alloc, opt, nil, nil)
-}
-
-// deltaBottomLevels recomputes the affected bottom levels of bl in place
-// after the positions in mutated changed alloc: it flags the mutated tasks
-// dirty, then walks the topological order backwards from the highest flagged
-// position so successors are final before their predecessors, and stops
-// propagating wherever the recomputed value is bitwise unchanged. pending
-// counts outstanding dirty tasks (predecessors always sit at lower positions,
-// so none can be missed) and lets the walk exit as soon as the last one is
-// resolved. inq must be all-false on entry; it is restored to all-false on
-// return.
-//
-//schedlint:hotpath
-func deltaBottomLevels(g *dag.Graph, tab *model.Table, alloc schedule.Allocation, bl []float64,
-	topoOrder []dag.TaskID, topoPos []int32, inq []bool, mutated []int) {
-	pending := 0
-	maxPos := int32(-1)
-	for _, p := range mutated {
-		v := dag.TaskID(p)
-		if !inq[v] {
-			inq[v] = true
-			pending++
-			if topoPos[v] > maxPos {
-				maxPos = topoPos[v]
-			}
-		}
-	}
-	for pos := maxPos; pos >= 0 && pending > 0; pos-- {
-		v := topoOrder[pos]
-		if !inq[v] {
-			continue
-		}
-		inq[v] = false
-		pending--
-		maxSucc := 0.0
-		for _, s := range g.Successors(v) {
-			if bl[s] > maxSucc {
-				maxSucc = bl[s]
-			}
-		}
-		nb := tab.Time(v, alloc[v]) + maxSucc
-		//schedlint:allow floateq -- bitwise change detection: propagation stops exactly when the recomputed value equals the stored one, which keeps the delta sweep bit-identical to a full sweep
-		if nb == bl[v] {
-			continue
-		}
-		bl[v] = nb
-		for _, q := range g.Predecessors(v) {
-			if !inq[q] {
-				inq[q] = true
-				pending++
-			}
-		}
-	}
-}
-
-// baseline returns the cached bottom-level row for parent, computing and
-// caching it on first sight. Rows are keyed by &parent[0]; see the field
-// comment on Mapper.baselines for why pointer identity is sound.
-//
-//schedlint:hotpath
-func (m *Mapper) baseline(parent schedule.Allocation) ([]float64, error) {
-	key := &parent[0]
-	for i := range m.baselines {
-		if m.baselines[i].key == key {
-			return m.baselines[i].bl, nil
-		}
-	}
-	if err := parent.Validate(m.g, m.procs); err != nil {
-		return nil, err
-	}
-	slot := &m.baselines[m.nextBase]
-	m.nextBase = (m.nextBase + 1) % baselineCap
-	slot.bl = grow(slot.bl, len(parent))
-	bottomLevelsRow(m.g, m.tab, parent, slot.bl, m.topoOrder)
-	slot.key = key
-	return slot.bl, nil
 }
 
 // bottomLevelsRow fills bl with the bottom levels of alloc by the same
@@ -329,31 +160,20 @@ func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedu
 // of the last of those processors.
 //
 // When entries is non-nil, one Entry per task is recorded there; otherwise
-// only the makespan is tracked (the fitness path).
+// only the makespan is tracked (the fitness path). procArena, consulted only
+// when processor sets are recorded, must have capacity for alloc.TotalProcs()
+// entries; each task's Procs is carved from it, so a full Map costs one arena
+// allocation instead of one per task.
 //
 //schedlint:hotpath
 func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
 	if err := alloc.Validate(m.g, m.procs); err != nil {
 		return 0, err
 	}
-	bottomLevelsRow(m.g, m.tab, alloc, m.st.bl, m.topoOrder)
-	return m.run(alloc, opt, entries, procArena)
-}
-
-// run is the map loop proper. It assumes alloc has been validated and m.st.bl
-// holds the bottom levels for alloc (either from a full sweep or a delta
-// update — both produce identical bits).
-//
-// When entries is non-nil, one Entry per task is recorded there. procArena,
-// consulted only when processor sets are recorded, must have capacity for
-// alloc.TotalProcs() entries; each task's Procs is carved from it, so a full
-// Map costs one arena allocation instead of one per task.
-//
-//schedlint:hotpath
-func (m *Mapper) run(alloc schedule.Allocation, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
 	g, tab, procs, st := m.g, m.tab, m.procs, &m.st
 	n := g.NumTasks()
 	bl := st.bl[:n]
+	bottomLevelsRow(g, tab, alloc, bl, m.topoOrder)
 
 	if opt.RejectAbove > 0 && !opt.DisablePrefilter && prefilterReject(tab, procs, alloc, bl, opt.RejectAbove) {
 		return 0, ErrRejectedPrefilter

@@ -297,12 +297,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// maxRequestIDLen bounds a caller-supplied X-Request-Id. The id is echoed in
+// the response header and written to the access log, so a longer one is
+// replaced by a minted id, as a missing one is.
+const maxRequestIDLen = 128
+
 // Handler returns the HTTP handler tree, wrapped with request-ID assignment,
 // status accounting, and structured logging.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
-		if id == "" {
+		if id == "" || len(id) > maxRequestIDLen {
 			id = "r" + strconv.FormatUint(s.reqID.Add(1), 10)
 		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}

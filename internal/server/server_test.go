@@ -543,6 +543,27 @@ func TestRequestIDPropagation(t *testing.T) {
 	if resp.Header.Get("X-Request-Id") == "" {
 		t.Fatal("no X-Request-Id assigned")
 	}
+	// An id of up to 128 bytes is kept; a longer one is replaced by a minted
+	// id, so a caller cannot inflate response headers and log lines.
+	for _, c := range []struct {
+		id   string
+		keep bool
+	}{{strings.Repeat("a", 128), true}, {strings.Repeat("b", 4096), false}} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+		req.Header.Set("X-Request-Id", c.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+		got := resp.Header.Get("X-Request-Id")
+		if c.keep && got != c.id {
+			t.Fatalf("%d-byte X-Request-Id came back as %d bytes, want it kept", len(c.id), len(got))
+		}
+		if !c.keep && (got == "" || len(got) > 128) {
+			t.Fatalf("%d-byte X-Request-Id came back as %d bytes, want a minted id", len(c.id), len(got))
+		}
+	}
 }
 
 func TestStructuredLogs(t *testing.T) {

@@ -1,6 +1,6 @@
 // End-to-end island-model determinism over the full core stack (PR 10):
 // real task graphs, the Synthetic model table, the list-scheduling mapper
-// with its delta and prefilter layers — everything the serving tier runs. The
+// with its prefilter — everything the serving tier runs. The
 // ea-level lattice (internal/ea/island_test.go) pins the coordinator in
 // isolation; this test pins the composition, including the effective
 // Result.Islands echo.

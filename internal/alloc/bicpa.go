@@ -27,8 +27,8 @@ type BiCPA struct {
 	// pure-makespan candidate (default 0.5, an even tradeoff).
 	Theta float64
 	// Stride evaluates only every Stride-th cluster size (default 1). The
-	// mapping of a candidate costs O(E + V log V + V·P); large platforms can
-	// trade optimality for speed.
+	// mapping of a candidate costs O(E + V log V + V·K), K ≤ min(P, V+1);
+	// large platforms can trade optimality for speed.
 	Stride int
 }
 

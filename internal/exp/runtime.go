@@ -38,9 +38,10 @@ type RuntimeResult struct {
 // EMTS10 on Grelon: 9.6 s–38.1 s) and the authors expected "a reduction of
 // the run time by a factor of 10 for an optimized C program"; this Go
 // implementation plays that role, so absolute values are expected to be
-// roughly two orders of magnitude below the Python numbers while preserving
-// the orderings (EMTS10 ≈ 8x EMTS5 in evaluations; larger PTGs and platforms
-// cost more).
+// roughly three orders of magnitude below the Python numbers while preserving
+// the workload orderings (EMTS10 ≈ 8x EMTS5 in evaluations; larger PTGs cost
+// more). Larger platforms barely do: the mapper's cost per task grows with
+// the number of distinct processor free times, not with P.
 func RuntimeTable(instances int, seed int64) (*RuntimeResult, error) {
 	if instances < 1 {
 		return nil, fmt.Errorf("exp: runtime table needs instances >= 1")

@@ -16,10 +16,11 @@ import (
 // processors are simultaneously free for the task's full duration.
 //
 // Insertion produces schedules at least as good as the availability mapper on
-// fragmented workloads, at a higher scheduling cost (O(V²·P) worst case
-// versus O(E + V log V + V·P)). The paper's Section VI observes that the
-// mapping function dominates EMTS's run time; this variant quantifies the
-// other side of that trade-off (see BenchmarkAblationInsertionMapping).
+// fragmented workloads, at a higher scheduling cost: O(V²·P) worst case
+// versus the availability mapper's O(E + V log V + V·K), K ≤ min(P, V+1).
+// The paper's Section VI observes that the mapping function dominates EMTS's
+// run time; this variant quantifies the other side of that trade-off (see
+// BenchmarkAblationInsertionMapping).
 //
 // Task priorities and tie-breaks match MapWithOptions exactly, so the two
 // mappers differ only in placement policy.

@@ -38,11 +38,12 @@ var ErrRejected = errors.New("listsched: schedule rejected by makespan bound")
 var ErrRejectedPrefilter = fmt.Errorf("%w (lower-bound prefilter)", ErrRejected)
 
 // errIncomplete reports a map loop that drained its ready queue before
-// placing every task. Graphs reach the mappers only after bind's topological
-// validation, so this is a defensive invariant check, not a user-facing
-// parse error — which is why it carries no counts: constructing a formatted
-// error would put an allocation on the fitness path for a case that cannot
-// occur there (see the sentinelerr analyzer, DESIGN.md §14).
+// placing every task. dag.Builder rejects cyclic graphs and NewMapper
+// re-checks the topological order, so this is a defensive invariant check,
+// not a user-facing parse error — which is why it carries no counts:
+// constructing a formatted error would put an allocation on the fitness path
+// for a case that cannot occur there (see the sentinelerr analyzer,
+// DESIGN.md §14).
 var errIncomplete = errors.New("listsched: mapping incomplete: ready queue drained with tasks unplaced (cyclic graph?)")
 
 // Options tunes the mapping step.

@@ -10,27 +10,35 @@ import (
 
 // mapState bundles the mutable scratch one map-loop execution consumes: the
 // bottom levels driving the ready-heap priority, the consumable indegree and
-// data-ready-time arrays, per-processor availability with its incrementally
-// maintained (availability, index) order, and the ready heap itself.
+// data-ready-time arrays, the availability profile, the per-processor free
+// times consulted only when processor sets are recorded, and the ready heap.
 type mapState struct {
 	bl        []float64
 	indeg     []int
 	readyTime []float64
 	avail     []float64
-	order     []int
-	scratch   []int
-	mark      []bool
+	steps     []availStep
 	ready     blHeap
+}
+
+// availStep is one run of the availability profile: n processors become
+// free at time t. The map loop keeps the runs with distinct times, latest
+// first, so the earliest-free processors sit at the end of the slice; their
+// counts sum to P, so there are never more than P runs.
+type availStep struct {
+	t float64
+	n int
 }
 
 // Mapper is a reusable evaluation engine for the mapping step: it owns every
 // piece of per-call scratch state (bottom-level buffer, indegrees, ready
-// heap, processor availability, entry records), so repeated calls reuse the
-// same arenas instead of reallocating them. After the first call on a given
-// (graph, table) pair, Makespan performs zero heap allocations, which is what
-// makes the EA's fitness evaluation — the dominant cost of EMTS (Section VI)
-// — cheap enough to scale to large populations. Every call recomputes the
-// bottom levels with one full reverse-topological sweep.
+// heap, availability profile, per-processor free times), so repeated calls
+// reuse the same arenas instead of reallocating them. After the first call
+// on a given (graph, table) pair, Makespan performs zero heap allocations and
+// never touches per-processor state, which is what makes the EA's fitness
+// evaluation — the dominant cost of EMTS (Section VI) — cheap enough to
+// scale to large populations and clusters. Every call recomputes the bottom
+// levels with one full reverse-topological sweep.
 //
 // A Mapper is NOT safe for concurrent use: each worker goroutine must own its
 // own instance (see ea.Config.EvaluatorFactory). Results are bit-identical to
@@ -69,9 +77,7 @@ func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
 			indeg:     make([]int, n),
 			readyTime: make([]float64, n),
 			avail:     make([]float64, procs),
-			order:     make([]int, procs),
-			scratch:   make([]int, procs),
-			mark:      make([]bool, procs),
+			steps:     make([]availStep, 0, procs),
 			ready:     blHeap{items: make([]dag.TaskID, 0, n)},
 		},
 	}, nil
@@ -151,13 +157,21 @@ func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedu
 	return &schedule.Schedule{Graph: m.g.Name(), Procs: m.procs, Entries: entries}, nil
 }
 
-// mapLoop is the classical two-step mapping (complexity O(E + V log V + V·P),
-// as quoted in Section III-E): tasks become ready when all predecessors are
-// placed; among ready tasks the one with the largest bottom level runs next
-// (ties broken by task ID); it is placed on the s(v) processors that become
-// available earliest (ties broken by processor index — the "first processor
-// set"), starting at the maximum of its data-ready time and the availability
-// of the last of those processors.
+// mapLoop is the classical two-step mapping: tasks become ready when all
+// predecessors are placed; among ready tasks the one with the largest bottom
+// level runs next (ties broken by task ID); it is placed on the s(v)
+// processors that become available earliest (ties broken by processor index
+// — the "first processor set"), starting at the maximum of its data-ready
+// time and the availability of the last of those processors.
+//
+// The start time depends only on the multiset of processor free times, so
+// the loop keeps that multiset as an availability profile of K runs, where
+// K ≤ min(P, V+1) is the number of distinct free times: a task takes its s
+// processors from the earliest runs, and the time of the run holding the
+// s-th processor is its start candidate; the s processors come back as one
+// run at the task's end. That makes the complexity O(E + V log V + V·K),
+// against the O(E + V log V + V·P) quoted in Section III-E, plus one O(P)
+// scan per task when processor sets are recorded.
 //
 // When entries is non-nil, one Entry per task is recorded there; otherwise
 // only the makespan is tracked (the fitness path). procArena, consulted only
@@ -194,21 +208,14 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 		}
 	}
 
-	avail := st.avail[:procs]
-	for i := range avail {
-		avail[i] = 0
-	}
-	// order holds processor indices sorted by (availability, index); it is
-	// maintained incrementally: scheduling a task rewrites the first s
-	// entries with one shared availability time, so a single merge pass
-	// restores sortedness in O(P) instead of re-sorting.
-	order := st.order[:procs]
-	for i := range order {
-		order[i] = i
-	}
-	scratch := st.scratch[:procs]
-	mark := st.mark[:procs]
+	steps := append(st.steps[:0], availStep{t: 0, n: procs})
 	recordProcs := entries != nil && !opt.SkipProcSets
+	avail := st.avail[:procs]
+	if recordProcs {
+		for i := range avail {
+			avail[i] = 0
+		}
+	}
 	arenaUsed := 0
 	placed := 0
 	makespan := 0.0
@@ -217,15 +224,19 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 		v := ready.pop()
 		s := alloc[v]
 
-		// The s processors that become available earliest are the first s
-		// entries of order; among equal availability times the
-		// lowest-numbered processors win, which makes the mapping fully
-		// deterministic ("the first processor set").
-		chosen := order[:s]
+		// Take runs from the earliest end of the profile until they hold s
+		// processors; run j holds the s-th earliest-free one.
+		j := len(steps) - 1
+		taken := steps[j].n
+		for taken < s {
+			j--
+			taken += steps[j].n
+		}
+		freeAt := steps[j].t
 
 		start := readyTime[v]
-		if a := avail[chosen[s-1]]; a > start {
-			start = a
+		if freeAt > start {
+			start = freeAt
 		}
 		if opt.RejectAbove > 0 && start+bl[v] > opt.RejectAbove {
 			return 0, ErrRejected
@@ -240,65 +251,50 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 		}
 		placed++
 
-		for _, p := range chosen {
-			avail[p] = end
-			mark[p] = true
-		}
-		// The chosen processors, in ascending index order, fall out of the
-		// mark-bitmap scan below for free; carve the entry's Procs from the
-		// arena and fill it as the scan visits them — no sort, no per-task
-		// allocation.
-		var procsOut []int
 		if recordProcs {
-			procsOut = procArena[arenaUsed : arenaUsed+s : arenaUsed+s]
+			// The first processor set is every processor free before
+			// freeAt plus the lowest-numbered need of those free exactly at
+			// freeAt; one ascending scan yields them already in index order.
+			need := s - (taken - steps[j].n)
+			procsOut := procArena[arenaUsed : arenaUsed+s : arenaUsed+s]
 			arenaUsed += s
-		}
-		emitted := 0
-		// Restore order: the updated processors all share avail == end, so
-		// among themselves they order by index — which the mark bitmap
-		// yields directly with an ascending scan, no sort — and one merge
-		// pass with the untouched, still-sorted tail restores the invariant
-		// in O(P).
-		merged := scratch[:0]
-		rest := order[s:]
-		j, p, remaining := 0, 0, s
-		for remaining > 0 && j < len(rest) {
-			for !mark[p] {
-				p++
-			}
-			r := rest[j]
-			//schedlint:allow floateq -- exact tie-break: equal availability resolves by processor index, which is what makes "the first processor set" deterministic
-			if avail[p] < avail[r] || (avail[p] == avail[r] && p < r) {
-				merged = append(merged, p)
-				mark[p] = false
-				if recordProcs {
-					procsOut[emitted] = p
-					emitted++
+			c := 0
+			for p, a := range avail {
+				switch {
+				case a < freeAt:
+				case a > freeAt || need == 0:
+					continue
+				default:
+					need--
 				}
-				p++
-				remaining--
-			} else {
-				merged = append(merged, r)
-				j++
+				avail[p] = end
+				procsOut[c] = p
+				c++
+				if c == s {
+					break
+				}
 			}
-		}
-		for remaining > 0 {
-			for !mark[p] {
-				p++
-			}
-			merged = append(merged, p)
-			mark[p] = false
-			if recordProcs {
-				procsOut[emitted] = p
-				emitted++
-			}
-			p++
-			remaining--
-		}
-		merged = append(merged, rest[j:]...)
-		copy(order, merged)
-		if recordProcs {
 			entries[v].Procs = procsOut
+		}
+
+		// Drop the taken processors, then give them back as one run at end,
+		// joining a run whose time is exactly end.
+		if rest := taken - s; rest > 0 {
+			steps[j].n = rest
+			j++
+		}
+		steps = steps[:j]
+		i := j
+		for i > 0 && steps[i-1].t < end {
+			i--
+		}
+		//schedlint:allow floateq -- runs are keyed by exact free time; merging only identical times keeps the profile's multiset exact
+		if i > 0 && steps[i-1].t == end {
+			steps[i-1].n += s
+		} else {
+			steps = append(steps, availStep{})
+			copy(steps[i+1:], steps[i:])
+			steps[i] = availStep{t: end, n: s}
 		}
 
 		for _, w := range g.Successors(v) {

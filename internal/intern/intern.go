@@ -18,16 +18,14 @@
 // digest, which downstream caches (response cache, table intern) key on.
 // Tables are keyed by (canonical graph digest, model name, cluster).
 //
-// Both caches are bounded LRUs and safe for concurrent use.
+// Both caches are the bounded LRU of lru.go, the same one emts-serve keeps
+// its response cache in, and are safe for concurrent use.
 package intern
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sync"
-	"sync/atomic"
 
 	"emts/internal/dag"
 	"emts/internal/model"
@@ -65,71 +63,27 @@ type GraphEntry struct {
 // Graphs is a bounded LRU of decoded graphs keyed by the SHA-256 of the raw
 // submitted bytes.
 type Graphs struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	byKey map[[sha256.Size]byte]*list.Element
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type graphItem struct {
-	key   [sha256.Size]byte
-	entry *GraphEntry
+	*LRU[[sha256.Size]byte, *GraphEntry]
 }
 
 // NewGraphs returns a graph intern holding at most capacity entries
 // (non-positive selects DefaultEntries).
 func NewGraphs(capacity int) *Graphs {
-	if capacity <= 0 {
-		capacity = DefaultEntries
-	}
-	return &Graphs{
-		cap:   capacity,
-		ll:    list.New(),
-		byKey: make(map[[sha256.Size]byte]*list.Element, capacity),
-	}
+	return &Graphs{NewLRU[[sha256.Size]byte, *GraphEntry](capacity)}
 }
 
 // Get returns the interned entry for the raw graph bytes, decoding and
 // interning on first sight. The second result reports whether the entry was
 // already interned. Decode failures are returned verbatim (and never cached):
 // the caller's validation taxonomy is unchanged.
-//
-// The warm path is lookup — a hash, one mutex hold, one map probe — and is
-// kept in its own hotpath-annotated function so schedlint verifies it stays
-// allocation-free; intern is the cold decode-and-insert path.
 func (c *Graphs) Get(raw []byte) (*GraphEntry, bool, error) {
 	key := RawKey(raw)
-	if entry, ok := c.lookup(key); ok {
+	if entry, ok := c.LRU.Get(key); ok {
 		return entry, true, nil
 	}
-	return c.intern(key, raw)
-}
-
-// lookup probes the cache for key, refreshing the entry's LRU position on a
-// hit. This is the entire warm serving path of a repeat-structure request.
-//
-//schedlint:hotpath
-func (c *Graphs) lookup(key [sha256.Size]byte) (*GraphEntry, bool) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return el.Value.(*graphItem).entry, true
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
-}
-
-// intern decodes, canonicalizes, and inserts a first-sighted graph.
-func (c *Graphs) intern(key [sha256.Size]byte, raw []byte) (*GraphEntry, bool, error) {
 	// Decode and canonicalize outside the lock: this is the expensive part,
 	// and concurrent first sightings of the same graph merely race to insert
-	// equivalent entries — the re-check below keeps one.
+	// equivalent entries, of which Add keeps one.
 	g, err := dag.UnmarshalGraph(raw)
 	if err != nil {
 		return nil, false, err
@@ -140,35 +94,7 @@ func (c *Graphs) intern(key [sha256.Size]byte, raw []byte) (*GraphEntry, bool, e
 	}
 	sum := sha256.Sum256(canon)
 	entry := &GraphEntry{Graph: g, Canon: canon, CanonKey: hex.EncodeToString(sum[:])}
-
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		// Lost the insert race; adopt the winner so all requests share one
-		// graph instance.
-		c.ll.MoveToFront(el)
-		entry = el.Value.(*graphItem).entry
-	} else {
-		c.byKey[key] = c.ll.PushFront(&graphItem{key: key, entry: entry})
-		for c.ll.Len() > c.cap {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.byKey, oldest.Value.(*graphItem).key)
-		}
-	}
-	c.mu.Unlock()
-	return entry, false, nil
-}
-
-// Stats reports lookup hits and misses since construction.
-func (c *Graphs) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Len reports the current number of interned graphs.
-func (c *Graphs) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.Add(key, entry), false, nil
 }
 
 // TableKey identifies an execution-time table: the canonical graph digest
@@ -186,94 +112,26 @@ type TableKey struct {
 
 // Tables is a bounded LRU of execution-time tables.
 type Tables struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	byKey map[TableKey]*list.Element
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type tableItem struct {
-	key TableKey
-	tab *model.Table
+	*LRU[TableKey, *model.Table]
 }
 
 // NewTables returns a table intern holding at most capacity entries
 // (non-positive selects DefaultEntries).
 func NewTables(capacity int) *Tables {
-	if capacity <= 0 {
-		capacity = DefaultEntries
-	}
-	return &Tables{
-		cap:   capacity,
-		ll:    list.New(),
-		byKey: make(map[TableKey]*list.Element, capacity),
-	}
+	return &Tables{NewLRU[TableKey, *model.Table](capacity)}
 }
 
 // Get returns the interned table for key, calling build to construct it on
 // first sight. The second result reports whether the table was already
-// interned. Build failures are returned verbatim and never cached. As with
-// Graphs.Get, the warm path lives in the hotpath-annotated lookup.
+// interned. Build failures are returned verbatim and never cached. A hit
+// skips the V×P model evaluation entirely.
 func (c *Tables) Get(key TableKey, build func() (*model.Table, error)) (*model.Table, bool, error) {
-	if tab, ok := c.lookup(key); ok {
+	if tab, ok := c.LRU.Get(key); ok {
 		return tab, true, nil
 	}
-
-	tab, err := c.build(key, build)
-	return tab, false, err
-}
-
-// lookup probes the cache for key, refreshing the entry's LRU position on a
-// hit. A hit skips the V×P model evaluation entirely.
-//
-//schedlint:hotpath
-func (c *Tables) lookup(key TableKey) (*model.Table, bool) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return el.Value.(*tableItem).tab, true
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
-}
-
-// build constructs and inserts a first-sighted table.
-func (c *Tables) build(key TableKey, build func() (*model.Table, error)) (*model.Table, error) {
 	tab, err := build()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		tab = el.Value.(*tableItem).tab
-	} else {
-		c.byKey[key] = c.ll.PushFront(&tableItem{key: key, tab: tab})
-		for c.ll.Len() > c.cap {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.byKey, oldest.Value.(*tableItem).key)
-		}
-	}
-	c.mu.Unlock()
-	return tab, nil
-}
-
-// Stats reports lookup hits and misses since construction.
-func (c *Tables) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Len reports the current number of interned tables.
-func (c *Tables) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.Add(key, tab), false, nil
 }

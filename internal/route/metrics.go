@@ -1,29 +1,22 @@
 package route
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
-)
 
-// proxyBuckets are the upper bounds (seconds) of the per-backend latency
-// histograms — the same spread internal/server uses, so router-side and
-// backend-side latency panels line up bucket for bucket.
-var proxyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
+	"emts/internal/metrics"
+)
 
 // backendMetrics aggregates one backend's proxied traffic. Guarded by the
 // owning routerMetrics mutex.
 type backendMetrics struct {
 	codes map[int]uint64 // HTTP status of proxied responses (-1 = transport error)
 	// latency histogram over successfully proxied requests (any status).
-	counts []uint64
-	sum    float64
-	total  uint64
+	latency metrics.Histogram
 	// Affinity accounting, from the backend's response headers: how many 200s
 	// replayed the response cache, and how many found their graph/table
 	// already interned. High rates here are the whole point of digest routing.
@@ -33,9 +26,9 @@ type backendMetrics struct {
 	internTable uint64
 }
 
-// routerMetrics is the router's hand-rolled instrument registry, rendered in
-// Prometheus text exposition format (stdlib-only, deterministic series
-// order, like internal/server's).
+// routerMetrics is the router's instrument registry, rendered in Prometheus
+// text exposition format through internal/metrics, the same core and
+// latency buckets as internal/server's.
 type routerMetrics struct {
 	mu       sync.Mutex
 	backends map[string]*backendMetrics
@@ -58,19 +51,12 @@ func (m *routerMetrics) observe(backendID string, code int, seconds float64, cac
 	m.mu.Lock()
 	bm := m.backends[backendID]
 	if bm == nil {
-		bm = &backendMetrics{codes: make(map[int]uint64), counts: make([]uint64, len(proxyBuckets))}
+		bm = &backendMetrics{codes: make(map[int]uint64)}
 		m.backends[backendID] = bm
 	}
 	bm.codes[code]++
 	if code >= 0 {
-		for i, ub := range proxyBuckets {
-			if seconds <= ub {
-				bm.counts[i]++
-				break
-			}
-		}
-		bm.sum += seconds
-		bm.total++
+		bm.latency.Observe(seconds)
 	}
 	if code == 200 {
 		bm.ok++
@@ -92,116 +78,64 @@ func (m *routerMetrics) observe(backendID string, code int, seconds float64, cac
 
 // WriteTo renders the registry; two scrapes of the same state are
 // byte-identical (sorted backend and code order).
-func (m *routerMetrics) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
+func (m *routerMetrics) WriteTo(out io.Writer) (int64, error) {
+	w := metrics.NewWriter(out)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	ids := make([]string, 0, len(m.backends))
-	for id := range m.backends {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := slices.Sorted(maps.Keys(m.backends))
 
-	fmt.Fprintln(cw, "# HELP emts_router_requests_total Proxied requests by backend and status (-1 = transport error).")
-	fmt.Fprintln(cw, "# TYPE emts_router_requests_total counter")
+	w.Header("emts_router_requests_total", "counter", "Proxied requests by backend and status (-1 = transport error).")
 	for _, id := range ids {
 		bm := m.backends[id]
-		codes := make([]int, 0, len(bm.codes))
-		for c := range bm.codes {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(cw, "emts_router_requests_total{backend=%q,code=%q} %d\n", id, strconv.Itoa(c), bm.codes[c])
+		for _, c := range slices.Sorted(maps.Keys(bm.codes)) {
+			w.Sample("emts_router_requests_total", int64(bm.codes[c]), "backend", id, "code", strconv.Itoa(c))
 		}
 	}
 
-	fmt.Fprintln(cw, "# HELP emts_router_request_duration_seconds Latency of proxied requests by backend.")
-	fmt.Fprintln(cw, "# TYPE emts_router_request_duration_seconds histogram")
+	w.Header("emts_router_request_duration_seconds", "histogram", "Latency of proxied requests by backend.")
 	for _, id := range ids {
-		bm := m.backends[id]
-		cum := uint64(0)
-		for i, ub := range proxyBuckets {
-			cum += bm.counts[i]
-			fmt.Fprintf(cw, "emts_router_request_duration_seconds_bucket{backend=%q,le=%q} %d\n",
-				id, strconv.FormatFloat(ub, 'g', -1, 64), cum)
-		}
-		fmt.Fprintf(cw, "emts_router_request_duration_seconds_bucket{backend=%q,le=\"+Inf\"} %d\n", id, bm.total)
-		fmt.Fprintf(cw, "emts_router_request_duration_seconds_sum{backend=%q} %g\n", id, bm.sum)
-		fmt.Fprintf(cw, "emts_router_request_duration_seconds_count{backend=%q} %d\n", id, bm.total)
+		w.Histogram("emts_router_request_duration_seconds", &m.backends[id].latency, "backend", id)
 	}
 
-	fmt.Fprintln(cw, "# HELP emts_router_affinity_cache_hits_total Proxied 200s served from the backend response cache.")
-	fmt.Fprintln(cw, "# TYPE emts_router_affinity_cache_hits_total counter")
+	w.Header("emts_router_affinity_cache_hits_total", "counter", "Proxied 200s served from the backend response cache.")
 	for _, id := range ids {
-		fmt.Fprintf(cw, "emts_router_affinity_cache_hits_total{backend=%q} %d\n", id, m.backends[id].cacheHits)
+		w.Sample("emts_router_affinity_cache_hits_total", int64(m.backends[id].cacheHits), "backend", id)
 	}
-	fmt.Fprintln(cw, "# HELP emts_router_affinity_interned_total Proxied 200s whose graph/table was already interned on the backend.")
-	fmt.Fprintln(cw, "# TYPE emts_router_affinity_interned_total counter")
+	w.Header("emts_router_affinity_interned_total", "counter", "Proxied 200s whose graph/table was already interned on the backend.")
 	for _, id := range ids {
-		fmt.Fprintf(cw, "emts_router_affinity_interned_total{backend=%q,kind=\"graph\"} %d\n", id, m.backends[id].internGraph)
-		fmt.Fprintf(cw, "emts_router_affinity_interned_total{backend=%q,kind=\"table\"} %d\n", id, m.backends[id].internTable)
+		w.Sample("emts_router_affinity_interned_total", int64(m.backends[id].internGraph), "backend", id, "kind", "graph")
+		w.Sample("emts_router_affinity_interned_total", int64(m.backends[id].internTable), "backend", id, "kind", "table")
 	}
-	fmt.Fprintln(cw, "# HELP emts_router_ok_total Proxied 200s by backend (denominator for the affinity rates).")
-	fmt.Fprintln(cw, "# TYPE emts_router_ok_total counter")
+	w.Header("emts_router_ok_total", "counter", "Proxied 200s by backend (denominator for the affinity rates).")
 	for _, id := range ids {
-		fmt.Fprintf(cw, "emts_router_ok_total{backend=%q} %d\n", id, m.backends[id].ok)
+		w.Sample("emts_router_ok_total", int64(m.backends[id].ok), "backend", id)
 	}
 
-	fmt.Fprintln(cw, "# HELP emts_router_retries_total Connection-refused retries replayed onto the next rendezvous choice.")
-	fmt.Fprintln(cw, "# TYPE emts_router_retries_total counter")
-	fmt.Fprintf(cw, "emts_router_retries_total %d\n", m.retries.Load())
-	fmt.Fprintln(cw, "# HELP emts_router_no_backend_total Requests refused because no backend was healthy.")
-	fmt.Fprintln(cw, "# TYPE emts_router_no_backend_total counter")
-	fmt.Fprintf(cw, "emts_router_no_backend_total %d\n", m.noBackend.Load())
+	w.Header("emts_router_retries_total", "counter", "Connection-refused retries replayed onto the next rendezvous choice.")
+	w.Sample("emts_router_retries_total", int64(m.retries.Load()))
+	w.Header("emts_router_no_backend_total", "counter", "Requests refused because no backend was healthy.")
+	w.Sample("emts_router_no_backend_total", int64(m.noBackend.Load()))
 
 	if m.checker != nil {
 		ej, re, rb := m.checker.Stats()
-		fmt.Fprintln(cw, "# HELP emts_router_ejections_total Backends ejected after consecutive failed health probes.")
-		fmt.Fprintln(cw, "# TYPE emts_router_ejections_total counter")
-		fmt.Fprintf(cw, "emts_router_ejections_total %d\n", ej)
-		fmt.Fprintln(cw, "# HELP emts_router_readmissions_total Ejected backends re-admitted after consecutive probe successes.")
-		fmt.Fprintln(cw, "# TYPE emts_router_readmissions_total counter")
-		fmt.Fprintf(cw, "emts_router_readmissions_total %d\n", re)
-		fmt.Fprintln(cw, "# HELP emts_router_rebalance_total Routing-table swaps (any membership transition).")
-		fmt.Fprintln(cw, "# TYPE emts_router_rebalance_total counter")
-		fmt.Fprintf(cw, "emts_router_rebalance_total %d\n", rb)
+		w.Header("emts_router_ejections_total", "counter", "Backends ejected after consecutive failed health probes.")
+		w.Sample("emts_router_ejections_total", int64(ej))
+		w.Header("emts_router_readmissions_total", "counter", "Ejected backends re-admitted after consecutive probe successes.")
+		w.Sample("emts_router_readmissions_total", int64(re))
+		w.Header("emts_router_rebalance_total", "counter", "Routing-table swaps (any membership transition).")
+		w.Sample("emts_router_rebalance_total", int64(rb))
 
 		healthy := m.checker.Healthy()
-		hids := make([]string, 0, len(healthy))
-		for id := range healthy {
-			hids = append(hids, id)
-		}
-		sort.Strings(hids)
-		fmt.Fprintln(cw, "# HELP emts_router_backend_healthy Backend health verdict (1 = in the routing table).")
-		fmt.Fprintln(cw, "# TYPE emts_router_backend_healthy gauge")
-		for _, id := range hids {
-			v := 0
+		w.Header("emts_router_backend_healthy", "gauge", "Backend health verdict (1 = in the routing table).")
+		for _, id := range slices.Sorted(maps.Keys(healthy)) {
+			v := int64(0)
 			if healthy[id] {
 				v = 1
 			}
-			fmt.Fprintf(cw, "emts_router_backend_healthy{backend=%q} %d\n", id, v)
+			w.Sample("emts_router_backend_healthy", v, "backend", id)
 		}
 	}
 
-	return cw.n, cw.err
-}
-
-// countingWriter tracks bytes written and the first error (io.WriterTo
-// shape, as in internal/server).
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.err != nil {
-		return 0, cw.err
-	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.err = err
-	return n, err
+	return w.Result()
 }

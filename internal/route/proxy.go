@@ -142,15 +142,8 @@ func (r *Router) handleSchedule(w http.ResponseWriter, req *http.Request) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	body, ok := r.readBody(w, req)
+	if !ok {
 		return
 	}
 	// The routing key is the exact digest the backend's graph intern keys on
@@ -194,9 +187,8 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	body, ok := r.readBody(w, req)
+	if !ok {
 		return
 	}
 	key, _ := JobKey(req.URL.Path)
@@ -232,9 +224,8 @@ func (r *Router) handleForwardAny(w http.ResponseWriter, req *http.Request) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	body, ok := r.readBody(w, req)
+	if !ok {
 		return
 	}
 	table := r.checker.Table()
@@ -256,6 +247,23 @@ func (r *Router) handleForwardAny(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	r.finish(w, backend, resp, start, err)
+}
+
+// readBody reads the request body under MaxRequestBytes. On failure it
+// answers the client itself, as the backend's own body read does: 413 naming
+// the limit for an over-limit body, 400 for any other read error.
+func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
+	if err == nil {
+		return body, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	}
+	return nil, false
 }
 
 // forward sends one upstream request and returns the undrained response plus

@@ -377,3 +377,45 @@ func TestRouterForwardsAlgorithms(t *testing.T) {
 		t.Fatalf("algorithms via router: %d %s", resp.StatusCode, b)
 	}
 }
+
+// TestRouterBodyLimit pins one answer for an over-limit body on every
+// handler that reads one: 413 naming the limit, without forwarding.
+func TestRouterBodyLimit(t *testing.T) {
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer upstream.Close()
+	router, err := New(Config{
+		Backends:        []Backend{{ID: "up", URL: upstream.URL}},
+		Health:          HealthConfig{Interval: time.Hour},
+		MaxRequestBytes: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Shutdown(context.Background())
+	rts := httptest.NewServer(router.Handler())
+	defer rts.Close()
+
+	body := bytes.Repeat([]byte("x"), 4<<10)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/schedule"},
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodDelete, "/v1/jobs/" + strings.Repeat("ab", 32) + "-1"},
+		{http.MethodPost, "/v1/algorithms"},
+	} {
+		req, err := http.NewRequest(tc.method, rts.URL+tc.path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(got), "exceeds 1024 bytes") {
+			t.Errorf("%s %s with a 4 KiB body: %d %s, want 413", tc.method, tc.path, resp.StatusCode, got)
+		}
+	}
+}

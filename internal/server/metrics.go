@@ -1,48 +1,22 @@
 package server
 
 import (
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"emts/internal/jobs"
+	"emts/internal/metrics"
 )
 
-// latencyBuckets are the upper bounds (seconds) of the request-duration
-// histograms. The spread covers sub-millisecond heuristic runs (cpa on a tiny
-// graph) up to multi-second EMTS10 optimizations of large PTGs.
-var latencyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
-// histogram is a fixed-bucket latency histogram in the Prometheus style:
-// cumulative bucket counts, a sum, and a total count. Guarded by the owning
-// metrics mutex.
-type histogram struct {
-	counts []uint64 // one per latencyBuckets entry; cumulative only at render
-	sum    float64
-	total  uint64
-}
-
-func (h *histogram) observe(v float64) {
-	for i, ub := range latencyBuckets {
-		if v <= ub {
-			h.counts[i]++
-			break
-		}
-	}
-	h.sum += v
-	h.total++
-}
-
-// metrics is the hand-rolled instrument registry of the service: counters,
-// gauges, and per-algorithm latency histograms, rendered in Prometheus text
-// exposition format by WriteTo. No external dependencies — the north-star
-// constraint is a stdlib-only build.
-type metrics struct {
+// registry holds the instruments of the service: counters, gauges, and
+// per-algorithm latency histograms, rendered in Prometheus text exposition
+// format by WriteTo through internal/metrics.
+type registry struct {
 	// inflight is the number of schedule computations currently executing on
 	// a worker.
 	inflight atomic.Int64
@@ -77,10 +51,10 @@ type metrics struct {
 	// (ok, client_error, cancelled, deadline, error).
 	outcomes map[outcomeKey]uint64
 	// latency holds one histogram per algorithm, successful computations only.
-	latency map[string]*histogram
+	latency map[string]*metrics.Histogram
 	// jobPhase holds one histogram per job lifecycle phase ("queued",
 	// "running"), fed by the job finalizer.
-	jobPhase map[string]*histogram
+	jobPhase map[string]*metrics.Histogram
 }
 
 type outcomeKey struct {
@@ -88,135 +62,99 @@ type outcomeKey struct {
 	outcome   string
 }
 
-func newMetrics() *metrics {
-	return &metrics{
+func newRegistry() *registry {
+	return &registry{
 		requests:      make(map[int]uint64),
 		outcomes:      make(map[outcomeKey]uint64),
-		latency:       make(map[string]*histogram),
-		jobPhase:      make(map[string]*histogram),
+		latency:       make(map[string]*metrics.Histogram),
+		jobPhase:      make(map[string]*metrics.Histogram),
 		queueDepth:    func() int { return 0 },
 		cacheEntries:  func() int { return 0 },
 		queueCapacity: 0,
 	}
 }
 
-func (m *metrics) countRequest(code int) {
+func (m *registry) countRequest(code int) {
 	m.mu.Lock()
 	m.requests[code]++
 	m.mu.Unlock()
 }
 
-func (m *metrics) countOutcome(algorithm, outcome string) {
+func (m *registry) countOutcome(algorithm, outcome string) {
 	m.mu.Lock()
 	m.outcomes[outcomeKey{algorithm, outcome}]++
 	m.mu.Unlock()
 }
 
-func (m *metrics) observeJobPhase(phase string, seconds float64) {
+func (m *registry) observeJobPhase(phase string, seconds float64) {
 	m.mu.Lock()
-	h := m.jobPhase[phase]
-	if h == nil {
-		h = &histogram{counts: make([]uint64, len(latencyBuckets))}
-		m.jobPhase[phase] = h
-	}
-	h.observe(seconds)
+	observe(m.jobPhase, phase, seconds)
 	m.mu.Unlock()
 }
 
-func (m *metrics) observeLatency(algorithm string, seconds float64) {
+func (m *registry) observeLatency(algorithm string, seconds float64) {
 	m.mu.Lock()
-	h := m.latency[algorithm]
-	if h == nil {
-		h = &histogram{counts: make([]uint64, len(latencyBuckets))}
-		m.latency[algorithm] = h
-	}
-	h.observe(seconds)
+	observe(m.latency, algorithm, seconds)
 	m.mu.Unlock()
+}
+
+// observe adds one value to the histogram under key, creating it on first
+// use. The caller holds the registry mutex.
+func observe(hs map[string]*metrics.Histogram, key string, seconds float64) {
+	h := hs[key]
+	if h == nil {
+		h = new(metrics.Histogram)
+		hs[key] = h
+	}
+	h.Observe(seconds)
 }
 
 // WriteTo renders the registry in Prometheus text exposition format. Series
 // are emitted in sorted label order, so two scrapes of the same state are
 // byte-identical.
-func (m *metrics) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
+func (m *registry) WriteTo(out io.Writer) (int64, error) {
+	w := metrics.NewWriter(out)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintln(cw, "# HELP emts_requests_total Finished HTTP requests by status code.")
-	fmt.Fprintln(cw, "# TYPE emts_requests_total counter")
-	codes := make([]int, 0, len(m.requests))
-	for c := range m.requests {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
-	for _, c := range codes {
-		fmt.Fprintf(cw, "emts_requests_total{code=%q} %d\n", strconv.Itoa(c), m.requests[c])
+	w.Header("emts_requests_total", "counter", "Finished HTTP requests by status code.")
+	for _, c := range slices.Sorted(maps.Keys(m.requests)) {
+		w.Sample("emts_requests_total", int64(m.requests[c]), "code", strconv.Itoa(c))
 	}
 
-	fmt.Fprintln(cw, "# HELP emts_schedule_total Schedule computations by algorithm and outcome.")
-	fmt.Fprintln(cw, "# TYPE emts_schedule_total counter")
-	oks := make([]outcomeKey, 0, len(m.outcomes))
-	for k := range m.outcomes {
-		oks = append(oks, k)
-	}
-	sort.Slice(oks, func(i, j int) bool {
-		if oks[i].algorithm != oks[j].algorithm {
-			return oks[i].algorithm < oks[j].algorithm
-		}
-		return oks[i].outcome < oks[j].outcome
+	w.Header("emts_schedule_total", "counter", "Schedule computations by algorithm and outcome.")
+	oks := slices.SortedFunc(maps.Keys(m.outcomes), func(a, b outcomeKey) int {
+		return cmp.Or(cmp.Compare(a.algorithm, b.algorithm), cmp.Compare(a.outcome, b.outcome))
 	})
 	for _, k := range oks {
-		fmt.Fprintf(cw, "emts_schedule_total{algorithm=%q,outcome=%q} %d\n", k.algorithm, k.outcome, m.outcomes[k])
+		w.Sample("emts_schedule_total", int64(m.outcomes[k]), "algorithm", k.algorithm, "outcome", k.outcome)
 	}
 
-	fmt.Fprintln(cw, "# HELP emts_request_duration_seconds Latency of successful schedule computations.")
-	fmt.Fprintln(cw, "# TYPE emts_request_duration_seconds histogram")
-	algos := make([]string, 0, len(m.latency))
-	for a := range m.latency {
-		algos = append(algos, a)
-	}
-	sort.Strings(algos)
-	for _, a := range algos {
-		h := m.latency[a]
-		cum := uint64(0)
-		for i, ub := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(cw, "emts_request_duration_seconds_bucket{algorithm=%q,le=%q} %d\n",
-				a, strconv.FormatFloat(ub, 'g', -1, 64), cum)
-		}
-		fmt.Fprintf(cw, "emts_request_duration_seconds_bucket{algorithm=%q,le=\"+Inf\"} %d\n", a, h.total)
-		fmt.Fprintf(cw, "emts_request_duration_seconds_sum{algorithm=%q} %g\n", a, h.sum)
-		fmt.Fprintf(cw, "emts_request_duration_seconds_count{algorithm=%q} %d\n", a, h.total)
+	w.Header("emts_request_duration_seconds", "histogram", "Latency of successful schedule computations.")
+	for _, a := range slices.Sorted(maps.Keys(m.latency)) {
+		w.Histogram("emts_request_duration_seconds", m.latency[a], "algorithm", a)
 	}
 
-	fmt.Fprintln(cw, "# HELP emts_queue_depth Schedule requests waiting in the admission queue.")
-	fmt.Fprintln(cw, "# TYPE emts_queue_depth gauge")
-	fmt.Fprintf(cw, "emts_queue_depth %d\n", m.queueDepth())
-	fmt.Fprintln(cw, "# HELP emts_queue_capacity Admission queue capacity.")
-	fmt.Fprintln(cw, "# TYPE emts_queue_capacity gauge")
-	fmt.Fprintf(cw, "emts_queue_capacity %d\n", m.queueCapacity)
-	fmt.Fprintln(cw, "# HELP emts_inflight Schedule computations currently executing.")
-	fmt.Fprintln(cw, "# TYPE emts_inflight gauge")
-	fmt.Fprintf(cw, "emts_inflight %d\n", m.inflight.Load())
+	w.Header("emts_queue_depth", "gauge", "Schedule requests waiting in the admission queue.")
+	w.Sample("emts_queue_depth", int64(m.queueDepth()))
+	w.Header("emts_queue_capacity", "gauge", "Admission queue capacity.")
+	w.Sample("emts_queue_capacity", int64(m.queueCapacity))
+	w.Header("emts_inflight", "gauge", "Schedule computations currently executing.")
+	w.Sample("emts_inflight", m.inflight.Load())
 
-	fmt.Fprintln(cw, "# HELP emts_cache_hits_total Response-cache hits.")
-	fmt.Fprintln(cw, "# TYPE emts_cache_hits_total counter")
-	fmt.Fprintf(cw, "emts_cache_hits_total %d\n", m.cacheHits.Load())
-	fmt.Fprintln(cw, "# HELP emts_cache_misses_total Response-cache misses.")
-	fmt.Fprintln(cw, "# TYPE emts_cache_misses_total counter")
-	fmt.Fprintf(cw, "emts_cache_misses_total %d\n", m.cacheMisses.Load())
-	fmt.Fprintln(cw, "# HELP emts_cache_entries Response-cache entries resident.")
-	fmt.Fprintln(cw, "# TYPE emts_cache_entries gauge")
-	fmt.Fprintf(cw, "emts_cache_entries %d\n", m.cacheEntries())
+	w.Header("emts_cache_hits_total", "counter", "Response-cache hits.")
+	w.Sample("emts_cache_hits_total", int64(m.cacheHits.Load()))
+	w.Header("emts_cache_misses_total", "counter", "Response-cache misses.")
+	w.Sample("emts_cache_misses_total", int64(m.cacheMisses.Load()))
+	w.Header("emts_cache_entries", "gauge", "Response-cache entries resident.")
+	w.Sample("emts_cache_entries", int64(m.cacheEntries()))
 
 	writeHitMiss := func(name, help string, stats func() (uint64, uint64)) {
 		hits, misses := stats()
-		fmt.Fprintf(cw, "# HELP %s_hits_total %s hits.\n", name, help)
-		fmt.Fprintf(cw, "# TYPE %s_hits_total counter\n", name)
-		fmt.Fprintf(cw, "%s_hits_total %d\n", name, hits)
-		fmt.Fprintf(cw, "# HELP %s_misses_total %s misses.\n", name, help)
-		fmt.Fprintf(cw, "# TYPE %s_misses_total counter\n", name)
-		fmt.Fprintf(cw, "%s_misses_total %d\n", name, misses)
+		w.Header(name+"_hits_total", "counter", help+" hits.")
+		w.Sample(name+"_hits_total", int64(hits))
+		w.Header(name+"_misses_total", "counter", help+" misses.")
+		w.Sample(name+"_misses_total", int64(misses))
 	}
 	if m.graphStats != nil {
 		writeHitMiss("emts_intern_graph", "Graph-intern", m.graphStats)
@@ -225,71 +163,28 @@ func (m *metrics) WriteTo(w io.Writer) (int64, error) {
 		writeHitMiss("emts_intern_table", "Table-intern", m.tableStats)
 	}
 	if m.governorAvailable != nil {
-		fmt.Fprintln(cw, "# HELP emts_governor_tokens_available CPU governor tokens currently free (negative under overdraft).")
-		fmt.Fprintln(cw, "# TYPE emts_governor_tokens_available gauge")
-		fmt.Fprintf(cw, "emts_governor_tokens_available %d\n", m.governorAvailable())
-		fmt.Fprintln(cw, "# HELP emts_governor_tokens_capacity CPU governor token capacity.")
-		fmt.Fprintln(cw, "# TYPE emts_governor_tokens_capacity gauge")
-		fmt.Fprintf(cw, "emts_governor_tokens_capacity %d\n", m.governorCapacity)
+		w.Header("emts_governor_tokens_available", "gauge", "CPU governor tokens currently free (negative under overdraft).")
+		w.Sample("emts_governor_tokens_available", int64(m.governorAvailable()))
+		w.Header("emts_governor_tokens_capacity", "gauge", "CPU governor token capacity.")
+		w.Sample("emts_governor_tokens_capacity", int64(m.governorCapacity))
 	}
 
 	if m.jobStates != nil {
 		counts := m.jobStates()
-		states := make([]string, 0, len(counts))
-		for st := range counts {
-			states = append(states, string(st))
+		w.Header("emts_jobs_states", "gauge", "Async jobs resident in the store, by lifecycle state.")
+		for _, st := range slices.Sorted(maps.Keys(counts)) {
+			w.Sample("emts_jobs_states", int64(counts[st]), "state", string(st))
 		}
-		sort.Strings(states)
-		fmt.Fprintln(cw, "# HELP emts_jobs_states Async jobs resident in the store, by lifecycle state.")
-		fmt.Fprintln(cw, "# TYPE emts_jobs_states gauge")
-		for _, st := range states {
-			fmt.Fprintf(cw, "emts_jobs_states{state=%q} %d\n", st, counts[jobs.State(st)])
-		}
-		fmt.Fprintln(cw, "# HELP emts_jobs_sse_subscribers Live SSE progress-stream subscribers.")
-		fmt.Fprintln(cw, "# TYPE emts_jobs_sse_subscribers gauge")
-		fmt.Fprintf(cw, "emts_jobs_sse_subscribers %d\n", m.sseSubscribers.Load())
-		fmt.Fprintln(cw, "# HELP emts_jobs_anytime_cancel_total Job cancellations that salvaged an incumbent schedule.")
-		fmt.Fprintln(cw, "# TYPE emts_jobs_anytime_cancel_total counter")
-		fmt.Fprintf(cw, "emts_jobs_anytime_cancel_total %d\n", m.anytimeCancels.Load())
+		w.Header("emts_jobs_sse_subscribers", "gauge", "Live SSE progress-stream subscribers.")
+		w.Sample("emts_jobs_sse_subscribers", m.sseSubscribers.Load())
+		w.Header("emts_jobs_anytime_cancel_total", "counter", "Job cancellations that salvaged an incumbent schedule.")
+		w.Sample("emts_jobs_anytime_cancel_total", int64(m.anytimeCancels.Load()))
 
-		fmt.Fprintln(cw, "# HELP emts_jobs_phase_seconds Time async jobs spend per lifecycle phase.")
-		fmt.Fprintln(cw, "# TYPE emts_jobs_phase_seconds histogram")
-		phases := make([]string, 0, len(m.jobPhase))
-		for p := range m.jobPhase {
-			phases = append(phases, p)
-		}
-		sort.Strings(phases)
-		for _, p := range phases {
-			h := m.jobPhase[p]
-			cum := uint64(0)
-			for i, ub := range latencyBuckets {
-				cum += h.counts[i]
-				fmt.Fprintf(cw, "emts_jobs_phase_seconds_bucket{phase=%q,le=%q} %d\n",
-					p, strconv.FormatFloat(ub, 'g', -1, 64), cum)
-			}
-			fmt.Fprintf(cw, "emts_jobs_phase_seconds_bucket{phase=%q,le=\"+Inf\"} %d\n", p, h.total)
-			fmt.Fprintf(cw, "emts_jobs_phase_seconds_sum{phase=%q} %g\n", p, h.sum)
-			fmt.Fprintf(cw, "emts_jobs_phase_seconds_count{phase=%q} %d\n", p, h.total)
+		w.Header("emts_jobs_phase_seconds", "histogram", "Time async jobs spend per lifecycle phase.")
+		for _, p := range slices.Sorted(maps.Keys(m.jobPhase)) {
+			w.Histogram("emts_jobs_phase_seconds", m.jobPhase[p], "phase", p)
 		}
 	}
 
-	return cw.n, cw.err
-}
-
-// countingWriter tracks bytes written and the first error, so WriteTo can
-// satisfy io.WriterTo without threading errors through every Fprintf.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.err != nil {
-		return 0, cw.err
-	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.err = err
-	return n, err
+	return w.Result()
 }

@@ -5,8 +5,9 @@
 //
 // POST /v1/schedule carries a PTG (the dag JSON codec), a cluster, a model
 // name, an algorithm name, and a seed. The handler validates the body with
-// typed errors (400), consults a canonical-hash response cache, and admits
-// the request to a depth-limited queue in front of a bounded worker pool;
+// typed errors (400), consults a canonical-hash response cache (an
+// intern.LRU, the one the graph and table interns use), and admits the
+// request to a depth-limited queue in front of a bounded worker pool;
 // queue overflow returns 429 with Retry-After. Each admitted request carries
 // a context assembled from the client connection and the per-request
 // deadline, and the evolutionary algorithm observes that context once per
@@ -23,10 +24,10 @@
 //
 // /healthz reports process liveness, /readyz flips to 503 the moment
 // shutdown begins (so load balancers drain ahead of the listener closing),
-// and /metrics exposes hand-rolled Prometheus text series: request counts,
-// queue depth, in-flight gauge, cache hit/miss counters, and per-algorithm
-// latency histograms. Shutdown stops admission, drains the queue, and waits
-// for the workers to go idle.
+// and /metrics exposes Prometheus text series, written by internal/metrics
+// as emts-router's are: request counts, queue depth, in-flight gauge, cache
+// hit/miss counters, and per-algorithm latency histograms. Shutdown stops
+// admission, drains the queue, and waits for the workers to go idle.
 package server
 
 import (
@@ -166,7 +167,7 @@ type runFunc func(ctx context.Context, g *dag.Graph, cluster platform.Cluster, t
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	metrics *metrics
+	metrics *registry
 	log     *logger
 	run     runFunc
 
@@ -179,8 +180,9 @@ type Server struct {
 	admission sync.RWMutex
 	draining  bool
 
-	cacheMu sync.Mutex
-	cache   *responseCache
+	// cache maps canonical request keys to 200 response bodies (exact, see
+	// the package comment); nil when Config.CacheEntries < 0.
+	cache *intern.LRU[string, []byte]
 
 	// Cross-request performance layer (DESIGN.md §12): content-addressed
 	// graph/table interns and the CPU governor. Each is nil when its Config
@@ -234,13 +236,15 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		metrics: newMetrics(),
-		cache:   newResponseCache(cfg.CacheEntries),
+		metrics: newRegistry(),
 		queue:   make(chan *job, cfg.QueueDepth),
 		run:     sim.RunTableOpts,
 	}
 	if cfg.LogWriter != nil {
 		s.log = &logger{w: cfg.LogWriter}
+	}
+	if cfg.CacheEntries > 0 {
+		s.cache = intern.NewLRU[string, []byte](cfg.CacheEntries)
 	}
 	if cfg.GraphEntries > 0 {
 		s.graphs = intern.NewGraphs(cfg.GraphEntries)
@@ -253,10 +257,8 @@ func New(cfg Config) *Server {
 	}
 	s.metrics.queueDepth = func() int { return len(s.queue) }
 	s.metrics.queueCapacity = cfg.QueueDepth
-	s.metrics.cacheEntries = func() int {
-		s.cacheMu.Lock()
-		defer s.cacheMu.Unlock()
-		return s.cache.len()
+	if s.cache != nil {
+		s.metrics.cacheEntries = s.cache.Len
 	}
 	if s.graphs != nil {
 		s.metrics.graphStats = s.graphs.Stats
@@ -470,9 +472,9 @@ func (s *Server) compute(j *job) jobResult {
 	}
 	s.metrics.countOutcome(p.algorithm, "ok")
 	s.metrics.observeLatency(p.algorithm, elapsed.Seconds())
-	s.cacheMu.Lock()
-	s.cache.put(p.key, body)
-	s.cacheMu.Unlock()
+	if s.cache != nil {
+		s.cache.Add(p.key, body)
+	}
 	return jobResult{code: http.StatusOK, body: body, outcome: "ok", interned: interned}
 }
 
@@ -503,9 +505,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache fast path: a hit bypasses admission entirely.
-	s.cacheMu.Lock()
-	cached, hit := s.cache.get(parsed.key)
-	s.cacheMu.Unlock()
+	var cached []byte
+	hit := false
+	if s.cache != nil {
+		cached, hit = s.cache.Get(parsed.key)
+	}
 	if hit {
 		s.metrics.cacheHits.Add(1)
 		w.Header().Set("X-Emts-Cache", "hit")

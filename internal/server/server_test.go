@@ -216,6 +216,31 @@ func TestCacheHitByteIdentity(t *testing.T) {
 	}
 }
 
+// TestCacheEviction: a response cache bounded to two entries evicts the
+// least recently used body, so after three distinct requests the first one
+// misses again.
+func TestCacheEviction(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheEntries: 2})
+	for i, seed := range []int64{1, 2, 3, 1} {
+		resp := post(t, ts.URL, scheduleBody(t, "cpa", seed))
+		readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Emts-Cache"); got != "miss" {
+			t.Fatalf("request %d (seed %d): cache header %q, want miss", i, seed, got)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := string(readAll(t, resp))
+	if !strings.Contains(page, "\nemts_cache_entries 2\n") {
+		t.Fatalf("metrics page does not read emts_cache_entries 2:\n%s", page)
+	}
+}
+
 // blockingRun returns a run stub that signals arrival and blocks until
 // released or the request context ends.
 func blockingRun(started chan<- string, release <-chan struct{}) runFunc {

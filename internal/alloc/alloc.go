@@ -32,6 +32,12 @@ import (
 
 // Allocator computes a processor allocation for a PTG whose execution times
 // are given by a model table (which also fixes the processor count).
+//
+// EMTS runs its starting heuristics concurrently (core.Params.Seeds), so
+// Allocate may be called from several goroutines at once, on the same graph
+// and table and on different Allocator values. Allocate must not modify g or
+// tab and must not share mutable state between calls; every allocator in
+// this package is a pure function of its inputs.
 type Allocator interface {
 	// Name identifies the allocator in reports ("cpa", "mcpa", ...).
 	Name() string

@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"emts/internal/alloc"
 	"emts/internal/dag"
@@ -47,7 +49,10 @@ type Params struct {
 	// Seeds produce the starting individuals (Section III-B). Nil means
 	// DefaultSeeds(Seed): MCPA, HCPA, Δ-CP(0.9), the all-ones allocation,
 	// and one random individual. Seed allocators that fail are skipped (the
-	// EA pads with random individuals); at least one must succeed.
+	// EA pads with random individuals); at least one must succeed. The
+	// allocators run concurrently on the Workers budget, so each must be safe
+	// to call alongside the others (see alloc.Allocator); Result.Seeds keeps
+	// their order whatever order they finish in.
 	Seeds []alloc.Allocator
 	// Strategy selects plus- (default, the paper's choice) or
 	// comma-selection; see ea.Strategy.
@@ -84,8 +89,11 @@ type Params struct {
 	// Topology selects the migration topology: ea.TopologyRing (default,
 	// also "") or ea.TopologyFull.
 	Topology string
-	// Workers bounds fitness-evaluation parallelism (0 = GOMAXPROCS). With
-	// Islands > 1 the budget is divided evenly across the islands.
+	// Workers bounds the run's parallelism (0 = GOMAXPROCS; 1 on a
+	// single-core host): the seed allocators run on up to Workers goroutines,
+	// and so does fitness evaluation, whose helpers start while offspring are
+	// still being mutated. With Islands > 1 the evaluation budget is divided
+	// evenly across the islands. Results never depend on it.
 	Workers int
 	// Seed drives every stochastic choice. Equal seeds ⇒ identical results,
 	// which is how the paper guarantees EMTS10 finds every EMTS5 solution.
@@ -179,6 +187,37 @@ func (r *Result) BestSeedMakespan() float64 {
 	return best
 }
 
+// allocateSeeds runs the seeders' Allocate calls on up to
+// ea.WorkerCount(workers) goroutines, each claiming the next seeder from one
+// shared cursor, and returns the allocations and errors by seeder index.
+// Allocators are pure functions of (g, tab), so the claim order changes
+// timing only.
+func allocateSeeds(g *dag.Graph, tab *model.Table, seeders []alloc.Allocator, workers int) ([]schedule.Allocation, []error) {
+	allocs := make([]schedule.Allocation, len(seeders))
+	errs := make([]error, len(seeders))
+	var next atomic.Int64
+	claim := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(seeders) {
+				return
+			}
+			allocs[i], errs[i] = seeders[i].Allocate(g, tab)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(ea.WorkerCount(workers), len(seeders)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+	return allocs, errs
+}
+
 // Run executes EMTS on graph g with execution times tab (which also carries
 // the processor count of the platform).
 func Run(g *dag.Graph, tab *model.Table, p Params) (*Result, error) {
@@ -218,9 +257,10 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	if err != nil {
 		return nil, err
 	}
+	allocs, allocErrs := allocateSeeds(g, tab, seeders, p.Workers)
 	var seedAllocs []schedule.Allocation
-	for _, s := range seeders {
-		a, err := s.Allocate(g, tab)
+	for i, s := range seeders {
+		a, err := allocs[i], allocErrs[i]
 		if err != nil {
 			res.Seeds = append(res.Seeds, SeedResult{Name: s.Name(), Err: err})
 			continue

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +14,7 @@ import (
 	"emts/internal/listsched"
 	"emts/internal/model"
 	"emts/internal/platform"
+	"emts/internal/schedule"
 )
 
 var testCluster = platform.Cluster{Name: "test", Procs: 16, SpeedGFlops: 1}
@@ -278,5 +282,102 @@ func TestEMTS10AtLeastAsGoodAsEMTS5(t *testing.T) {
 	}
 	if worse > instances/2 {
 		t.Fatalf("EMTS10 worse than EMTS5 on %d/%d instances", worse, instances)
+	}
+}
+
+// failingSeeder is a starting heuristic that always fails.
+type failingSeeder struct{ name string }
+
+func (f failingSeeder) Name() string { return f.name }
+
+func (f failingSeeder) Allocate(*dag.Graph, *model.Table) (schedule.Allocation, error) {
+	return nil, errors.New(f.name + ": no allocation")
+}
+
+// shortSeeder returns an allocation one allele short, which the seed
+// Mapper rejects.
+type shortSeeder struct{}
+
+func (shortSeeder) Name() string { return "short" }
+
+func (shortSeeder) Allocate(g *dag.Graph, _ *model.Table) (schedule.Allocation, error) {
+	return schedule.Ones(g.NumTasks() - 1), nil
+}
+
+// TestRunSeedsConcurrently: the seeders run on up to Workers goroutines, but
+// Result.Seeds keeps seeder order, names, makespan bits and error text, the
+// run's result is the one-worker result, and when every seeder fails the
+// error quotes the first seeder's.
+func TestRunSeedsConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := randomPTG(rng, 40)
+	tab := model.MustTable(g, model.Synthetic{}, testCluster)
+	seeders := []alloc.Allocator{
+		failingSeeder{"broken-a"},
+		alloc.MCPA{},
+		alloc.HCPA{},
+		failingSeeder{"broken-b"},
+		alloc.DeltaCP{Delta: 0.9},
+		shortSeeder{},
+		alloc.OneEach{},
+		alloc.Random{Seed: 4},
+	}
+	run := func(workers int) *Result {
+		t.Helper()
+		p := EMTS5(8)
+		p.Seeds = seeders
+		p.Workers = workers
+		res, err := Run(g, tab, p)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	type seedReport struct {
+		name     string
+		makespan uint64
+		err      string
+	}
+	report := func(res *Result) []seedReport {
+		out := make([]seedReport, len(res.Seeds))
+		for i, s := range res.Seeds {
+			out[i] = seedReport{name: s.Name, makespan: math.Float64bits(s.Makespan)}
+			if s.Err != nil {
+				out[i].err = s.Err.Error()
+			}
+		}
+		return out
+	}
+
+	ref := run(1)
+	want := report(ref)
+	if len(want) != len(seeders) {
+		t.Fatalf("%d seed reports for %d seeders", len(want), len(seeders))
+	}
+	for i, s := range seeders {
+		failed := i == 0 || i == 3 || i == 5
+		if want[i].name != s.Name() || (want[i].err != "") != failed {
+			t.Fatalf("seed report %d = %+v, want seeder %q (failed %v)", i, want[i], s.Name(), failed)
+		}
+	}
+	for rep := 0; rep < 5; rep++ {
+		got := run(8)
+		if r := report(got); !reflect.DeepEqual(r, want) {
+			t.Fatalf("workers=8: seed reports\n got %+v\nwant %+v", r, want)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers=8: result diverged from one worker: makespan %g vs %g, history %v vs %v",
+				got.Makespan, ref.Makespan, got.History, ref.History)
+		}
+	}
+
+	for _, workers := range []int{1, 8} {
+		p := EMTS5(8)
+		p.Seeds = []alloc.Allocator{failingSeeder{"first"}, shortSeeder{}, failingSeeder{"third"}}
+		p.Workers = workers
+		_, err := Run(g, tab, p)
+		if err == nil || !strings.Contains(err.Error(), "first: no allocation") {
+			t.Fatalf("workers=%d: all seeders failed, error %v does not quote the first seeder's", workers, err)
+		}
 	}
 }

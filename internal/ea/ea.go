@@ -275,7 +275,9 @@ type Config struct {
 	// Evaluator, enabling the early-abort optimization of Section VI.
 	UseRejection bool
 	// Workers bounds the parallelism of fitness evaluation; 0 means
-	// runtime.GOMAXPROCS(0). 1 forces sequential evaluation.
+	// runtime.GOMAXPROCS(0) (see WorkerCount). Helpers start evaluating a
+	// generation's offspring while the rest are still being mutated. 1
+	// forces sequential evaluation.
 	Workers int
 	// EvaluatorFactory, when non-nil, supplies one evaluator per worker
 	// goroutine instead of sharing the Evaluator passed to Run. Each worker

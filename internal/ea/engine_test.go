@@ -3,7 +3,9 @@ package ea
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -189,5 +191,132 @@ func TestSequentialFastPathMatchesParallel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// busyWork spins for n steps: a producer that calls it is slow next to a
+// trivial evaluator.
+func busyWork(n int) {
+	x := 0
+	for i := 0; i < n; i++ {
+		x += i ^ (x >> 3)
+	}
+	busySink = x
+}
+
+var busySink int
+
+// slowMutator is the paper's mutator followed by busy work, so producing a
+// child takes far longer than evaluating it.
+type slowMutator struct{ spin int }
+
+func (slowMutator) Name() string { return "slow-paper" }
+
+func (m slowMutator) Mutate(rng *rand.Rand, a schedule.Allocation, count, procs int) {
+	DefaultPaperMutator().Mutate(rng, a, count, procs)
+	busyWork(m.spin)
+}
+
+// TestEngineCatchUpPath: when the producer is slower than the evaluators,
+// helpers catch up with the published count and return early, and worker 0
+// evaluates the rest in finish. Every offspring is still evaluated exactly
+// once, results and counters match one worker, and an evaluation error at a
+// late index surfaces as the lowest failing one.
+func TestEngineCatchUpPath(t *testing.T) {
+	const v, procs = 12, 8
+	target := schedule.Ones(v)
+
+	// Through Run: a slow mutator next to a trivial evaluator.
+	run := func(workers int) (*Result, int64) {
+		var calls atomic.Int64
+		cfg := defaultConfig(5)
+		cfg.Lambda = 60
+		cfg.Generations = 6
+		cfg.UseRejection = true
+		cfg.Mutator = slowMutator{spin: 20000}
+		cfg.Workers = workers
+		cfg.EvaluatorFactory = func() Evaluator {
+			fitness := tieredFitness(target)
+			return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
+				calls.Add(1)
+				return fitness(a, rejectAbove)
+			}
+		}
+		res, err := Run(cfg, v, procs, nil, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, calls.Load()
+	}
+	ref, refCalls := run(1)
+	if refCalls != int64(ref.Evaluations) || ref.Rejections == 0 || ref.PrefilterRejections == 0 {
+		t.Fatalf("workers=1: %d evaluator calls, counters %+v: the run does not exercise every outcome",
+			refCalls, [3]int{ref.Evaluations, ref.Rejections, ref.PrefilterRejections})
+	}
+	for _, workers := range []int{2, 8} {
+		res, calls := run(workers)
+		if calls != int64(res.Evaluations) {
+			t.Fatalf("workers=%d: %d evaluator calls for %d evaluations", workers, calls, res.Evaluations)
+		}
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("workers=%d diverged from one worker:\n got %+v\nwant %+v", workers, res, ref)
+		}
+	}
+
+	// Through the engine: index 0 is published and evaluated before anything
+	// else is, so every helper has caught up and returned before the failing
+	// late indices are published.
+	const n = 64
+	errLow, errHigh := errors.New("low"), errors.New("high")
+	for _, workers := range []int{1, 2, 8} {
+		inds := enginePopulation(n, v, procs)
+		low, high := &inds[50].Alloc[0], &inds[60].Alloc[0]
+		var perIndex [n]atomic.Int32
+		var calls atomic.Int64
+		index := func(a schedule.Allocation) int {
+			for i := range inds {
+				if &inds[i].Alloc[0] == &a[0] {
+					return i
+				}
+			}
+			return -1
+		}
+		fitness := func(a schedule.Allocation, _ float64) (float64, error) {
+			calls.Add(1)
+			i := index(a)
+			perIndex[i].Add(1)
+			switch &a[0] {
+			case low:
+				return 0, errLow
+			case high:
+				return 0, errHigh
+			}
+			return float64(i), nil
+		}
+		eng := newEvalEngine(Config{Workers: workers}, fitness)
+		eng.start(inds, 0)
+		eng.publish(1)
+		for eng.active > 1 && calls.Load() == 0 {
+			runtime.Gosched()
+		}
+		for i := 2; i <= n; i++ {
+			busyWork(20000)
+			eng.publish(i)
+		}
+		var res Result
+		if err := eng.finish(&res); err != errLow {
+			t.Fatalf("workers=%d: finish returned %v, want the lowest-index error %v", workers, err, errLow)
+		}
+		if res.Evaluations != n || calls.Load() != n {
+			t.Fatalf("workers=%d: %d evaluations, %d evaluator calls, want %d", workers, res.Evaluations, calls.Load(), n)
+		}
+		for i := range perIndex {
+			if c := perIndex[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: individual %d evaluated %d times", workers, i, c)
+			}
+			if i != 50 && i != 60 && inds[i].Fitness != float64(i) {
+				t.Fatalf("workers=%d: individual %d fitness %g", workers, i, inds[i].Fitness)
+			}
+		}
 	}
 }

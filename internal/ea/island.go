@@ -143,13 +143,22 @@ func (is *island) init() error {
 }
 
 // step runs generation u: offspring generation, evaluation, selection,
-// incumbent/history update, and observer delivery. The statement sequence —
-// in particular every RNG draw — is the pre-island RunContext generation
-// body verbatim.
+// incumbent/history update, and observer delivery. Every RNG draw is the
+// pre-island RunContext generation body's, in its order. Each child is
+// published to the engine as soon as it is written, so the engine's helpers
+// evaluate the first children while the island's goroutine mutates the rest;
+// a child depends only on the RNG stream and its parents, never on another
+// child's fitness, so the overlap changes timing only.
 func (is *island) step(u int) error {
 	cfg := &is.cfg
 	m := MutationCount(u, cfg.Generations, cfg.Fm, is.v)
 	parents, offspring := is.parents, is.offspring
+	bound := 0.0
+	if cfg.UseRejection {
+		bound = is.res.Best.Fitness
+	}
+	rejectedBefore := is.res.Rejections
+	is.eng.start(offspring, bound)
 	for i := range offspring {
 		parent := parents[is.rng.Intn(len(parents))]
 		child := is.arena[i*is.v : (i+1)*is.v : (i+1)*is.v]
@@ -178,13 +187,9 @@ func (is *island) step(u int) error {
 			is.mut.Mutate(is.rng, child, m, is.procs)
 		}
 		offspring[i] = Individual{Alloc: child, Sigma: sigma}
+		is.eng.publish(i + 1)
 	}
-	bound := 0.0
-	if cfg.UseRejection {
-		bound = is.res.Best.Fitness
-	}
-	rejectedBefore := is.res.Rejections
-	if err := is.eng.evaluateAll(offspring, bound, is.res); err != nil {
+	if err := is.eng.finish(is.res); err != nil {
 		return err
 	}
 	// Selection: plus-strategy pools parents with offspring; the

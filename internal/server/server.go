@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -588,16 +589,20 @@ func (s *Server) maxIslands() int {
 	return s.cfg.MaxIslands
 }
 
+// maxTimeoutMS is the largest timeout_ms a time.Duration can hold.
+const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
+
 // requestTimeout resolves the compute deadline for a parsed request: the
 // server cap, tightened (never raised) by the request's timeout_ms. 0 means
-// no deadline.
+// no deadline. timeout_ms is range-checked before it is converted, since a
+// larger value would wrap into a short deadline; such a value exceeds every
+// cap, so it leaves the cap (or no deadline) in place.
 func (s *Server) requestTimeout(parsed *parsedRequest) time.Duration {
-	timeout := s.cfg.RequestTimeout
-	if timeout < 0 {
-		timeout = 0
-	}
-	if reqTimeout := time.Duration(parsed.req.TimeoutMS) * time.Millisecond; reqTimeout > 0 && (timeout == 0 || reqTimeout < timeout) {
-		timeout = reqTimeout
+	timeout := max(s.cfg.RequestTimeout, 0)
+	if ms := parsed.req.TimeoutMS; ms > 0 && ms <= maxTimeoutMS {
+		if reqTimeout := time.Duration(ms) * time.Millisecond; timeout == 0 || reqTimeout < timeout {
+			timeout = reqTimeout
+		}
 	}
 	return timeout
 }

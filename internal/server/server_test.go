@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -638,4 +639,36 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestRequestTimeoutOnlyLowersCap: timeout_ms tightens the server's
+// deadline and never raises it; a value too large for a time.Duration must
+// not wrap into a short deadline.
+func TestRequestTimeoutOnlyLowersCap(t *testing.T) {
+	const capped = 2 * time.Second
+	type tc struct {
+		cap       time.Duration // Config.RequestTimeout; negative disables
+		timeoutMS int64
+		want      time.Duration
+	}
+	cases := []tc{
+		{capped, 0, capped},
+		{capped, 5, 5 * time.Millisecond},
+		{capped, capped.Milliseconds(), capped},
+		{capped, maxTimeoutMS, capped},
+		{-1, 0, 0},
+		{-1, 5, 5 * time.Millisecond},
+		{-1, capped.Milliseconds(), capped},
+		{-1, maxTimeoutMS, time.Duration(maxTimeoutMS) * time.Millisecond},
+	}
+	for _, ms := range []int64{9223372036855, 18446744073710, math.MaxInt64} {
+		cases = append(cases, tc{capped, ms, capped}, tc{-1, ms, 0})
+	}
+	for _, c := range cases {
+		s := &Server{cfg: Config{RequestTimeout: c.cap}}
+		got := s.requestTimeout(&parsedRequest{req: ScheduleRequest{TimeoutMS: c.timeoutMS}})
+		if got != c.want {
+			t.Errorf("cap %v, timeout_ms %d: deadline %v, want %v", c.cap, c.timeoutMS, got, c.want)
+		}
+	}
 }

@@ -127,9 +127,11 @@ func RunTable(g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorith
 // Islands <= 1 is bit-identical to the historical behavior. The zero value is
 // the historical behavior.
 type Options struct {
-	// Workers bounds EMTS fitness-evaluation parallelism (0 = GOMAXPROCS).
-	// The server's CPU governor sets this per request so one lone request
-	// fans out to all cores while concurrent requests degrade gracefully.
+	// Workers bounds EMTS parallelism (0 = GOMAXPROCS): the starting
+	// heuristics run concurrently on up to Workers goroutines, as does
+	// fitness evaluation (see core.Params.Workers). The server's CPU
+	// governor sets this per request so one lone request fans out to all
+	// cores while concurrent requests degrade gracefully.
 	Workers int
 	// Islands, MigrationInterval, MigrationCount, and Topology configure the
 	// island-model EA for EMTS algorithms (ignored by the one-shot

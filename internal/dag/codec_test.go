@@ -101,3 +101,27 @@ func TestReadAcceptsValidGraph(t *testing.T) {
 		t.Fatalf("got %d tasks, %d edges, name %q", g.NumTasks(), g.NumEdges(), g.Name())
 	}
 }
+
+// TestReadRejectsTrailingData: Read is as strict as UnmarshalGraph, so a
+// second document after the PTG is an error, not silently dropped, and both
+// entry points reject it with the same message.
+func TestReadRejectsTrailingData(t *testing.T) {
+	for _, src := range []string{
+		`{"tasks":[{"flops":1}]} {"tasks":[]}`,
+		`{"tasks":[{"flops":1}]}]`,
+		`{"tasks":[{"flops":1}]} x`,
+	} {
+		_, err := Read(strings.NewReader(src))
+		if err == nil {
+			t.Fatalf("Read accepted trailing data in %s", src)
+		}
+		_, uerr := UnmarshalGraph([]byte(src))
+		if uerr == nil || err.Error() != uerr.Error() {
+			t.Fatalf("Read error %q, UnmarshalGraph error %v", err, uerr)
+		}
+	}
+	// Trailing whitespace is not data.
+	if _, err := Read(strings.NewReader("{\"tasks\":[{\"flops\":1}]}\n\t ")); err != nil {
+		t.Fatalf("Read rejected trailing whitespace: %v", err)
+	}
+}

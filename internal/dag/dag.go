@@ -17,7 +17,7 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -91,21 +91,23 @@ type Graph struct {
 	plByLevel [][]TaskID
 }
 
-// buildCSR flattens a slice-of-slices adjacency into CSR form. Each segment
-// is sorted ascending, preserving the deterministic neighbor order the
-// slice-of-slices representation guaranteed.
+// buildCSR flattens a slice-of-slices adjacency into CSR form. Each row is
+// sorted ascending, preserving the deterministic neighbor order the
+// slice-of-slices representation guaranteed, and repeated neighbors are
+// dropped, which is how the Builder ignores duplicate edges. The rows of adj
+// are sorted and compacted in place.
 func buildCSR(adj [][]TaskID) (off []int32, flat []TaskID) {
 	off = make([]int32, len(adj)+1)
 	total := 0
 	for i, row := range adj {
-		total += len(row)
+		slices.Sort(row)
+		adj[i] = slices.Compact(row)
+		total += len(adj[i])
 		off[i+1] = int32(total)
 	}
 	flat = make([]TaskID, total)
 	for i, row := range adj {
-		seg := flat[off[i]:off[i+1]]
-		copy(seg, row)
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
+		copy(flat[off[i]:off[i+1]], row)
 	}
 	return off, flat
 }
@@ -116,13 +118,12 @@ type Builder struct {
 	tasks []Task
 	succ  [][]TaskID
 	pred  [][]TaskID
-	seen  map[Edge]bool
 	err   error
 }
 
 // NewBuilder returns a Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, seen: make(map[Edge]bool)}
+	return &Builder{name: name}
 }
 
 // AddTask appends a task and returns its ID. The ID recorded inside the task
@@ -153,11 +154,6 @@ func (b *Builder) AddEdge(src, dst TaskID) {
 		b.fail(fmt.Errorf("dag: self-loop on task %d", src))
 		return
 	}
-	e := Edge{src, dst}
-	if b.seen[e] {
-		return
-	}
-	b.seen[e] = true
 	b.succ[src] = append(b.succ[src], dst)
 	b.pred[dst] = append(b.pred[dst], src)
 }
@@ -178,12 +174,12 @@ func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{
 		name:  b.name,
 		tasks: append([]Task(nil), b.tasks...),
-		edges: len(b.seen),
 	}
-	// buildCSR sorts each segment, giving deterministic adjacency order
-	// regardless of insertion order.
+	// buildCSR sorts each segment and drops repeats, giving deterministic
+	// adjacency order regardless of insertion order.
 	g.succOff, g.succAdj = buildCSR(b.succ)
 	g.predOff, g.predAdj = buildCSR(b.pred)
+	g.edges = len(g.succAdj)
 	g.indeg = make([]int, len(g.tasks))
 	for i := range g.tasks {
 		g.indeg[i] = int(g.predOff[i+1] - g.predOff[i])

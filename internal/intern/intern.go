@@ -25,7 +25,6 @@ package intern
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 
 	"emts/internal/dag"
 	"emts/internal/model"
@@ -84,17 +83,28 @@ func (c *Graphs) Get(raw []byte) (*GraphEntry, bool, error) {
 	// Decode and canonicalize outside the lock: this is the expensive part,
 	// and concurrent first sightings of the same graph merely race to insert
 	// equivalent entries, of which Add keeps one.
+	entry, err := NewGraphEntry(raw)
+	if err != nil {
+		return nil, false, err
+	}
+	return c.Add(key, entry), false, nil
+}
+
+// NewGraphEntry decodes raw graph bytes (dag.UnmarshalGraph) and
+// canonicalizes the graph. It builds every GraphEntry: the intern's on a
+// miss, and the one a server that interns nothing builds per request, so
+// both derive the same keys. Decode failures are returned verbatim.
+func NewGraphEntry(raw []byte) (*GraphEntry, error) {
 	g, err := dag.UnmarshalGraph(raw)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	canon, err := json.Marshal(g)
+	canon, err := g.MarshalJSON()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	sum := sha256.Sum256(canon)
-	entry := &GraphEntry{Graph: g, Canon: canon, CanonKey: hex.EncodeToString(sum[:])}
-	return c.Add(key, entry), false, nil
+	return &GraphEntry{Graph: g, Canon: canon, CanonKey: hex.EncodeToString(sum[:])}, nil
 }
 
 // TableKey identifies an execution-time table: the canonical graph digest

@@ -39,9 +39,18 @@ func (Amdahl) Name() string { return "amdahl" }
 
 // Time implements Model.
 func (Amdahl) Time(v dag.Task, p int, c platform.Cluster) float64 {
-	seq := c.SequentialTime(v.Flops)
-	return (v.Alpha + (1-v.Alpha)/float64(p)) * seq
+	return amdahl(v.Alpha, c.SequentialTime(v.Flops), p)
 }
+
+// amdahl is Amdahl's law for a task with non-parallelizable fraction alpha
+// and sequential time seq on p processors: the one formula behind Time and
+// the rows NewTable fills, so a table cell and Time agree bit for bit.
+func amdahl(alpha, seq float64, p int) float64 {
+	return (alpha + (1-alpha)/float64(p)) * seq
+}
+
+// penalty is the factor Amdahl's law is multiplied by (rowPenalties): none.
+func (Amdahl) penalty(int) float64 { return 1 }
 
 // Synthetic is Model 2 of the paper: Amdahl's law with penalties that imitate
 // the non-monotonic run-time characteristics of PDGEMM (Figure 1). Following
@@ -63,17 +72,21 @@ type Synthetic struct{}
 func (Synthetic) Name() string { return "synthetic" }
 
 // Time implements Model.
-func (Synthetic) Time(v dag.Task, p int, c platform.Cluster) float64 {
-	t := Amdahl{}.Time(v, p, c)
-	if p > 1 {
-		switch {
-		case p%2 == 1:
-			t *= 1.3
-		case !isPerfectSquare(p):
-			t *= 1.1
-		}
+func (m Synthetic) Time(v dag.Task, p int, c platform.Cluster) float64 {
+	return Amdahl{}.Time(v, p, c) * m.penalty(p)
+}
+
+// penalty is the factor T(v, p) / Amdahl(v, p), the same for every task. A
+// factor of 1 leaves the Amdahl time's bits unchanged.
+func (Synthetic) penalty(p int) float64 {
+	switch {
+	case p <= 1:
+	case p%2 == 1:
+		return 1.3
+	case !isPerfectSquare(p):
+		return 1.1
 	}
-	return t
+	return 1
 }
 
 // SyntheticLiteral implements Algorithm 1 exactly as printed in the paper
@@ -85,17 +98,20 @@ type SyntheticLiteral struct{}
 func (SyntheticLiteral) Name() string { return "synthetic-literal" }
 
 // Time implements Model.
-func (SyntheticLiteral) Time(v dag.Task, p int, c platform.Cluster) float64 {
-	t := Amdahl{}.Time(v, p, c)
-	if p > 1 {
-		switch {
-		case p%2 == 1:
-			t *= 1.3
-		case isPerfectSquare(p):
-			t *= 1.1
-		}
+func (m SyntheticLiteral) Time(v dag.Task, p int, c platform.Cluster) float64 {
+	return Amdahl{}.Time(v, p, c) * m.penalty(p)
+}
+
+// penalty is the factor T(v, p) / Amdahl(v, p), the same for every task.
+func (SyntheticLiteral) penalty(p int) float64 {
+	switch {
+	case p <= 1:
+	case p%2 == 1:
+		return 1.3
+	case isPerfectSquare(p):
+		return 1.1
 	}
-	return t
+	return 1
 }
 
 func isPerfectSquare(p int) bool {
@@ -213,18 +229,58 @@ func NewTable(g *dag.Graph, m Model, c platform.Cluster) (*Table, error) {
 	}
 	n := g.NumTasks()
 	t := &Table{name: m.Name(), procs: c.Procs, tasks: n, times: make([]float64, n*c.Procs)}
+	pen := rowPenalties(m, c.Procs)
 	for i := 0; i < n; i++ {
 		task := g.Task(dag.TaskID(i))
 		row := t.row(dag.TaskID(i))
+		if pen != nil {
+			fillRow(row, task.Alpha, c.SequentialTime(task.Flops), pen)
+		}
 		for p := 1; p <= c.Procs; p++ {
-			v := m.Time(task, p, c)
-			if !(v > 0) || math.IsInf(v, 0) {
+			if pen == nil {
+				row[p-1] = m.Time(task, p, c)
+			}
+			// Positive and finite; NaN fails both comparisons.
+			if v := row[p-1]; !(v > 0 && v <= math.MaxFloat64) {
 				return nil, fmt.Errorf("model %s: T(task %d, p=%d) = %g, want positive finite", m.Name(), i, p, v)
 			}
-			row[p-1] = v
 		}
 	}
 	return t, nil
+}
+
+// rowPenalties returns pen[p-1] = T(v, p) / Amdahl(v, p) for p = 1..procs
+// when m is a model whose time is Amdahl's law times a factor of p alone
+// (Amdahl, Synthetic, SyntheticLiteral), and nil for any other model. The
+// match is on the exact type, so a type that embeds one of these models and
+// overrides Time keeps its own.
+func rowPenalties(m Model, procs int) []float64 {
+	var penalty func(p int) float64
+	switch m := m.(type) {
+	case Amdahl:
+		penalty = m.penalty
+	case Synthetic:
+		penalty = m.penalty
+	case SyntheticLiteral:
+		penalty = m.penalty
+	default:
+		return nil
+	}
+	pen := make([]float64, procs)
+	for p := range pen {
+		pen[p] = penalty(p + 1)
+	}
+	return pen
+}
+
+// fillRow writes a task's row for a model rowPenalties covers: the
+// sequential time seq is computed once per task and the factors pen once per
+// table, and each cell is the product Time computes, so it keeps its bits:
+// row[p-1] = amdahl(alpha, seq, p) · pen[p-1].
+func fillRow(row []float64, alpha, seq float64, pen []float64) {
+	for i := range row {
+		row[i] = amdahl(alpha, seq, i+1) * pen[i]
+	}
 }
 
 // MustTable is NewTable for inputs known to be valid; it panics on error.

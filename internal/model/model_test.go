@@ -2,10 +2,12 @@ package model
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"emts/internal/dag"
+	"emts/internal/daggen"
 	"emts/internal/platform"
 )
 
@@ -184,20 +186,69 @@ func singleTaskGraph(t *testing.T, flops, alpha float64) *dag.Graph {
 	return b.MustBuild()
 }
 
+// TestTableMatchesModel: every cell of a table is Model.Time bit for bit —
+// for the models whose rows NewTable fills directly (Amdahl, Synthetic,
+// SyntheticLiteral) as for the per-cell path, which a Func wrapper of the
+// same model takes — over random graphs and processor counts around the
+// penalty boundaries (odd, even, perfect squares, the Chti and Grelon sizes).
 func TestTableMatchesModel(t *testing.T) {
 	g := singleTaskGraph(t, 10e9, 0.1)
 	tab := MustTable(g, Amdahl{}, testCluster)
 	if tab.Procs() != testCluster.Procs || tab.NumTasks() != 1 {
 		t.Fatalf("table dims: %d procs, %d tasks", tab.Procs(), tab.NumTasks())
 	}
-	for p := 1; p <= testCluster.Procs; p++ {
-		want := (Amdahl{}).Time(g.Task(0), p, testCluster)
-		if got := tab.Time(0, p); got != want {
-			t.Fatalf("Table.Time(0,%d) = %g, want %g", p, got, want)
-		}
-	}
 	if !tab.Monotone() {
 		t.Fatal("Amdahl table should be monotone")
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 6; trial++ {
+		b := dag.NewBuilder("rand")
+		for i, n := 0, 1+rng.Intn(60); i < n; i++ {
+			alpha := rng.Float64()
+			switch rng.Intn(8) {
+			case 0:
+				alpha = 0
+			case 1:
+				alpha = 1
+			}
+			b.AddTask(dag.Task{Flops: math.Pow(10, 3+12*rng.Float64()), Alpha: alpha})
+		}
+		g := b.MustBuild()
+		for _, procs := range []int{1, 2, 3, 4, 16, 20, 64, 120, 121, 300} {
+			c := platform.Cluster{Name: "rand", Procs: procs, SpeedGFlops: 0.5 + 4*rng.Float64()}
+			for _, m := range []Model{Amdahl{}, Synthetic{}, SyntheticLiteral{}} {
+				tab := MustTable(g, m, c)
+				ref := MustTable(g, Func{ModelName: m.Name(), F: m.Time}, c)
+				for v := 0; v < g.NumTasks(); v++ {
+					for p := 1; p <= procs; p++ {
+						want := math.Float64bits(m.Time(g.Task(dag.TaskID(v)), p, c))
+						if got := math.Float64bits(tab.Time(dag.TaskID(v), p)); got != want {
+							t.Fatalf("%s, %d procs: T(%d,%d) bits %x, Time %x", m.Name(), procs, v, p, got, want)
+						}
+						if got := math.Float64bits(ref.Time(dag.TaskID(v), p)); got != want {
+							t.Fatalf("%s, %d procs: per-cell T(%d,%d) bits %x, Time %x", m.Name(), procs, v, p, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTableRowErrorsMatchPerCell: a filled row rejects the same first cell
+// with the same message as the per-cell path.
+func TestTableRowErrorsMatchPerCell(t *testing.T) {
+	b := dag.NewBuilder("zero")
+	b.AddTask(dag.Task{Flops: 1e9, Alpha: 0.3})
+	b.AddTask(dag.Task{Flops: 0, Alpha: 0.3})
+	g := b.MustBuild()
+	for _, m := range []Model{Amdahl{}, Synthetic{}, SyntheticLiteral{}} {
+		_, err := NewTable(g, m, testCluster)
+		_, ref := NewTable(g, Func{ModelName: m.Name(), F: m.Time}, testCluster)
+		if err == nil || ref == nil || err.Error() != ref.Error() {
+			t.Fatalf("%s: row error %v, per-cell error %v", m.Name(), err, ref)
+		}
 	}
 }
 
@@ -253,5 +304,25 @@ func TestModelNames(t *testing.T) {
 		(SyntheticLiteral{}).Name() != "synthetic-literal" ||
 		(Downey{}).Name() != "downey" {
 		t.Fatal("unexpected model name")
+	}
+}
+
+// BenchmarkNewTable builds the execution-time table of a 100-task random
+// PTG on Grelon (120 processors), the largest table of the serving
+// benchmark's pool.
+func BenchmarkNewTable(b *testing.B) {
+	g, err := daggen.Random(daggen.RandomConfig{N: 100, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 1}, daggen.DefaultCosts(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []Model{Amdahl{}, Synthetic{}} {
+		b.Run(m.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewTable(g, m, platform.Grelon()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

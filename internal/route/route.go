@@ -33,6 +33,7 @@
 package route
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -212,10 +213,12 @@ type graphEnvelope struct {
 // (intern.RawKey over the graph field's raw bytes). A body with no graph
 // field returns ErrNoGraph — the router then routes by the whole body so the
 // chosen backend can produce the authoritative 400; validation stays
-// single-sourced in internal/server.
+// single-sourced in internal/server. Like the backend, it decodes the
+// body's first JSON value and ignores what follows it, so a body the
+// backend accepts always shards by its graph.
 func RequestKey(body []byte) ([32]byte, error) {
 	var env graphEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Graph) == 0 {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil || len(env.Graph) == 0 {
 		return intern.RawKey(body), ErrNoGraph
 	}
 	return intern.RawKey(env.Graph), nil

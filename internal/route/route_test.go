@@ -241,6 +241,12 @@ func TestRequestKey(t *testing.T) {
 	if err != nil || key2 != key {
 		t.Fatalf("same graph, different params: keys differ (%v)", err)
 	}
+	// The backend decodes only the first JSON value, so it accepts a body
+	// with a stray closing brace after it; the router must shard that body
+	// by its graph as well.
+	if k, err := RequestKey(append(body, '}')); err != nil || k != key {
+		t.Fatalf("trailing brace: key differs (%v)", err)
+	}
 	// No graph: deterministic whole-body fallback plus the sentinel.
 	if _, err := RequestKey([]byte(`{"algorithm":"cpa"}`)); err != ErrNoGraph {
 		t.Fatalf("no-graph error = %v, want ErrNoGraph", err)

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"emts/internal/intern"
@@ -63,4 +65,67 @@ func FuzzDecodeScheduleRequest(f *testing.F) {
 			t.Fatalf("accepted cyclic graph: %v", err)
 		}
 	})
+}
+
+// FuzzScanScheduleRequest is the differential check of the envelope fast
+// path: whenever scanScheduleRequest accepts a body, encoding/json
+// (decodeScheduleRequest) accepts it too and decodes the identical request,
+// and parseScheduleRequest returns the same result or error as the reference
+// path that skips the scanner.
+func FuzzScanScheduleRequest(f *testing.F) {
+	seeds := []string{
+		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}}`,
+		`{"graph":{"name":"g","tasks":[{"name":"a","flops":1e9,"alpha":0.5},{"flops":2,"data":8}],"edges":[[0,1]]},"cluster":{"name":"c","procs":4,"speed_gflops":2.5},"model":"amdahl","algorithm":"emts10","seed":-7,"timeout_ms":100,"islands":3,"migration_interval":2}`,
+		` { "seed" : 1 , "graph" : { "tasks" : [ { "flops" : 1 } ] } , "cluster" : { "preset" : "grelon" } } `,
+		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}}}`,
+		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}} {}`,
+		`{"Graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"},"seed":1,"seed":2}`,
+		`{"graph":[1,"x",{"y":2}],"cluster":{"preset":"chti"},"seed":1e3}`,
+		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"procs":99999999999999999999}}`,
+		`{"graph":"abc","cluster":{"preset":"chti"},"model":null}`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if req, ok := scanScheduleRequest(data); ok {
+			ref, err := decodeScheduleRequest(data)
+			if err != nil {
+				t.Fatalf("scanner accepted what encoding/json rejects: %v", err)
+			}
+			if !sameRequest(req, ref) {
+				t.Fatalf("scanner decoded %+v, encoding/json %+v", req, ref)
+			}
+		}
+		p, err := parseScheduleRequest(data, 1000, 8, nil)
+		var ref *parsedRequest
+		req, rerr := decodeScheduleRequest(data)
+		if rerr == nil {
+			ref, rerr = validateScheduleRequest(req, 1000, 8, nil)
+		}
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("scanner changed acceptance: %v vs reference %v", err, rerr)
+		}
+		if err != nil {
+			if err.Error() != rerr.Error() || errorField(err) != errorField(rerr) {
+				t.Fatalf("scanner changed the error: %v (%s) vs reference %v (%s)", err, errorField(err), rerr, errorField(rerr))
+			}
+			return
+		}
+		if p.key != ref.key || p.graphKey != ref.graphKey || p.model != ref.model || p.algorithm != ref.algorithm ||
+			p.cluster != ref.cluster || !sameRequest(p.req, ref.req) {
+			t.Fatalf("scanner changed the parsed request: %+v vs reference %+v", p, ref)
+		}
+	})
+}
+
+// sameRequest reports whether two decoded envelopes are identical, float
+// bits and raw graph bytes included.
+func sameRequest(a, b ScheduleRequest) bool {
+	ca, cb := a.Cluster, b.Cluster
+	ca.SpeedGFlops, cb.SpeedGFlops = 0, 0
+	return bytes.Equal(a.Graph, b.Graph) && (a.Graph == nil) == (b.Graph == nil) && ca == cb &&
+		math.Float64bits(a.Cluster.SpeedGFlops) == math.Float64bits(b.Cluster.SpeedGFlops) &&
+		a.Model == b.Model && a.Algorithm == b.Algorithm && a.Seed == b.Seed && a.TimeoutMS == b.TimeoutMS &&
+		a.Islands == b.Islands && a.MigrationInterval == b.MigrationInterval
 }

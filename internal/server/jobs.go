@@ -408,14 +408,20 @@ func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byt
 // writeParseError maps parseScheduleRequest failures onto 400 responses
 // (shared by /v1/schedule and /v1/jobs).
 func writeParseError(w http.ResponseWriter, err error) {
+	msg, field := parseErrorDetail(err)
+	writeJSONError(w, http.StatusBadRequest, msg, field)
+}
+
+// parseErrorDetail is the message and field a parse failure is answered
+// with.
+func parseErrorDetail(err error) (msg, field string) {
 	var reqErr *RequestError
 	var decErr *dag.DecodeError
 	switch {
 	case errors.As(err, &reqErr):
-		writeJSONError(w, http.StatusBadRequest, reqErr.Msg, reqErr.Field)
+		return reqErr.Msg, reqErr.Field
 	case errors.As(err, &decErr):
-		writeJSONError(w, http.StatusBadRequest, decErr.Msg, "graph."+decErr.Field)
-	default:
-		writeJSONError(w, http.StatusBadRequest, err.Error(), "")
+		return decErr.Msg, "graph." + decErr.Field
 	}
+	return err.Error(), ""
 }

@@ -18,7 +18,7 @@ import (
 	"emts/internal/jobs"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/metrics*.golden from the current renderer")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files of the tests that run from the current code")
 
 // checkGolden compares page with testdata/name, or rewrites the file under
 // -update-golden.

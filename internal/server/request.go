@@ -104,45 +104,115 @@ type parsedRequest struct {
 // JSON decoding, graph construction, and the canonical re-encoding entirely.
 // All rejections are typed (*RequestError or *dag.DecodeError) and identical
 // with or without an intern.
+//
+// The envelope is decoded in one pass by scanScheduleRequest when the body
+// is in the plain JSON subset of dag.Scanner, and by decodeScheduleRequest
+// (encoding/json) otherwise; the graph likewise (dag.UnmarshalGraph). On
+// every body the scanner accepts, encoding/json decodes the same request, so
+// which decoder ran never shows in a key, an error or a response.
 func parseScheduleRequest(body []byte, maxTasks, maxIslands int, graphs *intern.Graphs) (*parsedRequest, error) {
+	req, ok := scanScheduleRequest(body)
+	if !ok {
+		var err error
+		if req, err = decodeScheduleRequest(body); err != nil {
+			return nil, err
+		}
+	}
+	return validateScheduleRequest(req, maxTasks, maxIslands, graphs)
+}
+
+// decodeScheduleRequest decodes the envelope with encoding/json: the
+// reference decoder, which alone decides acceptance and error text for every
+// body outside the scanner's subset.
+func decodeScheduleRequest(body []byte) (ScheduleRequest, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req ScheduleRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, requestErrorf("body", "malformed JSON: %v", err)
+		return ScheduleRequest{}, requestErrorf("body", "malformed JSON: %v", err)
 	}
 	// A second document after the first is a smuggling smell; reject it.
 	if dec.More() {
-		return nil, requestErrorf("body", "trailing data after request object")
+		return ScheduleRequest{}, requestErrorf("body", "trailing data after request object")
 	}
+	return req, nil
+}
+
+// Keys of the request envelope, for dag.Scanner.Fields.
+var (
+	requestFields = []string{"graph", "cluster", "model", "algorithm", "seed", "timeout_ms", "islands", "migration_interval"}
+	clusterFields = []string{"preset", "name", "procs", "speed_gflops"}
+)
+
+// scanScheduleRequest decodes body in one pass with a dag.Scanner. The graph
+// is not decoded, only delimited: Graph aliases its bytes in body, exactly
+// the bytes encoding/json would copy into the RawMessage. It reports false,
+// and the caller falls back to decodeScheduleRequest, when body leaves the
+// scanner's subset, has a key that is not a field name spelled exactly, or
+// repeats a key (encoding/json matches keys case-insensitively and merges
+// repeated ones), or has anything but whitespace after the object.
+func scanScheduleRequest(body []byte) (req ScheduleRequest, ok bool) {
+	s := dag.NewScanner(body)
+	cluster := func(name string) bool {
+		var ok bool
+		switch name {
+		case "preset":
+			req.Cluster.Preset, ok = s.String()
+		case "name":
+			req.Cluster.Name, ok = s.String()
+		case "procs":
+			req.Cluster.Procs, ok = s.Int()
+		case "speed_gflops":
+			req.Cluster.SpeedGFlops, ok = s.Float()
+		}
+		return ok
+	}
+	ok = s.Fields(requestFields, func(name string) bool {
+		var ok bool
+		switch name {
+		case "graph":
+			req.Graph, ok = s.Skip()
+		case "cluster":
+			ok = s.Fields(clusterFields, cluster)
+		case "model":
+			req.Model, ok = s.String()
+		case "algorithm":
+			req.Algorithm, ok = s.String()
+		case "seed":
+			req.Seed, ok = s.Int64()
+		case "timeout_ms":
+			req.TimeoutMS, ok = s.Int64()
+		case "islands":
+			req.Islands, ok = s.Int()
+		case "migration_interval":
+			req.MigrationInterval, ok = s.Int()
+		}
+		return ok
+	})
+	return req, ok && s.End()
+}
+
+// validateScheduleRequest resolves and validates a decoded request: the
+// graph (through the intern when graphs is non-nil), the cluster, the
+// admission limits and the run parameters, and derives its keys.
+func validateScheduleRequest(req ScheduleRequest, maxTasks, maxIslands int, graphs *intern.Graphs) (*parsedRequest, error) {
 	if len(req.Graph) == 0 {
 		return nil, requestErrorf("graph", "missing")
 	}
 	var (
-		g        *dag.Graph
-		canon    []byte
-		graphKey string
-		hit      bool
+		entry *intern.GraphEntry
+		hit   bool
+		err   error
 	)
 	if graphs != nil {
-		entry, wasInterned, err := graphs.Get(req.Graph)
-		if err != nil {
-			return nil, err // *dag.DecodeError for validation, fmt for malformed JSON
-		}
-		g, canon, graphKey, hit = entry.Graph, entry.Canon, entry.CanonKey, wasInterned
+		entry, hit, err = graphs.Get(req.Graph)
 	} else {
-		var err error
-		g, err = dag.UnmarshalGraph(req.Graph)
-		if err != nil {
-			return nil, err
-		}
-		canon, err = json.Marshal(g)
-		if err != nil {
-			return nil, fmt.Errorf("server: canonicalizing request: %w", err)
-		}
-		sum := sha256.Sum256(canon)
-		graphKey = hex.EncodeToString(sum[:])
+		entry, err = intern.NewGraphEntry(req.Graph)
 	}
+	if err != nil {
+		return nil, err // *dag.DecodeError for validation, fmt for malformed JSON
+	}
+	g := entry.Graph
 	if g.NumTasks() == 0 {
 		return nil, requestErrorf("graph.tasks", "empty graph")
 	}
@@ -177,7 +247,7 @@ func parseScheduleRequest(body []byte, maxTasks, maxIslands int, graphs *intern.
 		cluster:       cluster,
 		model:         strings.ToLower(req.Model),
 		algorithm:     strings.ToLower(req.Algorithm),
-		graphKey:      graphKey,
+		graphKey:      entry.CanonKey,
 		graphInterned: hit,
 	}
 	if p.model == "" {
@@ -186,7 +256,7 @@ func parseScheduleRequest(body []byte, maxTasks, maxIslands int, graphs *intern.
 	if p.algorithm == "" {
 		p.algorithm = "emts5"
 	}
-	p.key = canonicalKey(canon, cluster, p.model, p.algorithm, req.Seed, req.Islands, req.MigrationInterval)
+	p.key = canonicalKey(entry.Canon, cluster, p.model, p.algorithm, req.Seed, req.Islands, req.MigrationInterval)
 	return p, nil
 }
 

@@ -4,16 +4,24 @@
 // # Request lifecycle
 //
 // POST /v1/schedule carries a PTG (the dag JSON codec), a cluster, a model
-// name, an algorithm name, and a seed. The handler validates the body with
-// typed errors (400), consults a canonical-hash response cache (an
-// intern.LRU, the one the graph and table interns use), and admits the
-// request to a depth-limited queue in front of a bounded worker pool;
-// queue overflow returns 429 with Retry-After. Each admitted request carries
-// a context assembled from the client connection and the per-request
-// deadline, and the evolutionary algorithm observes that context once per
-// generation (ea.RunContext) — a dropped connection or an expired deadline
-// stops an in-flight optimization within one generation, at zero cost on the
-// hot fitness path.
+// name, an algorithm name, and a seed. The handler decodes the envelope in
+// one pass with a dag.Scanner, which delimits the graph's raw bytes without
+// decoding them; bodies outside the scanner's plain JSON subset go to
+// encoding/json, which alone decides their acceptance and error text. The
+// graph's raw bytes are looked up in the graph intern (intern.RawKey); a
+// miss decodes them (dag.UnmarshalGraph, the same scanner-or-encoding/json
+// split) and appends the canonical encoding the keys digest. The handler
+// validates the request with typed errors (400), consults a canonical-hash
+// response cache (an intern.LRU, the one the graph and table interns use),
+// and admits the request to a depth-limited queue in front of a bounded
+// worker pool; queue overflow returns 429 with Retry-After. The worker
+// builds or reuses the V×P table (model.NewTable fills Amdahl and Synthetic
+// rows without a per-cell interface call) and runs the scheduler. Each
+// admitted request carries a context assembled from the client connection
+// and the per-request deadline, and the evolutionary algorithm observes
+// that context once per generation (ea.RunContext) — a dropped connection
+// or an expired deadline stops an in-flight optimization within one
+// generation, at zero cost on the hot fitness path.
 //
 // Because every scheduler in the repository is deterministic under a fixed
 // seed, the response body is a pure function of the request (wall-clock

@@ -12,12 +12,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"emts"
+	"emts/internal/sim"
 )
 
 func main() {
@@ -75,25 +77,26 @@ func run(ptgPath, platformSpec, modelName, algo string, seed int64, o outputs) e
 		return err
 	}
 
-	var trace *os.File
+	plan, err := sim.Resolve(modelName, algo, seed)
+	if err != nil {
+		return err
+	}
 	if o.trace != "" {
-		if algo != "emts5" && algo != "emts10" {
-			return fmt.Errorf("-trace requires -algo emts5 or emts10 (got %q)", algo)
+		if plan.Params == nil {
+			return fmt.Errorf("-trace requires an EMTS algorithm (got %q)", algo)
 		}
-		trace, err = os.Create(o.trace)
+		trace, err := os.Create(o.trace)
 		if err != nil {
 			return err
 		}
 		defer trace.Close()
 		fmt.Fprintln(trace, "generation,best,mean,worst,best_ever,rejected")
+		plan.Params.OnGeneration = func(gs emts.GenStats) {
+			fmt.Fprintf(trace, "%d,%g,%g,%g,%g,%d\n",
+				gs.Generation, gs.Best, gs.Mean, gs.Worst, gs.BestEver, gs.Rejected)
+		}
 	}
-
-	var rep *emts.Report
-	if trace != nil {
-		rep, err = runTraced(g, cluster, modelName, algo, seed, trace)
-	} else {
-		rep, err = emts.Run(g, cluster, modelName, algo, seed)
-	}
+	rep, err := plan.Run(context.Background(), g, cluster)
 	if err != nil {
 		return err
 	}
@@ -151,48 +154,6 @@ func run(ptgPath, platformSpec, modelName, algo string, seed int64, o outputs) e
 		fmt.Fprintf(os.Stderr, "CSV written to %s\n", o.csv)
 	}
 	return nil
-}
-
-// runTraced runs an EMTS preset with a per-generation CSV trace, returning a
-// report shaped like emts.Run's.
-func runTraced(g *emts.Graph, cluster emts.Cluster, modelName, algo string, seed int64, trace *os.File) (*emts.Report, error) {
-	m, err := modelByName(modelName)
-	if err != nil {
-		return nil, err
-	}
-	params := emts.EMTS5(seed)
-	if algo == "emts10" {
-		params = emts.EMTS10(seed)
-	}
-	params.OnGeneration = func(gs emts.GenStats) {
-		fmt.Fprintf(trace, "%d,%g,%g,%g,%g,%d\n",
-			gs.Generation, gs.Best, gs.Mean, gs.Worst, gs.BestEver, gs.Rejected)
-	}
-	res, err := emts.Optimize(g, cluster, m, params)
-	if err != nil {
-		return nil, err
-	}
-	return &emts.Report{
-		Algorithm: algo,
-		Model:     m.Name(),
-		Graph:     g.Name(),
-		Cluster:   cluster,
-		Schedule:  res.Schedule,
-		Makespan:  res.Makespan,
-		EMTS:      res,
-	}, nil
-}
-
-// modelByName resolves the models emts-sched supports for traced runs.
-func modelByName(name string) (emts.Model, error) {
-	switch strings.ToLower(name) {
-	case "amdahl", "model1":
-		return emts.Amdahl(), nil
-	case "synthetic", "model2":
-		return emts.Synthetic(), nil
-	default:
-		return nil, fmt.Errorf("model %q not supported with -trace (amdahl, synthetic)", name)
-	}
 }
 
 func resolveCluster(spec string) (emts.Cluster, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,5 +134,87 @@ func TestTraceRequiresEMTS(t *testing.T) {
 	o := outputs{gantt: "none", width: 60, trace: filepath.Join(t.TempDir(), "t.csv")}
 	if err := run(ptg, "chti", "amdahl", "mcpa", 1, o); err == nil {
 		t.Fatal("trace with non-EMTS algorithm accepted")
+	}
+}
+
+// captureStdout returns what f prints to standard output, failing the test
+// if f fails.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-printed
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(out)
+}
+
+// TestTracedRunMatchesUntraced: -trace only attaches a generation observer
+// to the resolved plan, so a traced run goes through the same run and
+// schedule validation as an untraced one, and prints the same report with a
+// measured elapsed time.
+func TestTracedRunMatchesUntraced(t *testing.T) {
+	ptg := writePTG(t)
+	o := outputs{gantt: "ascii", width: 60}
+	plain := captureStdout(t, func() error { return run(ptg, "chti", "synthetic", "emts5", 1, o) })
+	o.trace = filepath.Join(t.TempDir(), "t.csv")
+	traced := captureStdout(t, func() error { return run(ptg, "chti", "synthetic", "emts5", 1, o) })
+	split := func(out string) (report []string, elapsed string) {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "elapsed:") {
+				elapsed = line
+				continue
+			}
+			report = append(report, line)
+		}
+		return report, elapsed
+	}
+	plainReport, _ := split(plain)
+	tracedReport, elapsed := split(traced)
+	if strings.Join(plainReport, "\n") != strings.Join(tracedReport, "\n") {
+		t.Fatalf("traced report differs:\n%s\n--- untraced ---\n%s", traced, plain)
+	}
+	if elapsed == "" || strings.TrimSpace(strings.TrimPrefix(elapsed, "elapsed:")) == "0s" {
+		t.Fatalf("traced run did not measure its time: %q", elapsed)
+	}
+}
+
+// TestTraceAcceptsEveryEMTSSpelling: -trace takes every model and every
+// spelling of an EMTS preset that an untraced run takes.
+func TestTraceAcceptsEveryEMTSSpelling(t *testing.T) {
+	ptg := writePTG(t)
+	for _, c := range []struct {
+		model, algo string
+		generations int
+	}{
+		{"downey", "emts5", 5},
+		{"synthetic", "EMTS5", 5},
+		{"Model1", "emts", 5},
+		{"synthetic-monotone", "Emts10", 10},
+	} {
+		trace := filepath.Join(t.TempDir(), "t.csv")
+		o := outputs{gantt: "none", width: 60, trace: trace}
+		captureStdout(t, func() error { return run(ptg, "chti", c.model, c.algo, 1, o) })
+		data, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(string(data), "\n"); got != c.generations+1 {
+			t.Fatalf("%s/%s: trace has %d lines, want %d", c.model, c.algo, got, c.generations+1)
+		}
 	}
 }

@@ -226,9 +226,11 @@ func OptimizeTable(g *Graph, tab *TimeTable, p Params) (*Result, error) {
 	return core.Run(g, tab, p)
 }
 
-// Run executes any algorithm by name ("one", "cpa", "hcpa", "mcpa", "mcpa2",
-// "delta-cp", "emts5", "emts10") under a named model ("amdahl", "synthetic",
-// "synthetic-literal", "downey") and validates the resulting schedule.
+// Run executes an algorithm by name (see Algorithms) under a named model (see
+// Models) and validates the resulting schedule. Names match in any letter
+// case, and aliases resolve to their canonical name: "emts" to "emts5",
+// "onestep" to "eft", "deltacp" to "delta-cp", "model1" to "amdahl" and
+// "model2" to "synthetic".
 func Run(g *Graph, c Cluster, modelName, algorithm string, seed int64) (*Report, error) {
 	return sim.Run(g, c, modelName, algorithm, seed)
 }
@@ -255,10 +257,11 @@ func Compare(g *Graph, c Cluster, modelName string, algorithms []string, seed in
 	return sim.Compare(g, c, modelName, algorithms, seed)
 }
 
-// Algorithms lists the algorithm names accepted by Run and Compare.
+// Algorithms lists the canonical algorithm names accepted by Run and
+// Compare.
 func Algorithms() []string { return sim.AlgorithmNames() }
 
-// Models lists the model names accepted by Run and Compare.
+// Models lists the canonical model names accepted by Run and Compare.
 func Models() []string { return sim.ModelNames() }
 
 // CPA returns the Critical Path and Area-based allocator.

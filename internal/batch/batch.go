@@ -16,6 +16,7 @@
 package batch
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -162,11 +163,10 @@ func Simulate(jobs []Job, cfg Config) (*Result, error) {
 	}
 
 	// Phase 1: partition sizes and per-job durations (PTG scheduling on a
-	// virtual sub-cluster of the granted size). The execution-time model
-	// resolves once and tables are memoized per (graph, partition) — a stream
-	// of repeated PTGs on a shared policy used to rebuild the same V×P table
-	// for every job (the reuse sim.Compare already had).
-	m, err := sim.ModelByName(cfg.ModelName)
+	// virtual sub-cluster of the granted size). The names resolve once, and
+	// tables are memoized per (graph, partition), so a stream of repeated
+	// PTGs on a shared policy builds each V×P table once.
+	plan, err := sim.Resolve(cfg.ModelName, cfg.Algorithm, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("batch: %w", err)
 	}
@@ -200,13 +200,13 @@ func Simulate(jobs []Job, cfg Config) (*Result, error) {
 		key := tabKey{g: job.Graph, part: part}
 		tab, ok := tabs[key]
 		if !ok {
-			tab, err = model.NewTable(job.Graph, m, part)
+			tab, err = model.NewTable(job.Graph, plan.Model, part)
 			if err != nil {
 				return nil, fmt.Errorf("batch: job %d: %w", job.ID, err)
 			}
 			tabs[key] = tab
 		}
-		rep, err := sim.RunTable(job.Graph, part, tab, cfg.Algorithm, cfg.Seed)
+		rep, err := plan.RunTable(context.Background(), job.Graph, part, tab)
 		if err != nil {
 			return nil, fmt.Errorf("batch: job %d: %w", job.ID, err)
 		}
@@ -216,7 +216,7 @@ func Simulate(jobs []Job, cfg Config) (*Result, error) {
 	// Phase 2: pack partitions onto the cluster.
 	dispatch(ordered, results, cfg.Cluster.Procs, cfg.Backfill)
 
-	res := &Result{Policy: policy.Name(), Algorithm: cfg.Algorithm, Jobs: results}
+	res := &Result{Policy: policy.Name(), Algorithm: plan.Algorithm, Jobs: results}
 	summarize(res, cfg.Cluster.Procs, results)
 	return res, nil
 }

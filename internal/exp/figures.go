@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"emts/internal/alloc"
 	"emts/internal/core"
 	"emts/internal/dag"
 	"emts/internal/daggen"
@@ -15,6 +16,7 @@ import (
 	"emts/internal/model"
 	"emts/internal/platform"
 	"emts/internal/schedule"
+	"emts/internal/sim"
 	"emts/internal/stats"
 )
 
@@ -224,7 +226,7 @@ func Figure6(seed int64) (*Figure6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mcpaAlloc, err := baselineMust("mcpa").Allocate(g, tab)
+	mcpaAlloc, err := alloc.MCPA{}.Allocate(g, tab)
 	if err != nil {
 		return nil, err
 	}
@@ -245,20 +247,6 @@ func Figure6(seed int64) (*Figure6Result, error) {
 		MCPAUtilization: mcpaSched.Utilization(),
 		EMTSUtilization: emtsRes.Schedule.Utilization(),
 	}, nil
-}
-
-func baselineMust(name string) allocAllocator {
-	a, err := baselineByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// allocAllocator is a local alias to avoid re-importing alloc here.
-type allocAllocator = interface {
-	Name() string
-	Allocate(*dag.Graph, *model.Table) (schedule.Allocation, error)
 }
 
 // Format renders both Gantt charts and the headline numbers.
@@ -303,7 +291,7 @@ func ConvergenceTrace(w Workload, cluster platform.Cluster, modelName, emtsName 
 // pure function of (graph, model, cluster), so the EMTS5 and EMTS10 sweeps
 // share it. Results are identical to separate ConvergenceTrace calls.
 func ConvergenceTraces(w Workload, cluster platform.Cluster, modelName string, emtsNames []string, seed int64) (map[string]*Convergence, error) {
-	m, err := modelByName(modelName)
+	m, err := sim.ModelByName(modelName)
 	if err != nil {
 		return nil, err
 	}
@@ -318,13 +306,13 @@ func ConvergenceTraces(w Workload, cluster platform.Cluster, modelName string, e
 	}
 	traces := make(map[string]*Convergence, len(emtsNames))
 	for _, emtsName := range emtsNames {
-		params, err := emtsParams(emtsName, seed)
+		plan, err := emtsPlan(modelName, emtsName, seed)
 		if err != nil {
 			return nil, err
 		}
 		var rel [][]float64
 		for i, g := range w.Graphs {
-			res, err := core.Run(g, tabs[i], params)
+			res, err := core.Run(g, tabs[i], *plan.Params)
 			if err != nil {
 				return nil, err
 			}

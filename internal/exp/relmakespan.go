@@ -12,6 +12,7 @@ import (
 	"emts/internal/listsched"
 	"emts/internal/model"
 	"emts/internal/platform"
+	"emts/internal/sim"
 	"emts/internal/stats"
 )
 
@@ -73,14 +74,11 @@ func RelativeMakespan(cfg RelMakespanConfig) (*RelMakespanResult, error) {
 	if len(cfg.Baselines) == 0 || len(cfg.Workloads) == 0 || len(cfg.Clusters) == 0 {
 		return nil, fmt.Errorf("exp: empty baselines, workloads, or clusters")
 	}
-	m, err := modelByName(cfg.ModelName)
+	plan, err := emtsPlan(cfg.ModelName, cfg.EMTS, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	params, err := emtsParams(cfg.EMTS, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+	params := *plan.Params
 	params.Workers = 1 // parallelism lives at the instance level
 
 	// Baselines stay an ordered slice, not a map: runInstance surfaces the
@@ -88,11 +86,14 @@ func RelativeMakespan(cfg RelMakespanConfig) (*RelMakespanResult, error) {
 	// order, not map iteration order, for equal configs to fail identically.
 	baseliners := make([]namedAllocator, 0, len(cfg.Baselines))
 	for _, b := range cfg.Baselines {
-		al, err := baselineByName(b)
+		bp, err := sim.Resolve(cfg.ModelName, b, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		baseliners = append(baseliners, namedAllocator{name: b, al: al})
+		if bp.Allocator == nil {
+			return nil, fmt.Errorf("exp: baseline %q is not a two-step heuristic", b)
+		}
+		baseliners = append(baseliners, namedAllocator{name: b, al: bp.Allocator})
 	}
 
 	type job struct {
@@ -123,7 +124,7 @@ func RelativeMakespan(cfg RelMakespanConfig) (*RelMakespanResult, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				outCh <- runInstance(j.g, cfg.Clusters[j.cluster], m, baseliners, params, j.workload, j.cluster)
+				outCh <- runInstance(j.g, cfg.Clusters[j.cluster], plan.Model, baseliners, params, j.workload, j.cluster)
 			}
 		}()
 	}
@@ -249,44 +250,14 @@ func (r *RelMakespanResult) Lookup(workload, baseline, cluster string) (Cell, bo
 	return Cell{}, false
 }
 
-func modelByName(name string) (model.Model, error) {
-	switch strings.ToLower(name) {
-	case "amdahl", "model1":
-		return model.Amdahl{}, nil
-	case "synthetic", "model2":
-		return model.Synthetic{}, nil
-	case "synthetic-literal":
-		return model.SyntheticLiteral{}, nil
-	case "synthetic-monotone":
-		return model.Monotone{Inner: model.Synthetic{}}, nil
+// emtsPlan resolves a model and an EMTS preset by name.
+func emtsPlan(modelName, emtsName string, seed int64) (*sim.Plan, error) {
+	plan, err := sim.Resolve(modelName, emtsName, seed)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("exp: unknown model %q", name)
-}
-
-func emtsParams(name string, seed int64) (core.Params, error) {
-	switch strings.ToLower(name) {
-	case "emts5", "":
-		return core.EMTS5(seed), nil
-	case "emts10":
-		return core.EMTS10(seed), nil
+	if plan.Params == nil {
+		return nil, fmt.Errorf("exp: %q is not an EMTS preset", emtsName)
 	}
-	return core.Params{}, fmt.Errorf("exp: unknown EMTS preset %q", name)
-}
-
-func baselineByName(name string) (alloc.Allocator, error) {
-	switch strings.ToLower(name) {
-	case "cpa":
-		return alloc.CPA{}, nil
-	case "hcpa":
-		return alloc.HCPA{}, nil
-	case "mcpa":
-		return alloc.MCPA{}, nil
-	case "mcpa2":
-		return alloc.MCPA2{}, nil
-	case "delta-cp":
-		return alloc.DeltaCP{Delta: 0.9}, nil
-	case "one":
-		return alloc.OneEach{}, nil
-	}
-	return nil, fmt.Errorf("exp: unknown baseline %q", name)
+	return plan, nil
 }

@@ -79,6 +79,10 @@ func RuntimeTable(instances int, seed int64) (*RuntimeResult, error) {
 		return tab, nil
 	}
 	for _, emtsName := range []string{"emts5", "emts10"} {
+		plan, err := emtsPlan("synthetic", emtsName, seed)
+		if err != nil {
+			return nil, err
+		}
 		for _, w := range []Workload{strassen, irregular} {
 			for _, cluster := range []platform.Cluster{platform.Chti(), platform.Grelon()} {
 				times := make([]float64, 0, len(w.Graphs))
@@ -87,12 +91,8 @@ func RuntimeTable(instances int, seed int64) (*RuntimeResult, error) {
 					if err != nil {
 						return nil, err
 					}
-					params, err := emtsParams(emtsName, seed)
-					if err != nil {
-						return nil, err
-					}
 					start := time.Now()
-					if _, err := core.Run(g, tab, params); err != nil {
+					if _, err := core.Run(g, tab, *plan.Params); err != nil {
 						return nil, err
 					}
 					times = append(times, time.Since(start).Seconds())

@@ -12,6 +12,7 @@ import (
 	"emts/internal/platform"
 	"emts/internal/schedule"
 	"emts/internal/search"
+	"emts/internal/sim"
 	"emts/internal/stats"
 )
 
@@ -37,7 +38,7 @@ type SearchComparison struct {
 // evaluations, all seeded from the MCPA allocation. budget should match an
 // EMTS preset for a fair fight: 130 (EMTS5) or 1010 (EMTS10).
 func CompareSearchMethods(w Workload, cluster platform.Cluster, modelName string, budget int, seed int64) (*SearchComparison, error) {
-	m, err := modelByName(modelName)
+	m, err := sim.ModelByName(modelName)
 	if err != nil {
 		return nil, err
 	}

@@ -114,7 +114,7 @@ type TableKey struct {
 	// GraphKey is GraphEntry.CanonKey — canonical, so two spellings of the
 	// same graph share tables.
 	GraphKey string
-	// Model is the normalized (lowercased) model name.
+	// Model is the canonical model name (sim.Plan.ModelName).
 	Model string
 	// Cluster is the resolved platform.
 	Cluster platform.Cluster

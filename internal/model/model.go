@@ -219,10 +219,25 @@ func (t *Table) row(v dag.TaskID) []float64 {
 	return t.times[lo : lo+t.procs]
 }
 
+// CellError reports a table cell that is not a positive finite time: a
+// broken model, or a task whose parameters (zero or denormal flops, say)
+// give no usable time under a sound one.
+type CellError struct {
+	Model string
+	Task  int
+	Procs int
+	Time  float64
+}
+
+// Error implements error.
+func (e *CellError) Error() string {
+	return fmt.Sprintf("model %s: T(task %d, p=%d) = %g, want positive finite", e.Model, e.Task, e.Procs, e.Time)
+}
+
 // NewTable evaluates m for every task of g and every processor count
-// 1..c.Procs. It fails if the model produces a non-positive or non-finite
-// time, so broken models are caught at the boundary instead of corrupting
-// schedules.
+// 1..c.Procs. It fails with a *CellError if the model produces a
+// non-positive or non-finite time, so broken models and unusable tasks are
+// caught at the boundary instead of corrupting schedules.
 func NewTable(g *dag.Graph, m Model, c platform.Cluster) (*Table, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -242,7 +257,7 @@ func NewTable(g *dag.Graph, m Model, c platform.Cluster) (*Table, error) {
 			}
 			// Positive and finite; NaN fails both comparisons.
 			if v := row[p-1]; !(v > 0 && v <= math.MaxFloat64) {
-				return nil, fmt.Errorf("model %s: T(task %d, p=%d) = %g, want positive finite", m.Name(), i, p, v)
+				return nil, &CellError{Model: m.Name(), Task: i, Procs: p, Time: v}
 			}
 		}
 	}

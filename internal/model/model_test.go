@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -324,5 +325,23 @@ func BenchmarkNewTable(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewTableCellError: a task with no positive finite time fails the table
+// with a *CellError that names the model, the cell and its value.
+func TestNewTableCellError(t *testing.T) {
+	b := dag.NewBuilder("zero")
+	b.AddTask(dag.Task{Name: "structural", Flops: 0})
+	_, err := NewTable(b.MustBuild(), Synthetic{}, testCluster)
+	var cellErr *CellError
+	if !errors.As(err, &cellErr) {
+		t.Fatalf("err = %v, want a *CellError", err)
+	}
+	if *cellErr != (CellError{Model: "synthetic", Task: 0, Procs: 1, Time: 0}) {
+		t.Fatalf("cell error %+v", *cellErr)
+	}
+	if want := "model synthetic: T(task 0, p=1) = 0, want positive finite"; err.Error() != want {
+		t.Fatalf("error text %q, want %q", err, want)
 	}
 }

@@ -49,8 +49,8 @@ func FuzzDecodeScheduleRequest(f *testing.F) {
 		if p.cluster.Procs <= 0 || p.cluster.SpeedGFlops <= 0 {
 			t.Fatalf("accepted request with unresolved cluster %+v", p.cluster)
 		}
-		if p.model == "" || p.algorithm == "" {
-			t.Fatal("accepted request without model/algorithm defaults")
+		if p.plan == nil || p.plan.Model == nil || p.plan.ModelName == "" || p.plan.Algorithm == "" {
+			t.Fatal("accepted request without a resolved plan")
 		}
 		if len(p.key) != 64 {
 			t.Fatalf("canonical key %q is not a sha256 hex digest", p.key)
@@ -112,7 +112,7 @@ func FuzzScanScheduleRequest(f *testing.F) {
 			}
 			return
 		}
-		if p.key != ref.key || p.graphKey != ref.graphKey || p.model != ref.model || p.algorithm != ref.algorithm ||
+		if p.key != ref.key || p.graphKey != ref.graphKey || p.plan.ModelName != ref.plan.ModelName || p.plan.Algorithm != ref.plan.Algorithm ||
 			p.cluster != ref.cluster || !sameRequest(p.req, ref.req) {
 			t.Fatalf("scanner changed the parsed request: %+v vs reference %+v", p, ref)
 		}

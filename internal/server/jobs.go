@@ -157,7 +157,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		result:  make(chan jobResult, 1),
 		anytime: true,
 		started: jb.Start,
-		onGen: func(gs ea.GenStats) {
+	}
+	// EMTS runs stream their generations as SSE events. The observer is
+	// called once per generation, never on the hot fitness path.
+	if parsed.plan.Params != nil {
+		parsed.plan.Params.OnGeneration = func(gs ea.GenStats) {
 			ev := generationEvent{
 				Generation:          gs.Generation,
 				BestMakespan:        gs.BestEver,
@@ -176,7 +180,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				return // unreachable: plain struct of numbers
 			}
 			jb.Publish("generation", data)
-		},
+		}
 	}
 
 	s.admission.RLock()

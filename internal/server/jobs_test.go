@@ -295,12 +295,15 @@ func TestJobCancelWithIncumbent(t *testing.T) {
 	proceed := make(chan struct{})
 	ctxCh := make(chan context.Context, 1)
 	var once sync.Once
-	s.run = func(ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorithm string, seed int64, opt sim.Options) (*sim.Report, error) {
+	s.run = func(p *sim.Plan, ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table) (*sim.Report, error) {
 		// Only the async path carries an observer; the test's final sync
 		// request runs the stub too and must pass through untouched.
-		if inner := opt.OnGeneration; inner != nil {
+		if inner := p.Params.OnGeneration; inner != nil {
 			ctxCh <- ctx
-			opt.OnGeneration = func(gs ea.GenStats) {
+			params, held := *p.Params, *p
+			held.Params = &params
+			p = &held
+			params.OnGeneration = func(gs ea.GenStats) {
 				inner(gs)
 				if gs.Generation == 0 {
 					// Hold the run after its first generation event until the
@@ -310,7 +313,7 @@ func TestJobCancelWithIncumbent(t *testing.T) {
 				}
 			}
 		}
-		return sim.RunTableOpts(ctx, g, cluster, tab, algorithm, seed, opt)
+		return p.RunTable(ctx, g, cluster, tab)
 	}
 
 	resp := postJob(t, ts.URL, scheduleBody(t, "emts10", 3))

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"emts/internal/dag"
 	"emts/internal/intern"
 	"emts/internal/platform"
+	"emts/internal/sim"
 )
 
 // ScheduleRequest is the body of POST /v1/schedule. Graph is the PTG JSON
@@ -77,15 +79,15 @@ func requestErrorf(field, msg string, args ...interface{}) *RequestError {
 const maxTableCells = 20000 * 120
 
 // parsedRequest is a fully validated schedule request: the decoded graph, the
-// resolved cluster, normalized names, and the canonical cache key.
+// resolved cluster, the run plan, and the canonical cache key.
 type parsedRequest struct {
 	req     ScheduleRequest
 	graph   *dag.Graph
 	cluster platform.Cluster
-	// model and algorithm are the lowercased names; existence is checked by
-	// the simulator (its typed sentinels map to 400s like RequestErrors do).
-	model     string
-	algorithm string
+	// plan is the run the names resolve to (sim.Resolve), with the request's
+	// island settings applied. Its canonical names label the keys and the
+	// metrics, so an alias shares its canonical spelling's cache entry.
+	plan *sim.Plan
 	// key is the canonical cache key: a digest over the canonical graph
 	// encoding, the resolved cluster, and the normalized run parameters.
 	key string
@@ -194,7 +196,9 @@ func scanScheduleRequest(body []byte) (req ScheduleRequest, ok bool) {
 
 // validateScheduleRequest resolves and validates a decoded request: the
 // graph (through the intern when graphs is non-nil), the cluster, the
-// admission limits and the run parameters, and derives its keys.
+// admission limits, the run parameters and, last, the model and algorithm
+// names, so a request is rejected for an unknown name before it can take a
+// queue slot, build a table or create a job. It then derives the keys.
 func validateScheduleRequest(req ScheduleRequest, maxTasks, maxIslands int, graphs *intern.Graphs) (*parsedRequest, error) {
 	if len(req.Graph) == 0 {
 		return nil, requestErrorf("graph", "missing")
@@ -241,23 +245,24 @@ func validateScheduleRequest(req ScheduleRequest, maxTasks, maxIslands int, grap
 	if req.MigrationInterval < 0 {
 		return nil, requestErrorf("migration_interval", "negative value %d", req.MigrationInterval)
 	}
-	p := &parsedRequest{
+	modelName, algorithm := cmp.Or(req.Model, "synthetic"), cmp.Or(req.Algorithm, "emts5")
+	plan, err := sim.Resolve(modelName, algorithm, req.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Params != nil {
+		plan.Params.Islands = req.Islands
+		plan.Params.MigrationInterval = req.MigrationInterval
+	}
+	return &parsedRequest{
 		req:           req,
 		graph:         g,
 		cluster:       cluster,
-		model:         strings.ToLower(req.Model),
-		algorithm:     strings.ToLower(req.Algorithm),
+		plan:          plan,
+		key:           canonicalKey(entry.Canon, cluster, plan.ModelName, plan.Algorithm, req.Seed, req.Islands, req.MigrationInterval),
 		graphKey:      entry.CanonKey,
 		graphInterned: hit,
-	}
-	if p.model == "" {
-		p.model = "synthetic"
-	}
-	if p.algorithm == "" {
-		p.algorithm = "emts5"
-	}
-	p.key = canonicalKey(entry.Canon, cluster, p.model, p.algorithm, req.Seed, req.Islands, req.MigrationInterval)
-	return p, nil
+	}, nil
 }
 
 // resolve maps the spec to a validated platform.Cluster.

@@ -71,6 +71,19 @@ func requestKeyBodies(t *testing.T) []struct{ name, body string } {
 		{"reject-negative-islands", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"islands":-2}`},
 		{"reject-unknown-preset", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"summit"}}`},
 		{"reject-not-json", `{"graph":`},
+		{"alias-emts", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"synthetic","algorithm":"emts","seed":7}`},
+		{"alias-model2", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"model2","algorithm":"emts5","seed":7}`},
+		{"mixed-case-amdahl-eft", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"AmDahl","algorithm":"Eft","seed":7}`},
+		{"alias-model1", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"model1","algorithm":"eft","seed":7}`},
+		{"alias-onestep", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"amdahl","algorithm":"OneStep","seed":7}`},
+		{"mixed-case-delta-cp", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"Synthetic","algorithm":"Delta-CP","seed":7}`},
+		{"alias-deltacp", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"synthetic","algorithm":"deltacp","seed":7}`},
+		{"mixed-case-other-names", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"grelon"},"model":"Synthetic-Monotone","algorithm":"MCPA2","seed":7}`},
+		{"mixed-case-downey-emts10", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"grelon"},"model":"DOWNEY","algorithm":"EMTS10","seed":7}`},
+		{"random", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"algorithm":"random","seed":7}`},
+		{"reject-unknown-algorithm", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"algorithm":"No-Such-Algo"}`},
+		{"reject-unknown-model", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"No-Such-Model"}`},
+		{"reject-unknown-model-and-algorithm", `{"graph":` + keyGraphBody + `,"cluster":{"preset":"chti"},"model":"no-such-model","algorithm":"no-such-algo"}`},
 	}
 }
 

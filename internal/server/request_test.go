@@ -62,8 +62,8 @@ func TestCanonicalKeyInvariance(t *testing.T) {
 
 func TestParseDefaults(t *testing.T) {
 	p := mustParse(t, `{"graph":`+keyGraph+`,"cluster":{"preset":"chti"}}`)
-	if p.model != "synthetic" || p.algorithm != "emts5" {
-		t.Fatalf("defaults = %q/%q, want synthetic/emts5", p.model, p.algorithm)
+	if p.plan.ModelName != "synthetic" || p.plan.Algorithm != "emts5" {
+		t.Fatalf("defaults = %q/%q, want synthetic/emts5", p.plan.ModelName, p.plan.Algorithm)
 	}
 	if p.cluster.Procs != 20 {
 		t.Fatalf("chti procs = %d, want 20", p.cluster.Procs)

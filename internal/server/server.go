@@ -11,12 +11,16 @@
 // graph's raw bytes are looked up in the graph intern (intern.RawKey); a
 // miss decodes them (dag.UnmarshalGraph, the same scanner-or-encoding/json
 // split) and appends the canonical encoding the keys digest. The handler
-// validates the request with typed errors (400), consults a canonical-hash
-// response cache (an intern.LRU, the one the graph and table interns use),
-// and admits the request to a depth-limited queue in front of a bounded
-// worker pool; queue overflow returns 429 with Retry-After. The worker
-// builds or reuses the V×P table (model.NewTable fills Amdahl and Synthetic
-// rows without a per-cell interface call) and runs the scheduler. Each
+// validates the request with typed errors (400) and, last, resolves the model
+// and algorithm names to a sim.Plan: an unknown name is a 400 that takes no
+// queue slot, builds no table, creates no job and labels no metric, and an
+// alias keys, caches and labels as its canonical name. The handler then
+// consults a canonical-hash response cache (an intern.LRU, the one the graph
+// and table interns use), and admits the request to a depth-limited queue in
+// front of a bounded worker pool; queue overflow returns 429 with
+// Retry-After. The worker builds or reuses the V×P table (model.NewTable
+// fills Amdahl and Synthetic rows without a per-cell interface call; a task
+// with no positive finite time is the client's 400) and runs the plan. Each
 // admitted request carries a context assembled from the client connection
 // and the per-request deadline, and the evolutionary algorithm observes
 // that context once per generation (ea.RunContext) — a dropped connection
@@ -52,7 +56,6 @@ import (
 	"time"
 
 	"emts/internal/dag"
-	"emts/internal/ea"
 	"emts/internal/intern"
 	"emts/internal/jobs"
 	"emts/internal/model"
@@ -165,11 +168,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// runFunc is the compute seam: production servers schedule through
-// sim.RunTableOpts; lifecycle tests substitute controllable stubs. The table
-// is resolved by the server (through the intern when enabled) before the seam
-// is crossed.
-type runFunc func(ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorithm string, seed int64, opt sim.Options) (*sim.Report, error)
+// runFunc is the compute seam: production servers run the request's plan
+// with (*sim.Plan).RunTable; lifecycle tests substitute controllable stubs.
+// The table is resolved by the server (through the intern when enabled)
+// before the seam is crossed.
+type runFunc func(p *sim.Plan, ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table) (*sim.Report, error)
 
 // Server is the scheduling service. Create with New, expose via Handler, and
 // stop with Shutdown.
@@ -214,11 +217,6 @@ type job struct {
 	// result is buffered (capacity 1): the worker never blocks on a handler
 	// that gave up waiting.
 	result chan jobResult
-	// onGen, when non-nil, observes per-generation EA statistics (the async
-	// job path streams them as SSE events). It is threaded through
-	// sim.Options and called once per generation — never on the hot fitness
-	// path.
-	onGen func(ea.GenStats)
 	// anytime marks an async job: a mid-run cancellation then salvages the
 	// EA's incumbent as a 200 "anytime" result instead of a 499/504. The
 	// synchronous path leaves it false and keeps its status-code contract.
@@ -247,7 +245,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		metrics: newRegistry(),
 		queue:   make(chan *job, cfg.QueueDepth),
-		run:     sim.RunTableOpts,
+		run:     (*sim.Plan).RunTable,
 	}
 	if cfg.LogWriter != nil {
 		s.log = &logger{w: cfg.LogWriter}
@@ -386,31 +384,27 @@ func (s *Server) worker() {
 
 // resolveTable builds (or fetches from the intern) the execution-time table
 // for the request's graph, model, and cluster. Interned hits skip the V×P
-// model evaluation entirely. Errors come from sim.ModelByName
-// (sim.ErrUnknownModel → 400) or model.NewTable, identical with or without
-// the intern.
+// model evaluation entirely. Errors come from model.NewTable, identical with
+// or without the intern.
 func (s *Server) resolveTable(p *parsedRequest) (tab *model.Table, interned bool, err error) {
-	build := func() (*model.Table, error) {
-		m, err := sim.ModelByName(p.model)
-		if err != nil {
-			return nil, err
-		}
-		return model.NewTable(p.graph, m, p.cluster)
-	}
+	build := func() (*model.Table, error) { return model.NewTable(p.graph, p.plan.Model, p.cluster) }
 	if s.tables == nil {
 		tab, err = build()
 		return tab, false, err
 	}
-	key := intern.TableKey{GraphKey: p.graphKey, Model: p.model, Cluster: p.cluster}
+	key := intern.TableKey{GraphKey: p.graphKey, Model: p.plan.ModelName, Cluster: p.cluster}
 	return s.tables.Get(key, build)
 }
 
-// errorResult classifies a computation failure into an HTTP result.
+// errorResult classifies a computation failure into an HTTP result. A table
+// cell without a positive finite time comes from the client's task
+// parameters, so it is a 400 like the admission checks.
 func (s *Server) errorResult(err error, algorithm string) jobResult {
+	var cellErr *model.CellError
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return s.cancelResult(err, algorithm)
-	case errors.Is(err, sim.ErrUnknownAlgorithm), errors.Is(err, sim.ErrUnknownModel), errors.Is(err, sim.ErrBadCluster):
+	case errors.As(err, &cellErr):
 		s.metrics.countOutcome(algorithm, "client_error")
 		return jobResult{code: http.StatusBadRequest, body: errorBody(err.Error(), ""), outcome: "client_error"}
 	default:
@@ -422,14 +416,15 @@ func (s *Server) errorResult(err error, algorithm string) jobResult {
 // compute runs one schedule computation and classifies the outcome.
 func (s *Server) compute(j *job) jobResult {
 	p := j.parsed
+	algorithm := p.plan.Algorithm
 	// The client may have vanished (or the deadline passed) while the job sat
 	// in the queue; skip the work entirely in that case.
 	if err := j.ctx.Err(); err != nil {
-		return s.cancelResult(err, p.algorithm)
+		return s.cancelResult(err, algorithm)
 	}
 	tab, tableInterned, err := s.resolveTable(p)
 	if err != nil {
-		return s.errorResult(err, p.algorithm)
+		return s.errorResult(err, algorithm)
 	}
 	interned := ""
 	switch {
@@ -444,23 +439,20 @@ func (s *Server) compute(j *job) jobResult {
 	// The governor sizes this run's EA parallelism to the tokens currently
 	// free; responses are identical for any grant (worker-count-independent
 	// engine), so only throughput depends on the grant.
-	opt := sim.Options{
-		OnGeneration:      j.onGen,
-		Islands:           p.req.Islands,
-		MigrationInterval: p.req.MigrationInterval,
-	}
 	if s.gov != nil {
 		tokens, release := s.gov.acquire()
 		defer release()
-		opt.Workers = tokens
+		if p.plan.Params != nil {
+			p.plan.Params.Workers = tokens
+		}
 	}
 
 	start := time.Now()
-	rep, err := s.run(j.ctx, p.graph, p.cluster, tab, p.algorithm, p.req.Seed, opt)
+	rep, err := s.run(p.plan, j.ctx, p.graph, p.cluster, tab)
 	elapsed := time.Since(start)
 	if err != nil {
 		// Anytime salvage (async jobs only): a mid-run cancellation that
-		// still yielded a materialized incumbent (see sim.RunTableOpts) is a
+		// still yielded a materialized incumbent (see sim.Plan.RunTable) is a
 		// first-class 200 answer. It is deliberately NOT inserted into the
 		// response cache — the partial result is not the canonical response
 		// for this digest. The synchronous path keeps its 504/499 contract.
@@ -468,19 +460,19 @@ func (s *Server) compute(j *job) jobResult {
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			body, merr := marshalResponse(rep)
 			if merr == nil {
-				s.metrics.countOutcome(p.algorithm, "anytime")
+				s.metrics.countOutcome(algorithm, "anytime")
 				return jobResult{code: http.StatusOK, body: body, outcome: "anytime", interned: interned}
 			}
 		}
-		return s.errorResult(err, p.algorithm)
+		return s.errorResult(err, algorithm)
 	}
 	body, merr := marshalResponse(rep)
 	if merr != nil {
-		s.metrics.countOutcome(p.algorithm, "error")
+		s.metrics.countOutcome(algorithm, "error")
 		return jobResult{code: http.StatusInternalServerError, body: errorBody("encoding response: "+merr.Error(), ""), outcome: "error"}
 	}
-	s.metrics.countOutcome(p.algorithm, "ok")
-	s.metrics.observeLatency(p.algorithm, elapsed.Seconds())
+	s.metrics.countOutcome(algorithm, "ok")
+	s.metrics.observeLatency(algorithm, elapsed.Seconds())
 	if s.cache != nil {
 		s.cache.Add(p.key, body)
 	}
@@ -615,7 +607,8 @@ func (s *Server) requestTimeout(parsed *parsedRequest) time.Duration {
 	return timeout
 }
 
-// handleAlgorithms lists the accepted algorithm and model names.
+// handleAlgorithms lists the canonical algorithm and model names, every name
+// a request may use apart from the aliases.
 func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Algorithms []string `json:"algorithms"`

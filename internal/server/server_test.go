@@ -151,8 +151,8 @@ func TestScheduleValidationErrors(t *testing.T) {
 	}
 }
 
-// TestScheduleUnknownNames routes bad algorithm/model names through the
-// compute path and expects the typed sentinels to surface as 400s.
+// TestScheduleUnknownNames expects bad algorithm/model names to surface as
+// 400s.
 func TestScheduleUnknownNames(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, body := range []string{
@@ -163,6 +163,32 @@ func TestScheduleUnknownNames(t *testing.T) {
 		b := readAll(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, b)
+		}
+	}
+}
+
+// TestScheduleUnknownNameBodies pins the exact status and body /v1/schedule
+// answers an unknown model or algorithm with. Names are matched in any
+// letter case and echoed lowercased; when both are unknown, the model is
+// reported.
+func TestScheduleUnknownNameBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const (
+		unknownAlgorithm = `{"error":"sim: unknown algorithm \"no-such-algo\" (have one, cpa, hcpa, mcpa, mcpa2, bicpa, delta-cp, eft, emts5, emts10, random)"}` + "\n"
+		unknownModel     = `{"error":"sim: unknown model \"no-such-model\" (have amdahl, synthetic, synthetic-literal, synthetic-monotone, downey)"}` + "\n"
+	)
+	graph := `{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}`
+	for _, tc := range []struct{ body, want string }{
+		{graph + `,"algorithm":"No-Such-Algo"}`, unknownAlgorithm},
+		{graph + `,"model":"amdahl","algorithm":"no-such-algo"}`, unknownAlgorithm},
+		{graph + `,"model":"No-Such-Model"}`, unknownModel},
+		{graph + `,"model":"no-such-model","algorithm":"mcpa"}`, unknownModel},
+		{graph + `,"model":"no-such-model","algorithm":"no-such-algo"}`, unknownModel},
+	} {
+		resp := post(t, ts.URL, []byte(tc.body))
+		b := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || string(b) != tc.want {
+			t.Errorf("%s:\n got %d %s\nwant 400 %s", tc.body, resp.StatusCode, b, tc.want)
 		}
 	}
 }
@@ -245,14 +271,14 @@ func TestCacheEviction(t *testing.T) {
 // blockingRun returns a run stub that signals arrival and blocks until
 // released or the request context ends.
 func blockingRun(started chan<- string, release <-chan struct{}) runFunc {
-	return func(ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorithm string, seed int64, opt sim.Options) (*sim.Report, error) {
+	return func(p *sim.Plan, ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table) (*sim.Report, error) {
 		select {
-		case started <- algorithm:
+		case started <- p.Algorithm:
 		default:
 		}
 		select {
 		case <-release:
-			return sim.RunTableOpts(context.Background(), g, cluster, tab, algorithm, seed, opt)
+			return p.RunTable(context.Background(), g, cluster, tab)
 		case <-ctx.Done():
 			return nil, fmt.Errorf("stub: %w", ctx.Err())
 		}

@@ -1,14 +1,17 @@
 // Package sim is the simulator of Section IV: it ties platforms, PTGs,
 // execution-time models, and scheduling algorithms together behind a uniform
 // by-name interface, runs an algorithm on an instance, validates the
-// resulting schedule, and reports the outcome. The CLI tools and the
-// experiment harness are thin wrappers around this package.
+// resulting schedule, and reports the outcome. The names live in one place:
+// a model table and an algorithm table, which Resolve turns into a Plan. The
+// CLI tools, the experiment harness, the batch simulator and the server all
+// resolve names here.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -16,7 +19,6 @@ import (
 	"emts/internal/alloc"
 	"emts/internal/core"
 	"emts/internal/dag"
-	"emts/internal/ea"
 	"emts/internal/listsched"
 	"emts/internal/model"
 	"emts/internal/onestep"
@@ -26,8 +28,8 @@ import (
 
 // Typed sentinels for the by-name entry points, so callers serving untrusted
 // requests can distinguish client mistakes (bad names, bad platform → 400)
-// from internal failures (→ 500). The error text produced by the entry points
-// is unchanged: the sentinels are wrapped into the existing messages.
+// from internal failures (→ 500). The sentinels are wrapped into the
+// messages, which quote the offending name.
 var (
 	// ErrUnknownAlgorithm reports an algorithm name outside AlgorithmNames.
 	ErrUnknownAlgorithm = errors.New("sim: unknown algorithm")
@@ -37,34 +39,141 @@ var (
 	ErrBadCluster = errors.New("sim: bad cluster")
 )
 
-// ModelNames lists the execution-time models available by name.
-func ModelNames() []string {
-	return []string{"amdahl", "synthetic", "synthetic-literal", "synthetic-monotone", "downey"}
+// names is the name column of the model and algorithm tables: a canonical
+// name and its aliases, all lowercase.
+type names struct {
+	name    string
+	aliases []string
 }
 
-// ModelByName resolves an execution-time model. The Downey model uses
-// A = 64, sigma = 0.5 unless parametrized programmatically.
+// is reports whether the lowercased name s is the canonical name or an alias.
+func (n names) is(s string) bool { return s == n.name || slices.Contains(n.aliases, s) }
+
+// models is the model table, in ModelNames order. Each model's Name is its
+// canonical name.
+var models = []struct {
+	names
+	model model.Model
+}{
+	{names{"amdahl", []string{"model1"}}, model.Amdahl{}},
+	{names{"synthetic", []string{"model2"}}, model.Synthetic{}},
+	{names{"synthetic-literal", nil}, model.SyntheticLiteral{}},
+	{names{"synthetic-monotone", nil}, model.Monotone{Inner: model.Synthetic{}}},
+	{names{"downey", nil}, model.Downey{A: 64, Sigma: 0.5}},
+}
+
+// algorithms is the algorithm table, in AlgorithmNames order: the two-step
+// heuristics (an allocator whose allocation list scheduling maps), the
+// one-step earliest-finish-time scheduler (neither field set), the two EMTS
+// presets, and the random allocator, listed last.
+var algorithms = []struct {
+	names
+	emts      func(seed int64) core.Params
+	allocator func(seed int64) alloc.Allocator
+}{
+	{names: names{"one", nil}, allocator: unseeded(alloc.OneEach{})},
+	{names: names{"cpa", nil}, allocator: unseeded(alloc.CPA{})},
+	{names: names{"hcpa", nil}, allocator: unseeded(alloc.HCPA{})},
+	{names: names{"mcpa", nil}, allocator: unseeded(alloc.MCPA{})},
+	{names: names{"mcpa2", nil}, allocator: unseeded(alloc.MCPA2{})},
+	{names: names{"bicpa", nil}, allocator: unseeded(alloc.BiCPA{Theta: 0.5})},
+	{names: names{"delta-cp", []string{"deltacp"}}, allocator: unseeded(alloc.DeltaCP{Delta: 0.9})},
+	{names: names{"eft", []string{"onestep"}}},
+	{names: names{"emts5", []string{"emts"}}, emts: core.EMTS5},
+	{names: names{"emts10", nil}, emts: core.EMTS10},
+	{names: names{"random", nil}, allocator: func(seed int64) alloc.Allocator { return alloc.Random{Seed: seed} }},
+}
+
+// unseeded is the constructor of an allocator that ignores the seed.
+func unseeded(a alloc.Allocator) func(int64) alloc.Allocator {
+	return func(int64) alloc.Allocator { return a }
+}
+
+// ModelNames lists the canonical names of the execution-time models.
+func ModelNames() []string {
+	out := make([]string, len(models))
+	for i, m := range models {
+		out[i] = m.name
+	}
+	return out
+}
+
+// AlgorithmNames lists the canonical names of the scheduling algorithms.
+func AlgorithmNames() []string {
+	out := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		out[i] = a.name
+	}
+	return out
+}
+
+// Plan is a run resolved from names (see Resolve): the model, the canonical
+// names, and what the algorithm needs. An EMTS preset sets Params, a two-step
+// heuristic sets Allocator, and the one-step EFT scheduler sets neither.
+// Running a plan does not change it, so one plan can run many instances.
+type Plan struct {
+	// Model is the execution-time model. ModelName and Algorithm are the
+	// canonical names, whatever spelling or alias was resolved.
+	Model     model.Model
+	ModelName string
+	Algorithm string
+	// Params is the seeded EMTS preset. Callers may set Workers and
+	// OnGeneration, which leave results bit-identical, and the island fields
+	// (Islands, MigrationInterval, MigrationCount, Topology), each setting of
+	// which is its own deterministic search; see core.Params.
+	Params *core.Params
+	// Allocator is the allocation step of a two-step heuristic.
+	Allocator alloc.Allocator
+}
+
+// Resolve looks up a model and an algorithm by canonical name or alias, in
+// any letter case, and returns the plan of a run seeded with seed. The model
+// is looked up first, so when both names are unknown the error names the
+// model. Errors wrap ErrUnknownModel or ErrUnknownAlgorithm.
+func Resolve(modelName, algorithm string, seed int64) (*Plan, error) {
+	m, err := ModelByName(modelName)
+	if err != nil {
+		return nil, err
+	}
+	p, err := resolveAlgorithm(algorithm, seed)
+	if err != nil {
+		return nil, err
+	}
+	p.Model, p.ModelName = m, m.Name()
+	return p, nil
+}
+
+// ModelByName resolves an execution-time model by canonical name or alias,
+// in any letter case. The Downey model uses A = 64, sigma = 0.5 unless
+// parametrized programmatically.
 func ModelByName(name string) (model.Model, error) {
-	switch strings.ToLower(name) {
-	case "amdahl", "model1":
-		return model.Amdahl{}, nil
-	case "synthetic", "model2":
-		return model.Synthetic{}, nil
-	case "synthetic-literal":
-		return model.SyntheticLiteral{}, nil
-	case "synthetic-monotone":
-		return model.Monotone{Inner: model.Synthetic{}}, nil
-	case "downey":
-		return model.Downey{A: 64, Sigma: 0.5}, nil
+	name = strings.ToLower(name)
+	for _, m := range models {
+		if m.is(name) {
+			return m.model, nil
+		}
 	}
 	return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownModel, name, strings.Join(ModelNames(), ", "))
 }
 
-// AlgorithmNames lists the scheduling algorithms available by name: the
-// two-step heuristics (allocator + list-scheduling mapper), the one-step
-// earliest-finish-time scheduler, and the two EMTS presets.
-func AlgorithmNames() []string {
-	return []string{"one", "cpa", "hcpa", "mcpa", "mcpa2", "bicpa", "delta-cp", "eft", "emts5", "emts10"}
+// resolveAlgorithm is the algorithm half of Resolve: a plan without a model.
+func resolveAlgorithm(name string, seed int64) (*Plan, error) {
+	name = strings.ToLower(name)
+	for _, a := range algorithms {
+		if !a.is(name) {
+			continue
+		}
+		p := &Plan{Algorithm: a.name}
+		if a.emts != nil {
+			params := a.emts(seed)
+			p.Params = &params
+		}
+		if a.allocator != nil {
+			p.Allocator = a.allocator(seed)
+		}
+		return p, nil
+	}
+	return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownAlgorithm, name, strings.Join(AlgorithmNames(), ", "))
 }
 
 // Report is the outcome of running one algorithm on one instance.
@@ -94,73 +203,47 @@ func Run(g *dag.Graph, cluster platform.Cluster, modelName, algorithm string, se
 	return RunContext(context.Background(), g, cluster, modelName, algorithm, seed)
 }
 
-// RunContext is Run with cooperative cancellation: EMTS runs observe ctx once
-// per generation (see core.RunContext) and the fast heuristics check it once
-// up front, so a cancelled request stops within one generation.
+// RunContext is Run with cooperative cancellation (see Plan.RunTable).
 func RunContext(ctx context.Context, g *dag.Graph, cluster platform.Cluster, modelName, algorithm string, seed int64) (*Report, error) {
-	m, err := ModelByName(modelName)
+	p, err := Resolve(modelName, algorithm, seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := cluster.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCluster, err)
-	}
-	tab, err := model.NewTable(g, m, cluster)
-	if err != nil {
-		return nil, err
-	}
-	return RunTableContext(ctx, g, cluster, tab, algorithm, seed)
+	return p.Run(ctx, g, cluster)
 }
 
 // RunTable is Run for callers that already built the execution-time table
 // (e.g. to amortize it across algorithms on the same instance).
 func RunTable(g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorithm string, seed int64) (*Report, error) {
-	return RunTableContext(context.Background(), g, cluster, tab, algorithm, seed)
+	p, err := resolveAlgorithm(algorithm, seed)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunTable(context.Background(), g, cluster, tab)
 }
 
-// Options tunes how a run executes: Workers affects only parallelism and
-// OnGeneration only observes, so both leave results bit-identical — the
-// determinism meta-tests enforce this. The one exception is the island-model
-// group (Islands, MigrationInterval, MigrationCount, Topology): islands change
-// which search the EA performs, so each distinct setting is a distinct
-// deterministic result — still independent of Workers and GOMAXPROCS, and
-// Islands <= 1 is bit-identical to the historical behavior. The zero value is
-// the historical behavior.
-type Options struct {
-	// Workers bounds EMTS parallelism (0 = GOMAXPROCS): the starting
-	// heuristics run concurrently on up to Workers goroutines, as does
-	// fitness evaluation (see core.Params.Workers). The server's CPU
-	// governor sets this per request so one lone request fans out to all
-	// cores while concurrent requests degrade gracefully.
-	Workers int
-	// Islands, MigrationInterval, MigrationCount, and Topology configure the
-	// island-model EA for EMTS algorithms (ignored by the one-shot
-	// heuristics); see core.Params and ea.Config. Islands <= 1 is the
-	// classic single population.
-	Islands           int
-	MigrationInterval int
-	MigrationCount    int
-	Topology          string
-	// OnGeneration, when non-nil, observes per-generation EA statistics for
-	// EMTS algorithms (ignored by the one-shot heuristics). It is called
-	// from the run's goroutine after each generation's selection — the same
-	// once-per-generation point RunContext checks ctx — so observation adds
-	// zero cost to the hot fitness path and cannot perturb results (the
-	// observer-transparency meta-test enforces bit-identity on/off).
-	OnGeneration func(ea.GenStats)
+// Run validates the cluster, builds the execution-time table of g under the
+// plan's model, and runs the plan on it.
+func (p *Plan) Run(ctx context.Context, g *dag.Graph, cluster platform.Cluster) (*Report, error) {
+	if err := cluster.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCluster, err)
+	}
+	tab, err := model.NewTable(g, p.Model, cluster)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunTable(ctx, g, cluster, tab)
 }
 
-// RunTableContext is RunTable with cooperative cancellation.
-func RunTableContext(ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorithm string, seed int64) (*Report, error) {
-	return RunTableOpts(ctx, g, cluster, tab, algorithm, seed, Options{})
-}
-
-// RunTableOpts is RunTableContext with execution Options — the entry point
-// the serving path uses to plug in the CPU governor's per-request worker
-// budget and the async jobs' progress observer.
-func RunTableOpts(ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table, algorithm string, seed int64, opt Options) (*Report, error) {
+// RunTable runs the plan on g with a table built for cluster, and validates
+// the schedule. EMTS runs observe ctx once per generation (see
+// core.RunContext) and the heuristics check it once up front, so a cancelled
+// run stops within one generation. An EMTS run cancelled mid-run still
+// yields its incumbent (the anytime contract of core.RunContext): it is
+// validated and reported like a completed run, alongside the context error.
+func (p *Plan) RunTable(ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table) (*Report, error) {
 	rep := &Report{
-		Algorithm: strings.ToLower(algorithm),
+		Algorithm: p.Algorithm,
 		Model:     tab.Name(),
 		Graph:     g.Name(),
 		Cluster:   cluster,
@@ -169,51 +252,16 @@ func RunTableOpts(ctx context.Context, g *dag.Graph, cluster platform.Cluster, t
 		return nil, fmt.Errorf("sim: %s cancelled before start: %w", rep.Algorithm, err)
 	}
 	start := time.Now()
-	switch rep.Algorithm {
-	case "emts5", "emts10", "emts":
-		params := core.EMTS5(seed)
-		if rep.Algorithm == "emts10" {
-			params = core.EMTS10(seed)
-		}
-		params.Workers = opt.Workers
-		params.OnGeneration = opt.OnGeneration
-		params.Islands = opt.Islands
-		params.MigrationInterval = opt.MigrationInterval
-		params.MigrationCount = opt.MigrationCount
-		params.Topology = opt.Topology
-		res, err := core.RunContext(ctx, g, tab, params)
-		if err != nil {
-			// Anytime contract (see core.RunContext): a mid-run cancellation
-			// still yields the materialized incumbent. Validate and report it
-			// exactly like a completed run, alongside the context error.
-			if res == nil {
-				return nil, err
-			}
-			rep.EMTS = res
-			rep.Schedule = res.Schedule
-			rep.Makespan = res.Makespan
-			rep.Elapsed = time.Since(start)
-			if verr := rep.Schedule.Validate(g, tab); verr != nil {
-				return nil, fmt.Errorf("sim: %s produced an invalid schedule: %w", rep.Algorithm, verr)
-			}
-			return rep, err
-		}
-		rep.EMTS = res
-		rep.Schedule = res.Schedule
-		rep.Makespan = res.Makespan
-	case "eft", "onestep":
-		s, err := onestep.GreedyEFT{}.Schedule(g, tab)
-		if err != nil {
+	var runErr error
+	switch {
+	case p.Params != nil:
+		res, err := core.RunContext(ctx, g, tab, *p.Params)
+		if res == nil {
 			return nil, err
 		}
-		rep.Schedule = s
-		rep.Makespan = s.Makespan()
-	default:
-		al, err := allocatorByName(rep.Algorithm, seed)
-		if err != nil {
-			return nil, err
-		}
-		a, err := al.Allocate(g, tab)
+		rep.EMTS, rep.Schedule, rep.Makespan, runErr = res, res.Schedule, res.Makespan, err
+	case p.Allocator != nil:
+		a, err := p.Allocator.Allocate(g, tab)
 		if err != nil {
 			return nil, err
 		}
@@ -221,42 +269,24 @@ func RunTableOpts(ctx context.Context, g *dag.Graph, cluster platform.Cluster, t
 		if err != nil {
 			return nil, err
 		}
-		rep.Schedule = s
-		rep.Makespan = s.Makespan()
+		rep.Schedule, rep.Makespan = s, s.Makespan()
+	default:
+		s, err := onestep.GreedyEFT{}.Schedule(g, tab)
+		if err != nil {
+			return nil, err
+		}
+		rep.Schedule, rep.Makespan = s, s.Makespan()
 	}
 	rep.Elapsed = time.Since(start)
 	if err := rep.Schedule.Validate(g, tab); err != nil {
 		return nil, fmt.Errorf("sim: %s produced an invalid schedule: %w", rep.Algorithm, err)
 	}
-	return rep, nil
-}
-
-func allocatorByName(name string, seed int64) (alloc.Allocator, error) {
-	switch name {
-	case "one":
-		return alloc.OneEach{}, nil
-	case "random":
-		return alloc.Random{Seed: seed}, nil
-	case "cpa":
-		return alloc.CPA{}, nil
-	case "hcpa":
-		return alloc.HCPA{}, nil
-	case "mcpa":
-		return alloc.MCPA{}, nil
-	case "mcpa2":
-		return alloc.MCPA2{}, nil
-	case "bicpa":
-		return alloc.BiCPA{Theta: 0.5}, nil
-	case "delta-cp", "deltacp":
-		return alloc.DeltaCP{Delta: 0.9}, nil
-	}
-	return nil, fmt.Errorf("%w %q (have %s)",
-		ErrUnknownAlgorithm, name, strings.Join(AlgorithmNames(), ", "))
+	return rep, runErr
 }
 
 // Compare runs several algorithms on the same instance (sharing one
 // execution-time table and seed) and returns the reports sorted by makespan.
-func Compare(g *dag.Graph, cluster platform.Cluster, modelName string, algorithms []string, seed int64) ([]*Report, error) {
+func Compare(g *dag.Graph, cluster platform.Cluster, modelName string, algos []string, seed int64) ([]*Report, error) {
 	m, err := ModelByName(modelName)
 	if err != nil {
 		return nil, err
@@ -265,8 +295,8 @@ func Compare(g *dag.Graph, cluster platform.Cluster, modelName string, algorithm
 	if err != nil {
 		return nil, err
 	}
-	reports := make([]*Report, 0, len(algorithms))
-	for _, algo := range algorithms {
+	reports := make([]*Report, 0, len(algos))
+	for _, algo := range algos {
 		r, err := RunTable(g, cluster, tab, algo, seed)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s: %w", algo, err)

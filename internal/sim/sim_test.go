@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,5 +157,63 @@ func TestCompareUnknownAlgorithmNamesOffender(t *testing.T) {
 	_, err := Compare(g, platform.Chti(), "amdahl", []string{"cpa", "bogus"}, 1)
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("err = %v, want mention of offender", err)
+	}
+}
+
+// TestResolveNameTable pins the name table: the canonical names keep their
+// order with random listed last, aliases and every letter case resolve to
+// the canonical name, each model's Name is its canonical name, and each
+// algorithm's plan holds what its kind runs.
+func TestResolveNameTable(t *testing.T) {
+	wantModels := []string{"amdahl", "synthetic", "synthetic-literal", "synthetic-monotone", "downey"}
+	if got := ModelNames(); !slices.Equal(got, wantModels) {
+		t.Fatalf("ModelNames() = %v, want %v", got, wantModels)
+	}
+	wantAlgos := []string{"one", "cpa", "hcpa", "mcpa", "mcpa2", "bicpa", "delta-cp", "eft", "emts5", "emts10", "random"}
+	if got := AlgorithmNames(); !slices.Equal(got, wantAlgos) {
+		t.Fatalf("AlgorithmNames() = %v, want %v", got, wantAlgos)
+	}
+	for _, c := range []struct{ model, algo, wantModel, wantAlgo string }{
+		{"model1", "emts", "amdahl", "emts5"},
+		{"MODEL2", "OneStep", "synthetic", "eft"},
+		{"Synthetic-Monotone", "deltacp", "synthetic-monotone", "delta-cp"},
+		{"DOWNEY", "EMTS10", "downey", "emts10"},
+	} {
+		p, err := Resolve(c.model, c.algo, 1)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.model, c.algo, err)
+		}
+		if p.ModelName != c.wantModel || p.Algorithm != c.wantAlgo {
+			t.Fatalf("%s/%s resolved to %s/%s, want %s/%s", c.model, c.algo, p.ModelName, p.Algorithm, c.wantModel, c.wantAlgo)
+		}
+	}
+	for _, name := range ModelNames() {
+		p, err := Resolve(name, "cpa", 1)
+		if err != nil || p.ModelName != name || p.Model.Name() != name {
+			t.Fatalf("%s: plan %+v, err %v", name, p, err)
+		}
+	}
+	for _, name := range AlgorithmNames() {
+		p, err := Resolve("amdahl", name, 9)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		switch name {
+		case "emts5", "emts10":
+			if p.Params == nil || p.Params.Seed != 9 || p.Allocator != nil {
+				t.Fatalf("%s: plan %+v, want seeded EMTS params only", name, p)
+			}
+		case "eft":
+			if p.Params != nil || p.Allocator != nil {
+				t.Fatalf("%s: plan %+v, want neither params nor allocator", name, p)
+			}
+		default:
+			if p.Params != nil || p.Allocator == nil || p.Allocator.Name() != name {
+				t.Fatalf("%s: plan %+v, want its allocator only", name, p)
+			}
+		}
+	}
+	if _, err := Resolve("nope", "nope", 1); !errors.Is(err, ErrUnknownModel) {
+		t.Fatalf("both names unknown: err = %v, want the model reported", err)
 	}
 }

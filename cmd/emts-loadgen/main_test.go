@@ -8,70 +8,35 @@ import (
 	"testing"
 	"time"
 
+	"emts/internal/loadgen"
 	"emts/internal/server"
 )
 
-func TestGenerateSpecs(t *testing.T) {
-	for _, spec := range []string{"fft8", "strassen", "random20"} {
-		g, err := generate(spec, 1)
-		if err != nil {
-			t.Fatalf("generate(%q): %v", spec, err)
-		}
-		if g.NumTasks() == 0 {
-			t.Fatalf("generate(%q): empty graph", spec)
-		}
-	}
-	for _, spec := range []string{"fftx", "random", "cube3"} {
-		if _, err := generate(spec, 1); err == nil {
-			t.Fatalf("generate(%q): want error", spec)
-		}
+// opts builds the test defaults.
+func opts(url string, conc, seeds int, duration time.Duration, rps float64) loadgen.Options {
+	return loadgen.Options{
+		URL: url, Graphs: "fft4", Algo: "cpa", Model: "synthetic", Cluster: "chti",
+		Conc: conc, Seeds: seeds, Seed: 1,
+		Duration: duration, Timeout: 5 * time.Second, RPS: rps,
 	}
 }
 
-func TestBuildBodies(t *testing.T) {
-	bodies, err := buildBodies("fft4,strassen", "emts5", "synthetic", "chti", 3, 1, 0)
+// readSummary decodes a -json file.
+func readSummary(t *testing.T, path string) (loadgen.Summary, map[string]any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bodies) != 6 { // 2 workloads x 3 seeds
-		t.Fatalf("len(bodies) = %d, want 6", len(bodies))
+	var s loadgen.Summary
+	var keys map[string]any
+	if err := json.Unmarshal(b, &s); err != nil {
+		t.Fatalf("summary JSON: %v\n%s", err, b)
 	}
-	if _, err := buildBodies(" , ", "emts5", "synthetic", "chti", 1, 1, 0); err == nil {
-		t.Fatal("empty workload list accepted")
+	if err := json.Unmarshal(b, &keys); err != nil {
+		t.Fatalf("summary JSON: %v\n%s", err, b)
 	}
-}
-
-func TestPercentile(t *testing.T) {
-	cases := []struct {
-		n    int
-		q    float64
-		want time.Duration
-	}{
-		{10, 0.50, 5}, {10, 0.90, 9}, {10, 0.95, 10}, {10, 0.99, 10}, {10, 1.0, 10},
-		// q·n = 10.45, so the nearest rank is the 11th sample, not the 10th.
-		{11, 0.95, 11},
-	}
-	for _, tc := range cases {
-		all := make([]time.Duration, tc.n)
-		for i := range all {
-			all[i] = time.Duration(i + 1)
-		}
-		if got := percentile(all, tc.q); got != tc.want {
-			t.Errorf("percentile(n=%d, %.2f) = %d, want %d", tc.n, tc.q, got, tc.want)
-		}
-	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Errorf("percentile(nil) = %d, want 0", got)
-	}
-}
-
-// opts builds a loadOpts with the test defaults.
-func opts(url string, conc, seeds int, duration time.Duration, rps float64, jsonOut string) loadOpts {
-	return loadOpts{
-		url: url, graphs: "fft4", algo: "cpa", model: "synthetic", cluster: "chti",
-		conc: conc, seeds: seeds, seed: 1,
-		duration: duration, timeout: 5 * time.Second, rps: rps, jsonOut: jsonOut,
-	}
+	return s, keys
 }
 
 // TestRunAgainstServer drives the full closed loop against a real in-process
@@ -83,7 +48,7 @@ func TestRunAgainstServer(t *testing.T) {
 	defer ts.Close()
 
 	var out strings.Builder
-	err := run(&out, opts(ts.URL, 2, 2, 300*time.Millisecond, 0, ""))
+	err := run(&out, opts(ts.URL, 2, 2, 300*time.Millisecond, 0), "")
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -107,20 +72,13 @@ func TestRunDirectRoundRobin(t *testing.T) {
 	}
 
 	jsonPath := t.TempDir() + "/summary.json"
-	o := opts("", 2, 2, 400*time.Millisecond, 0, jsonPath)
-	o.direct = strings.Join(urls, ",")
+	o := opts("", 2, 2, 400*time.Millisecond, 0)
+	o.Direct = strings.Join(urls, ",")
 	var out strings.Builder
-	if err := run(&out, o); err != nil {
+	if err := run(&out, o, jsonPath); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	b, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s summary
-	if err := json.Unmarshal(b, &s); err != nil {
-		t.Fatalf("summary JSON: %v\n%s", err, b)
-	}
+	s, _ := readSummary(t, jsonPath)
 	if s.Instances["b1"] == 0 || s.Instances["b2"] == 0 {
 		t.Fatalf("round-robin left a backend idle: %+v\n%s", s.Instances, out.String())
 	}
@@ -135,7 +93,7 @@ func TestRunOpenLoop(t *testing.T) {
 
 	jsonPath := t.TempDir() + "/summary.json"
 	var out strings.Builder
-	err := run(&out, opts(ts.URL, 1, 2, 500*time.Millisecond, 40, jsonPath))
+	err := run(&out, opts(ts.URL, 1, 2, 500*time.Millisecond, 40), jsonPath)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -145,14 +103,7 @@ func TestRunOpenLoop(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
 	}
-	b, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s summary
-	if err := json.Unmarshal(b, &s); err != nil {
-		t.Fatalf("summary JSON: %v\n%s", err, b)
-	}
+	s, _ := readSummary(t, jsonPath)
 	if s.Mode != "open" || s.OfferedRPS != 40 || s.Requests == 0 || s.P50Ms <= 0 {
 		t.Fatalf("summary %+v not filled", s)
 	}
@@ -163,25 +114,47 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
-func TestTargets(t *testing.T) {
-	got, err := targets("http://h:1/", "")
-	if err != nil || len(got) != 1 || got[0] != "http://h:1/v1/schedule" {
-		t.Fatalf("targets(url) = %v, %v", got, err)
+func TestRunRejectsBadConcurrency(t *testing.T) {
+	if err := run(&strings.Builder{}, opts("http://localhost:0", 0, 1, time.Millisecond, 0), ""); err == nil {
+		t.Fatal("want error for -c 0")
 	}
-	got, err = targets("ignored", "h1:1, http://h2:2/")
-	if err != nil || len(got) != 2 || got[0] != "http://h1:1/v1/schedule" || got[1] != "http://h2:2/v1/schedule" {
-		t.Fatalf("targets(direct) = %v, %v", got, err)
-	}
-	if _, err := targets("ignored", " , "); err == nil {
-		t.Fatal("empty -direct accepted")
+	if err := run(&strings.Builder{}, opts("http://localhost:0", 1, 1, time.Millisecond, -5), ""); err == nil {
+		t.Fatal("want error for -rps -5")
 	}
 }
 
-func TestRunRejectsBadConcurrency(t *testing.T) {
-	if err := run(&strings.Builder{}, opts("http://localhost:0", 0, 1, time.Millisecond, 0, "")); err == nil {
-		t.Fatal("want error for -c 0")
+// TestRunJobsMode drives the async job API against an in-process server with
+// every second job cancelled at generation 1 (EMTS10 on 100 tasks runs long
+// enough for most cancels to land mid-run), and checks the -json summary
+// against the conditions of CI's jobs gate that do not depend on timing.
+func TestRunJobsMode(t *testing.T) {
+	svc := server.New(server.Config{Workers: 2, SSEKeepAlive: time.Hour})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	o := opts(ts.URL, 2, 1, 500*time.Millisecond, 0)
+	o.Graphs, o.Algo, o.Jobs, o.CancelAt = "random100", "emts10", true, 1
+	jsonPath := t.TempDir() + "/summary.json"
+	var out strings.Builder
+	if err := run(&out, o, jsonPath); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	if err := run(&strings.Builder{}, opts("http://localhost:0", 1, 1, time.Millisecond, -5, "")); err == nil {
-		t.Fatal("want error for -rps -5")
+	s, keys := readSummary(t, jsonPath)
+	for _, k := range []string{"mode", "jobs_submitted", "jobs_cancelled", "anytime_ok", "jobs_failed",
+		"sse_mismatch", "sse_generation_events", "generations", "codes"} {
+		if _, ok := keys[k]; !ok {
+			t.Fatalf("summary lacks %q:\n%v", k, keys)
+		}
+	}
+	if s.Mode != "jobs" || s.Submitted < 1 {
+		t.Fatalf("mode %q, %d jobs submitted, want jobs and >= 1\n%s", s.Mode, s.Submitted, out.String())
+	}
+	if s.AnytimeOK != s.Cancelled || s.Failed != 0 || s.SSEMismatch != 0 || s.SSEEvents != s.Generations {
+		t.Fatalf("jobs gate conditions violated: %+v generations %d\n%s", *s.JobStats, s.Generations, out.String())
+	}
+	for code, n := range s.Codes {
+		if strings.HasPrefix(code, "5") {
+			t.Fatalf("%d responses with status %s\n%s", n, code, out.String())
+		}
 	}
 }

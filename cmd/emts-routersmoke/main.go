@@ -14,11 +14,13 @@
 //     to every backend's direct answer for a sample corpus,
 //
 // then writes the whole comparison to a JSON artifact (BENCH_PR8.json in
-// CI).
+// CI). Load comes from internal/loadgen, the code behind emts-loadgen, run
+// in process: each phase's report goes to stdout and its summary into the
+// artifact.
 //
 // Usage:
 //
-//	emts-routersmoke -serve ./emts-serve -router ./emts-router -loadgen ./emts-loadgen
+//	emts-routersmoke -serve ./emts-serve -router ./emts-router
 //	                 [-out artifacts/BENCH_PR8.json] [-base-port 18090]
 //	                 [-duration 6s] [-warmup 2s] [-rps 25] [-c 6]
 //
@@ -43,38 +45,34 @@ import (
 	"syscall"
 	"time"
 
-	"emts/internal/daggen"
-	"emts/internal/server"
+	"emts/internal/loadgen"
 )
 
 func main() {
 	var (
-		serveBin   = flag.String("serve", "", "path to the emts-serve binary (required)")
-		routerBin  = flag.String("router", "", "path to the emts-router binary (required)")
-		loadgenBin = flag.String("loadgen", "", "path to the emts-loadgen binary (required)")
-		out        = flag.String("out", "artifacts/BENCH_PR8.json", "artifact path")
-		basePort   = flag.Int("base-port", 18090, "router listens here, backends on the next three ports")
-		duration   = flag.Duration("duration", 6*time.Second, "measured run duration")
-		warmup     = flag.Duration("warmup", 3*time.Second, "cache warmup duration before each measured phase")
-		rps        = flag.Float64("rps", 25, "open-loop rate for the affinity comparison")
-		conc       = flag.Int("c", 6, "closed-loop workers for the capacity comparison")
-		note       = flag.String("note", "", "free-form annotation recorded in the artifact")
+		serveBin  = flag.String("serve", "", "path to the emts-serve binary (required)")
+		routerBin = flag.String("router", "", "path to the emts-router binary (required)")
+		out       = flag.String("out", "artifacts/BENCH_PR8.json", "artifact path")
+		basePort  = flag.Int("base-port", 18090, "router listens here, backends on the next three ports")
+		duration  = flag.Duration("duration", 6*time.Second, "measured run duration")
+		warmup    = flag.Duration("warmup", 3*time.Second, "cache warmup duration before each measured phase")
+		rps       = flag.Float64("rps", 25, "open-loop rate for the affinity comparison")
+		conc      = flag.Int("c", 6, "closed-loop workers for the capacity comparison")
+		note      = flag.String("note", "", "free-form annotation recorded in the artifact")
 	)
 	flag.Parse()
-	if *serveBin == "" || *routerBin == "" || *loadgenBin == "" {
-		fmt.Fprintln(os.Stderr, "emts-routersmoke: -serve, -router, and -loadgen are required")
+	if *serveBin == "" || *routerBin == "" {
+		fmt.Fprintln(os.Stderr, "emts-routersmoke: -serve and -router are required")
 		os.Exit(2)
 	}
 	h := &harness{
-		serveBin:   *serveBin,
-		routerBin:  *routerBin,
-		loadgenBin: *loadgenBin,
-		basePort:   *basePort,
-		duration:   *duration,
-		warmup:     *warmup,
-		rps:        *rps,
-		conc:       *conc,
-		tmp:        os.TempDir(),
+		serveBin:  *serveBin,
+		routerBin: *routerBin,
+		basePort:  *basePort,
+		duration:  *duration,
+		warmup:    *warmup,
+		rps:       *rps,
+		conc:      *conc,
 	}
 	if err := h.run(*out, *note); err != nil {
 		fmt.Fprintln(os.Stderr, "emts-routersmoke:", err)
@@ -84,7 +82,7 @@ func main() {
 
 // The workload: 12 structurally distinct random PTGs × 4 seeds = 48 response
 // keys, against backends bounded at 32 response entries and 8 interned
-// graphs. graphList must stay in sync with corpusGraphs below.
+// graphs.
 const (
 	graphList    = "random50,random51,random52,random53,random54,random55,random56,random57,random58,random59,random60,random61"
 	seedsPerG    = 4
@@ -93,20 +91,6 @@ const (
 	graphLRU     = 8
 	tableLRU     = 12
 )
-
-// summary mirrors the fields of emts-loadgen's -json output the gates read.
-type summary struct {
-	Mode           string         `json:"mode"`
-	Requests       int            `json:"requests"`
-	AchievedRPS    float64        `json:"achieved_rps"`
-	Codes          map[string]int `json:"codes"`
-	CacheHitPct    float64        `json:"cache_hit_pct"`
-	InternGraphPct float64        `json:"intern_graph_hit_pct"`
-	InternTablePct float64        `json:"intern_table_hit_pct"`
-	Instances      map[string]int `json:"instances,omitempty"`
-	P50Ms          float64        `json:"p50_ms"`
-	P95Ms          float64        `json:"p95_ms"`
-}
 
 // artifact is the committed comparison record.
 type artifact struct {
@@ -122,10 +106,10 @@ type artifact struct {
 	ClosedConc   int     `json:"closed_loop_workers"`
 	DurationSec  float64 `json:"duration_sec"`
 
-	RouterOpen   summary `json:"router_open"`
-	RoundRobin   summary `json:"roundrobin_open"`
-	RouterClosed summary `json:"router_closed"`
-	Single       summary `json:"single_closed"`
+	RouterOpen   loadgen.Summary `json:"router_open"`
+	RoundRobin   loadgen.Summary `json:"roundrobin_open"`
+	RouterClosed loadgen.Summary `json:"router_closed"`
+	Single       loadgen.Summary `json:"single_closed"`
 
 	AffinityGraphDelta float64 `json:"affinity_graph_delta_pct"` // router - rr
 	AffinityCacheDelta float64 `json:"affinity_cache_delta_pct"`
@@ -134,12 +118,21 @@ type artifact struct {
 }
 
 type harness struct {
-	serveBin, routerBin, loadgenBin string
-	basePort                        int
-	duration, warmup                time.Duration
-	rps                             float64
-	conc                            int
-	tmp                             string
+	serveBin, routerBin string
+	basePort            int
+	duration, warmup    time.Duration
+	rps                 float64
+	conc                int
+}
+
+// workload is the request mix of every phase, in a closed loop of h.conc
+// workers, and of the byte-identity corpus.
+func (h *harness) workload() loadgen.Options {
+	return loadgen.Options{
+		Graphs: graphList, Seeds: seedsPerG, Seed: 1,
+		Algo: algo, Model: "synthetic", Cluster: "chti",
+		Conc: h.conc, Timeout: 2 * time.Minute,
+	}
 }
 
 func (h *harness) run(outPath, note string) error {
@@ -168,19 +161,18 @@ func (h *harness) run(outPath, note string) error {
 	// router (each backend fills with its own shard), then measure the
 	// open-loop affinity run and the closed-loop capacity run, then check
 	// byte identity while the trio is still up.
+	router := h.workload()
+	router.URL = "http://" + routerAddr
 	err := h.withBackends(backendAddrs, func() error {
 		return h.withRouter(routerAddr, backendAddrs, func() error {
-			if err := h.loadgen("-url", "http://"+routerAddr, "-c", strconv.Itoa(h.conc),
-				"-duration", h.warmup.String()); err != nil {
+			if _, err := load(router, h.warmup, 0); err != nil {
 				return fmt.Errorf("router warmup: %w", err)
 			}
 			var err error
-			if art.RouterOpen, err = h.measure("router_open",
-				"-url", "http://"+routerAddr, "-rps", fmt.Sprint(h.rps)); err != nil {
+			if art.RouterOpen, err = h.measure("router_open", router, h.rps); err != nil {
 				return err
 			}
-			if art.RouterClosed, err = h.measure("router_closed",
-				"-url", "http://"+routerAddr, "-c", strconv.Itoa(h.conc)); err != nil {
+			if art.RouterClosed, err = h.measure("router_closed", router, 0); err != nil {
 				return err
 			}
 			ok, err := h.byteIdentity(routerAddr, backendAddrs)
@@ -197,15 +189,14 @@ func (h *harness) run(outPath, note string) error {
 
 	// Phase B: a fresh trio swept round-robin with no router — the
 	// no-affinity baseline. Warm the same way it is measured.
-	direct := strings.Join(backendAddrs, ",")
+	direct := h.workload()
+	direct.Direct = strings.Join(backendAddrs, ",")
 	err = h.withBackends(backendAddrs, func() error {
-		if err := h.loadgen("-direct", direct, "-c", strconv.Itoa(h.conc),
-			"-duration", h.warmup.String()); err != nil {
+		if _, err := load(direct, h.warmup, 0); err != nil {
 			return fmt.Errorf("roundrobin warmup: %w", err)
 		}
 		var err error
-		art.RoundRobin, err = h.measure("roundrobin_open",
-			"-direct", direct, "-rps", fmt.Sprint(h.rps))
+		art.RoundRobin, err = h.measure("roundrobin_open", direct, h.rps)
 		return err
 	})
 	if err != nil {
@@ -214,14 +205,14 @@ func (h *harness) run(outPath, note string) error {
 
 	// Phase C: one fresh constrained backend under the same closed-loop
 	// offered load — the scale-up denominator.
+	single := h.workload()
+	single.URL = "http://" + backendAddrs[0]
 	err = h.withBackends(backendAddrs[:1], func() error {
-		if err := h.loadgen("-url", "http://"+backendAddrs[0], "-c", strconv.Itoa(h.conc),
-			"-duration", h.warmup.String()); err != nil {
+		if _, err := load(single, h.warmup, 0); err != nil {
 			return fmt.Errorf("single warmup: %w", err)
 		}
 		var err error
-		art.Single, err = h.measure("single_closed",
-			"-url", "http://"+backendAddrs[0], "-c", strconv.Itoa(h.conc))
+		art.Single, err = h.measure("single_closed", single, 0)
 		return err
 	})
 	if err != nil {
@@ -234,7 +225,7 @@ func (h *harness) run(outPath, note string) error {
 		art.ThroughputRatio = art.RouterClosed.AchievedRPS / art.Single.AchievedRPS
 	}
 
-	if err := h.gate(&art); err != nil {
+	if err := gate(&art); err != nil {
 		// Write the artifact even on gate failure: the numbers are the
 		// diagnosis.
 		writeArtifact(outPath, &art)
@@ -248,8 +239,8 @@ func (h *harness) run(outPath, note string) error {
 	return nil
 }
 
-// gate enforces the PR 8 acceptance criteria.
-func (h *harness) gate(art *artifact) error {
+// gate enforces the scale-out tier's acceptance criteria.
+func gate(art *artifact) error {
 	var fails []string
 	if art.RouterOpen.InternGraphPct <= art.RoundRobin.InternGraphPct {
 		fails = append(fails, fmt.Sprintf("graph-intern hit rate: router %.1f%% <= roundrobin %.1f%%",
@@ -268,7 +259,7 @@ func (h *harness) gate(art *artifact) error {
 	}
 	for _, s := range []struct {
 		name string
-		sum  summary
+		sum  loadgen.Summary
 	}{{"router_open", art.RouterOpen}, {"roundrobin_open", art.RoundRobin},
 		{"router_closed", art.RouterClosed}, {"single_closed", art.Single}} {
 		if n := fiveHundreds(s.sum.Codes); n > 0 {
@@ -300,37 +291,22 @@ func fiveHundreds(codes map[string]int) int {
 	return n
 }
 
-// measure runs one loadgen pass with the standard workload and parses its
-// JSON summary.
-func (h *harness) measure(name string, extra ...string) (summary, error) {
-	path := h.tmp + "/routersmoke-" + name + ".json"
-	args := append([]string{"-duration", h.duration.String(), "-json", path}, extra...)
-	if err := h.loadgen(args...); err != nil {
-		return summary{}, fmt.Errorf("%s: %w", name, err)
-	}
-	b, err := os.ReadFile(path)
+// measure runs one measured pass and prints its digest.
+func (h *harness) measure(name string, o loadgen.Options, rps float64) (loadgen.Summary, error) {
+	s, err := load(o, h.duration, rps)
 	if err != nil {
-		return summary{}, err
-	}
-	var s summary
-	if err := json.Unmarshal(b, &s); err != nil {
-		return summary{}, fmt.Errorf("%s summary: %w", name, err)
+		return s, fmt.Errorf("%s: %w", name, err)
 	}
 	fmt.Printf("routersmoke %s: %.1f req/s, cache %.1f%%, intern graph %.1f%% table %.1f%%, p50 %.1fms p95 %.1fms\n",
 		name, s.AchievedRPS, s.CacheHitPct, s.InternGraphPct, s.InternTablePct, s.P50Ms, s.P95Ms)
 	return s, nil
 }
 
-// loadgen invokes the load generator with the standard workload flags.
-func (h *harness) loadgen(extra ...string) error {
-	args := append([]string{
-		"-graphs", graphList, "-seeds", strconv.Itoa(seedsPerG), "-algo", algo,
-		"-timeout", "2m",
-	}, extra...)
-	cmd := exec.Command(h.loadgenBin, args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	return cmd.Run()
+// load drives one pass of o for d, in an open loop at rps when rps > 0,
+// and prints the load report to stdout, as emts-loadgen does.
+func load(o loadgen.Options, d time.Duration, rps float64) (loadgen.Summary, error) {
+	o.Duration, o.RPS = d, rps
+	return loadgen.Run(os.Stdout, o)
 }
 
 // withBackends starts one constrained emts-serve per address, runs f, and
@@ -416,29 +392,11 @@ func waitReady(base string) error {
 // every backend and compares bodies: the response is a pure function of the
 // request, so all four answers must be equal.
 func (h *harness) byteIdentity(routerAddr string, backendAddrs []string) (bool, error) {
-	costs := daggen.DefaultCosts()
-	var bodies [][]byte
-	for _, n := range []int{50, 55, 61} {
-		g, err := daggen.Random(daggen.RandomConfig{N: n, Width: 0.5, Regularity: 0.8, Density: 0.5, Jump: 1}, costs, 1)
-		if err != nil {
-			return false, err
-		}
-		raw, err := json.Marshal(g)
-		if err != nil {
-			return false, err
-		}
-		for seed := int64(1); seed <= 2; seed++ {
-			body, err := json.Marshal(server.ScheduleRequest{
-				Graph:     raw,
-				Cluster:   server.ClusterSpec{Preset: "chti"},
-				Algorithm: algo,
-				Seed:      seed,
-			})
-			if err != nil {
-				return false, err
-			}
-			bodies = append(bodies, body)
-		}
+	sample := h.workload()
+	sample.Graphs, sample.Seeds = "random50,random55,random61", 2
+	bodies, err := loadgen.Bodies(sample)
+	if err != nil {
+		return false, err
 	}
 	for i, body := range bodies {
 		routed, code, err := postOnce("http://"+routerAddr, body)

@@ -139,7 +139,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	jb, created, jerr := s.jobStore.GetOrCreate(id, parsed.key, cancel)
 	if jerr != nil {
 		cancel()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		s.setRetryAfter(w)
 		writeJSONError(w, http.StatusTooManyRequests, "job store full", "")
 		return
 	}
@@ -183,27 +183,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.admission.RLock()
-	if s.draining {
-		s.admission.RUnlock()
+	if err := s.enqueue(wj); err != nil {
+		// Roll back before answering, so a client that reads the refusal
+		// finds no trace of the job.
 		s.jobStore.Remove(id)
 		cancel()
-		writeJSONError(w, http.StatusServiceUnavailable, "server is shutting down", "")
-		return
-	}
-	admitted := false
-	//schedlint:allow lockscope -- send-vs-close protocol shared with handleSchedule: the non-blocking send must happen under the read lock so Shutdown can close the queue safely
-	select {
-	case s.queue <- wj:
-		admitted = true
-	default:
-	}
-	s.admission.RUnlock()
-	if !admitted {
-		s.jobStore.Remove(id)
-		cancel()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		writeJSONError(w, http.StatusTooManyRequests, "admission queue full", "")
+		s.refuse(w, err)
 		return
 	}
 

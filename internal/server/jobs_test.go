@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -490,6 +491,64 @@ func TestJobQueueFullRollsBack(t *testing.T) {
 	}
 	if n := s.jobStore.Len(); n != 2 {
 		t.Fatalf("store holds %d jobs after rollback, want 2", n)
+	}
+}
+
+// TestJobSubmitDuringShutdown: once Shutdown has stopped admission, a job
+// submission answers 503 like /v1/schedule does, and the store entry it made
+// is rolled back.
+func TestJobSubmitDuringShutdown(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4, SSEKeepAlive: time.Hour})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	s.run = blockingRun(started, release)
+
+	// A synchronous request holds the only worker, so Shutdown stays in its
+	// drain until the stub is released.
+	code := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(scheduleBody(t, "mcpa", 1)))
+		if err != nil {
+			t.Error(err)
+			code <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	<-started
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownDone <- s.Shutdown(ctx)
+	}()
+	waitFor(t, func() bool {
+		s.admission.RLock()
+		defer s.admission.RUnlock()
+		return s.draining
+	})
+
+	resp := postJob(t, ts.URL, scheduleBody(t, "emts5", 2))
+	b := readAll(t, resp)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(b), "server is shutting down") {
+		t.Fatalf("submit during drain: %d %s, want 503 server is shutting down", resp.StatusCode, b)
+	}
+	if n := s.jobStore.Len(); n != 0 {
+		t.Fatalf("store holds %d jobs after a refused submit, want 0", n)
+	}
+
+	releaseOnce()
+	if c := <-code; c != http.StatusOK {
+		t.Fatalf("drained request finished with %d, want 200", c)
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }
 

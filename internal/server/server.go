@@ -532,24 +532,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	j := &job{ctx: ctx, parsed: parsed, result: make(chan jobResult, 1)}
-
-	s.admission.RLock()
-	if s.draining {
-		s.admission.RUnlock()
-		writeJSONError(w, http.StatusServiceUnavailable, "server is shutting down", "")
-		return
-	}
-	admitted := false
-	//schedlint:allow lockscope -- send-vs-close protocol: the send is non-blocking (default case) and MUST happen under the read lock, so Shutdown's write lock can guarantee no send is in flight when it closes the queue
-	select {
-	case s.queue <- j:
-		admitted = true
-	default:
-	}
-	s.admission.RUnlock()
-	if !admitted {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		writeJSONError(w, http.StatusTooManyRequests, "admission queue full", "")
+	if err := s.enqueue(j); err != nil {
+		s.refuse(w, err)
 		return
 	}
 
@@ -571,6 +555,46 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			writeJSONError(w, 499, "client cancelled", "")
 		}
 	}
+}
+
+// The reasons enqueue turns a job away, worded as the client reads them.
+var (
+	errDraining  = errors.New("server is shutting down")
+	errQueueFull = errors.New("admission queue full")
+)
+
+// enqueue offers j to the workers without blocking: nil when admitted,
+// errDraining once Shutdown has begun, errQueueFull when every queue slot
+// is taken.
+func (s *Server) enqueue(j *job) error {
+	s.admission.RLock()
+	defer s.admission.RUnlock()
+	if s.draining {
+		return errDraining
+	}
+	//schedlint:allow lockscope -- send-vs-close protocol: the send is non-blocking (default case) and MUST happen under the read lock, so Shutdown's write lock can guarantee no send is in flight when it closes the queue
+	select {
+	case s.queue <- j:
+		return nil
+	default:
+		return errQueueFull
+	}
+}
+
+// refuse answers a request enqueue turned away: 503 while draining, 429
+// with Retry-After when the queue is full.
+func (s *Server) refuse(w http.ResponseWriter, err error) {
+	if errors.Is(err, errDraining) {
+		writeJSONError(w, http.StatusServiceUnavailable, err.Error(), "")
+		return
+	}
+	s.setRetryAfter(w)
+	writeJSONError(w, http.StatusTooManyRequests, err.Error(), "")
+}
+
+// setRetryAfter stamps a 429 with RetryAfter in whole seconds, rounded up.
+func (s *Server) setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 }
 
 // maxTasks is the admission graph-size limit (0 = unlimited).

@@ -78,97 +78,224 @@ func (r Random) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, e
 	return a, nil
 }
 
-// cpaCore runs the CPA allocation loop. growable reports whether a task's
-// allocation may be incremented given the current allocation state; it is the
-// hook through which MCPA adds its level bound. onGrow is called after each
-// increment so bound bookkeeping can be updated.
+// cpaLoop is the CPA allocation loop of Rădulescu & van Gemund, shared by
+// CPA, HCPA, MCPA, MCPA2 and BiCPA. Starting from one processor per task,
+// each growth step grows the critical-path task whose increment most
+// reduces its average area T(v,s)/s. A task is only grown when that
+// reduction is strictly positive — under non-monotonic models (Model 2) this
+// makes the procedure stall early with small allocations, exactly the
+// behaviour the paper reports in Section V-B.
 //
-// The loop follows Rădulescu & van Gemund: starting from one processor per
-// task, while the critical-path length T_CP exceeds the average area
-// T_A = (1/P)·Σ s(v)·T(v, s(v)), grow the allocation of the critical-path
-// task whose increment most reduces its average area T(v,s)/s. A task is only
-// grown when that reduction is strictly positive — under non-monotonic models
-// (Model 2) this makes the procedure stall early with small allocations,
-// exactly the behaviour the paper reports in Section V-B.
-func cpaCore(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s schedule.Allocation) bool, onGrow func(v dag.TaskID)) schedule.Allocation {
-	procs := tab.Procs()
-	s := schedule.Ones(g.NumTasks())
-	cost := listsched.Cost(tab, s)
+// growable reports whether a task's allocation may be incremented given the
+// current allocation; it is the hook through which MCPA adds its level
+// bound. onGrow is called after each increment so bound bookkeeping can be
+// updated; it returns a task that gives one processor back in exchange (the
+// loop takes it), or -1.
+type cpaLoop struct {
+	g        *dag.Graph
+	tab      *model.Table
+	s        schedule.Allocation
+	growable func(v dag.TaskID, s schedule.Allocation) bool
+	onGrow   func(v dag.TaskID, s schedule.Allocation) dag.TaskID
+	// area = Σ s(v)·T(v, s(v)), maintained incrementally. A task that gives
+	// a processor back keeps its old term: MCPA2's stop rule has always read
+	// the area that way, and the CPA golden corpus pins it.
+	area    float64
+	levels  bottomLevels
+	sources []dag.TaskID
+	// steps counts growth steps. Each grows one allocation by one, so
+	// without give-backs there are at most V·(P−1); the loop stops at V·P.
+	steps int
+}
 
-	// area = Σ s(v)·T(v, s(v)) is maintained incrementally.
+func newCPALoop(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s schedule.Allocation) bool, onGrow func(v dag.TaskID, s schedule.Allocation) dag.TaskID) *cpaLoop {
+	s := schedule.Ones(g.NumTasks())
 	area := 0.0
 	for i := 0; i < g.NumTasks(); i++ {
 		area += tab.Time(dag.TaskID(i), 1)
 	}
+	return &cpaLoop{
+		g:        g,
+		tab:      tab,
+		s:        s,
+		growable: growable,
+		onGrow:   onGrow,
+		area:     area,
+		levels:   newBottomLevels(g, tab, s),
+		sources:  g.Sources(),
+	}
+}
 
-	// Bottom levels and the critical path are recomputed every iteration, so
-	// both reuse one buffer across the whole loop (the dominant allocation
-	// cost of seeding otherwise).
-	var bl []float64
-	path := make([]dag.TaskID, 0, g.NumTasks())
-	sources := g.Sources()
+// cpaCore runs the CPA loop to CPA's own stop rule, T_CP ≤ area/P, and
+// returns the allocation.
+func cpaCore(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s schedule.Allocation) bool, onGrow func(v dag.TaskID, s schedule.Allocation) dag.TaskID) schedule.Allocation {
+	c := newCPALoop(g, tab, growable, onGrow)
+	c.grow(tab.Procs())
+	return c.s
+}
 
-	// Each increment changes one allocation, so at most V·(P-1) iterations.
-	for iter := 0; iter < g.NumTasks()*procs; iter++ {
-		bl = g.BottomLevelsInto(cost, bl)
-		tcp := 0.0
-		for _, b := range bl {
-			if b > tcp {
-				tcp = b
-			}
-		}
-		ta := area / float64(procs)
-		if tcp <= ta {
-			break
-		}
-		// Walk the critical path from the highest-bottom-level source,
-		// breaking ties toward the smaller task ID exactly like
-		// dag.CriticalPath.
-		path = path[:0]
+// grow takes growth steps until the critical-path length T_CP is at most
+// the average area area/q, no critical-path task can beneficially grow, or
+// the loop has taken V·P steps; CPA stops at q = P. It reports whether it
+// took a step.
+func (c *cpaLoop) grow(q int) bool {
+	g, tab, s := c.g, c.tab, c.s
+	procs := tab.Procs()
+	grew := false
+	for ; c.steps < g.NumTasks()*procs; c.steps++ {
+		bl := c.levels.bl
+		// The critical path starts at the source with the largest bottom
+		// level and follows the successor with the largest one, ties toward
+		// the smaller task ID as in dag.CriticalPath. Times are positive, so
+		// no task's bottom level is below a successor's: the largest bottom
+		// level of all is that source's, which makes it T_CP.
 		cur := dag.TaskID(-1)
-		for _, src := range sources {
+		for _, src := range c.sources {
 			if cur == -1 || bl[src] > bl[cur] {
 				cur = src
 			}
 		}
+		if bl[cur] <= c.area/float64(q) {
+			break
+		}
+		best := dag.TaskID(-1)
+		bestGain := 0.0
 		for cur != -1 {
-			path = append(path, cur)
+			if sv := s[cur]; sv < procs && (c.growable == nil || c.growable(cur, s)) {
+				gain := tab.Time(cur, sv)/float64(sv) - tab.Time(cur, sv+1)/float64(sv+1)
+				if gain > bestGain {
+					bestGain = gain
+					best = cur
+				}
+			}
 			next := dag.TaskID(-1)
-			for _, s := range g.Successors(cur) {
-				if next == -1 || bl[s] > bl[next] {
-					next = s
+			for _, w := range g.Successors(cur) {
+				if next == -1 || bl[w] > bl[next] {
+					next = w
 				}
 			}
 			cur = next
 		}
-		best := dag.TaskID(-1)
-		bestGain := 0.0
-		for _, v := range path {
-			sv := s[v]
-			if sv >= procs || (growable != nil && !growable(v, s)) {
-				continue
-			}
-			gain := tab.Time(v, sv)/float64(sv) - tab.Time(v, sv+1)/float64(sv+1)
-			if gain > bestGain {
-				bestGain = gain
-				best = v
-			}
-		}
 		if best == -1 {
 			break // no critical-path task can beneficially grow
 		}
-		area -= float64(s[best]) * tab.Time(best, s[best])
+		c.area -= float64(s[best]) * tab.Time(best, s[best])
 		s[best]++
-		area += float64(s[best]) * tab.Time(best, s[best])
-		if onGrow != nil {
-			onGrow(best)
+		c.area += float64(s[best]) * tab.Time(best, s[best])
+		c.levels.mark(best)
+		if c.onGrow != nil {
+			if d := c.onGrow(best, s); d != -1 {
+				s[d]--
+				c.levels.mark(d)
+			}
+		}
+		c.levels.settle()
+		grew = true
+	}
+	return grew
+}
+
+// bottomLevels keeps the bottom levels of a changing allocation equal, bit
+// for bit, to a full sweep of it (dag.Graph.BottomLevelsInto with
+// listsched.Cost), while recomputing only the tasks whose value can change:
+// the ones whose allocation changed, and the predecessors of a changed task
+// whose largest successor value it held or now exceeds.
+type bottomLevels struct {
+	g   *dag.Graph
+	tab *model.Table
+	s   schedule.Allocation
+	bl  []float64
+	// maxSucc is each task's largest successor bottom level (0 for a sink)
+	// as of its last computation.
+	maxSucc []float64
+	// order is the topological order and pos each task's place in it.
+	// marked flags the places of the tasks waiting for recomputation; there
+	// are pending of them, none after place last.
+	order   []dag.TaskID
+	pos     []int
+	marked  []bool
+	pending int
+	last    int
+}
+
+// newBottomLevels computes the bottom levels of s. With every task marked,
+// the first settle is the full sweep.
+func newBottomLevels(g *dag.Graph, tab *model.Table, s schedule.Allocation) bottomLevels {
+	n := g.NumTasks()
+	order, _ := g.TopologicalOrder() // a built graph is acyclic
+	b := bottomLevels{
+		g:       g,
+		tab:     tab,
+		s:       s,
+		bl:      make([]float64, n),
+		maxSucc: make([]float64, n),
+		order:   order,
+		pos:     make([]int, n),
+		marked:  make([]bool, n),
+	}
+	for i, v := range order {
+		b.pos[v] = i
+		b.mark(v)
+	}
+	b.settle()
+	return b
+}
+
+// mark queues v for recomputation.
+func (b *bottomLevels) mark(v dag.TaskID) {
+	p := b.pos[v]
+	if b.marked[p] {
+		return
+	}
+	b.marked[p] = true
+	b.pending++
+	if p > b.last {
+		b.last = p
+	}
+}
+
+// settle recomputes the marked tasks in reverse topological order, as the
+// sweep visits them, with the sweep's own expression T(v, s(v)) + max over
+// successors. Every successor of a task comes later in the order, so each
+// recomputation reads final successor values. A task whose value changed
+// marks the predecessors whose largest successor value it held or now
+// exceeds, which come earlier; the others keep their largest successor
+// value and so their own. The walk stops at the last marked task.
+func (b *bottomLevels) settle() {
+	for p := b.last; b.pending > 0; p-- {
+		if !b.marked[p] {
+			continue
+		}
+		b.marked[p] = false
+		b.pending--
+		v := b.order[p]
+		maxSucc := 0.0
+		for _, w := range b.g.Successors(v) {
+			if b.bl[w] > maxSucc {
+				maxSucc = b.bl[w]
+			}
+		}
+		b.maxSucc[v] = maxSucc
+		val, old := b.tab.Time(v, b.s[v])+maxSucc, b.bl[v]
+		//schedlint:allow floateq -- bit-identity with the full sweep: an unchanged value leaves every ancestor's value unchanged
+		if val == old {
+			continue
+		}
+		b.bl[v] = val
+		for _, u := range b.g.Predecessors(v) {
+			//schedlint:allow floateq -- u's largest successor value moves only if v held it exactly or now exceeds it
+			if val > b.maxSucc[u] || old == b.maxSucc[u] {
+				b.mark(u)
+			}
 		}
 	}
-	return s
+	b.last = 0
 }
 
 // CPA is the Critical Path and Area-based allocator of Rădulescu & van
-// Gemund. Its allocation procedure has complexity O(V(V+E)P) (Section III-E).
+// Gemund. Section III-E gives its allocation procedure as O(V(V+E)P): up to
+// V·P growth steps, each with a bottom-level sweep. cpaLoop sweeps once and
+// then recomputes per step only the bottom levels that change.
 type CPA struct{}
 
 // Name implements Allocator.
@@ -252,7 +379,10 @@ func (MCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, error
 	growable := func(v dag.TaskID, s schedule.Allocation) bool {
 		return levelSum[level[v]] < procs
 	}
-	onGrow := func(v dag.TaskID) { levelSum[level[v]]++ }
+	onGrow := func(v dag.TaskID, s schedule.Allocation) dag.TaskID {
+		levelSum[level[v]]++
+		return -1
+	}
 	return cpaCore(g, tab, growable, onGrow), nil
 }
 
@@ -277,9 +407,7 @@ func (MCPA2) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, erro
 	for l, tasks := range byLevel {
 		levelSum[l] = len(tasks)
 	}
-	var alloc schedule.Allocation // captured for the reclaim step
 	growable := func(v dag.TaskID, s schedule.Allocation) bool {
-		alloc = s
 		if levelSum[level[v]] < procs {
 			return true
 		}
@@ -287,26 +415,24 @@ func (MCPA2) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, erro
 		// the level can donate a processor.
 		return donor(g, tab, s, byLevel[level[v]], v) != -1
 	}
-	onGrow := func(v dag.TaskID) {
+	onGrow := func(v dag.TaskID, s schedule.Allocation) dag.TaskID {
 		if levelSum[level[v]] < procs {
 			levelSum[level[v]]++
-			return
+			return -1
 		}
-		d := donor(g, tab, alloc, byLevel[level[v]], v)
-		if d != -1 {
-			alloc[d]-- // levelSum unchanged: one in, one out
-		} else {
+		d := donor(g, tab, s, byLevel[level[v]], v)
+		if d == -1 {
 			levelSum[level[v]]++ // defensive; growable should have prevented this
 		}
+		return d // the loop takes d's processor: levelSum unchanged, one in, one out
 	}
 	return cpaCore(g, tab, growable, onGrow), nil
 }
 
-// donor picks the task in tasks (excluding grown) with the smallest bottom
-// level among those holding more than one processor, or -1. Bottom levels are
-// approximated by the tasks' current execution times plus successors, which
-// cpaCore recomputes each iteration anyway; using the cheaper current
-// execution time T(v, s(v)) as the criticality proxy keeps this O(width).
+// donor picks the least critical task in tasks (excluding grown) among
+// those holding more than one processor, or -1. Criticality is approximated
+// by the task's current execution time T(v, s(v)) rather than its bottom
+// level, which keeps this O(width).
 func donor(g *dag.Graph, tab *model.Table, s schedule.Allocation, tasks []dag.TaskID, grown dag.TaskID) dag.TaskID {
 	best := dag.TaskID(-1)
 	bestTime := 0.0

@@ -6,9 +6,11 @@ import (
 	"testing/quick"
 
 	"emts/internal/dag"
+	"emts/internal/daggen"
 	"emts/internal/listsched"
 	"emts/internal/model"
 	"emts/internal/platform"
+	"emts/internal/schedule"
 )
 
 var testCluster = platform.Cluster{Name: "test", Procs: 16, SpeedGFlops: 1}
@@ -406,5 +408,53 @@ func TestCPAFamilyBeatsOneEachOnChain(t *testing.T) {
 		if ms > baseMS {
 			t.Errorf("%s makespan %g worse than one-each %g on a chain", a.Name(), ms, baseMS)
 		}
+	}
+}
+
+// Property: the CPA loop's incremental bottom levels equal a full sweep of
+// the current allocation, bit for bit, after every change — one task grown
+// per step, and sometimes a second one shrunk, as MCPA2's give-back does.
+func TestBottomLevelsMatchSweep(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := daggen.Random(daggen.RandomConfig{
+			N: 2 + rng.Intn(80), Width: 0.2 + 0.6*rng.Float64(), Regularity: rng.Float64(),
+			Density: 0.1 + 0.9*rng.Float64(), Jump: 1 + rng.Intn(3),
+		}, daggen.DefaultCosts(), seed)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		var m model.Model = model.Amdahl{}
+		if rng.Intn(2) == 0 {
+			m = model.Synthetic{}
+		}
+		c := platform.Chti()
+		tab := model.MustTable(g, m, c)
+		s := schedule.Ones(g.NumTasks())
+		levels := newBottomLevels(g, tab, s)
+		for step := 0; step < 200; step++ {
+			v := dag.TaskID(rng.Intn(g.NumTasks()))
+			if s[v] < c.Procs {
+				s[v]++
+				levels.mark(v)
+			}
+			if d := dag.TaskID(rng.Intn(g.NumTasks())); rng.Intn(3) == 0 && d != v && s[d] > 1 {
+				s[d]--
+				levels.mark(d)
+			}
+			levels.settle()
+			want := g.BottomLevels(listsched.Cost(tab, s))
+			for u := range want {
+				if levels.bl[u] != want[u] {
+					t.Logf("seed %d, step %d: bl[%d] = %v, sweep %v", seed, step, u, levels.bl[u], want[u])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

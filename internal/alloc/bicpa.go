@@ -17,11 +17,13 @@ import (
 // The algorithm re-runs CPA's growth loop against a sweep of virtual cluster
 // sizes q = 1..P: for size q, growth stops when T_CP <= area/q, so larger q
 // yields more aggressive allocations. Because the threshold only tightens as
-// q grows, the sweep is incremental — one pass of CPA growth generates every
-// candidate allocation. Each candidate is then mapped with the list
-// scheduler, and the final allocation minimizes the bi-criteria
-// scalarization makespan^(1-Theta) * work^Theta, where work is the consumed
-// processor-time (the resource criterion).
+// q grows, the sweep is incremental — one pass of CPA's own growth loop
+// (cpaLoop, with its incremental bottom levels) generates every candidate
+// allocation, carrying the allocation and its area from one q to the next.
+// Each candidate is then mapped with the list scheduler, and the final
+// allocation minimizes the bi-criteria scalarization
+// makespan^(1-Theta) * work^Theta, where work is the consumed processor-time
+// (the resource criterion).
 type BiCPA struct {
 	// Theta in [0, 1) weighs resource usage against makespan; 0 selects the
 	// pure-makespan candidate (default 0.5, an even tradeoff).
@@ -82,54 +84,26 @@ func (b BiCPA) Sweep(g *dag.Graph, tab *model.Table) ([]Candidate, error) {
 		stride = 1
 	}
 	procs := tab.Procs()
-	s := schedule.Ones(g.NumTasks())
-	cost := listsched.Cost(tab, s)
-
-	area := 0.0
-	for i := 0; i < g.NumTasks(); i++ {
-		area += tab.Time(dag.TaskID(i), 1)
+	c := newCPALoop(g, tab, nil, nil)
+	m, err := listsched.NewMapper(g, tab)
+	if err != nil {
+		return nil, err
 	}
-
 	var cands []Candidate
 	changedSinceLast := true // force the q=1 candidate
 	for q := 1; q <= procs; q += stride {
-		// Grow until T_CP <= area/q or no critical-path task benefits.
-		for iter := 0; iter < g.NumTasks()*procs; iter++ {
-			tcp := g.CriticalPathLength(cost)
-			if tcp <= area/float64(q) {
-				break
-			}
-			path, _ := g.CriticalPath(cost)
-			best := dag.TaskID(-1)
-			bestGain := 0.0
-			for _, v := range path {
-				sv := s[v]
-				if sv >= procs {
-					continue
-				}
-				gain := tab.Time(v, sv)/float64(sv) - tab.Time(v, sv+1)/float64(sv+1)
-				if gain > bestGain {
-					bestGain = gain
-					best = v
-				}
-			}
-			if best == -1 {
-				break
-			}
-			area -= float64(s[best]) * tab.Time(best, s[best])
-			s[best]++
-			area += float64(s[best]) * tab.Time(best, s[best])
+		if c.grow(q) {
 			changedSinceLast = true
 		}
 		if !changedSinceLast {
 			continue // identical to the previous candidate; skip the mapping
 		}
-		alloc := s.Clone()
-		ms, err := listsched.Makespan(g, tab, alloc)
+		alloc := c.s.Clone()
+		ms, err := m.Makespan(alloc)
 		if err != nil {
 			return nil, err
 		}
-		cands = append(cands, Candidate{Q: q, Alloc: alloc, Makespan: ms, Work: area})
+		cands = append(cands, Candidate{Q: q, Alloc: alloc, Makespan: ms, Work: c.area})
 		changedSinceLast = false
 	}
 	return cands, nil

@@ -2,10 +2,14 @@ package listsched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"emts/internal/dag"
+	"emts/internal/model"
 	"emts/internal/schedule"
 )
 
@@ -98,4 +102,119 @@ func mutateRandom(rng *rand.Rand, parent schedule.Allocation, k, procs int) sche
 		child[p] = 1 + rng.Intn(procs)
 	}
 	return child
+}
+
+// outcome is one bounded evaluation's result as the engine counts it: a
+// prefilter rejection, an in-loop rejection, or the makespan's bits.
+func outcome(f float64, err error) string {
+	switch {
+	case errors.Is(err, ErrRejectedPrefilter):
+		return "prefilter"
+	case errors.Is(err, ErrRejected):
+		return "rejected"
+	case err != nil:
+		return err.Error()
+	}
+	return bitsHex(f)
+}
+
+// checkHistoryIndependent evaluates a stream of steps mutated children of
+// parent through the long-lived Mapper warm and reports the first step whose
+// outcome differs from a fresh Mapper's ("" if none). Each child's bound is
+// drawn around the parent's makespan times scale, or set exactly at the
+// child's critical-path length, where the sweep's check just does not fire.
+// Children sometimes replace the parent, so the stream drifts as an EA
+// population does. Whenever a call remembers a new critical path, that path
+// must be dag.CriticalPath of the child.
+func checkHistoryIndependent(t testing.TB, warm *Mapper, parent schedule.Allocation, rng *rand.Rand, steps int, scale float64) string {
+	t.Helper()
+	full, err := warm.Makespan(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < steps; i++ {
+		child := mutateRandom(rng, parent, 1+rng.Intn(4), warm.procs)
+		bound := full * scale * (0.5 + rng.Float64())
+		if rng.Intn(3) == 0 {
+			bound = warm.g.CriticalPathLength(Cost(warm.tab, child))
+		}
+		fresh, err := NewMapper(warm.g, warm.tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := warm.witnessNext
+		got := outcome(warm.MakespanBounded(child, bound))
+		want := outcome(fresh.MakespanBounded(child, bound))
+		if got != want {
+			return fmt.Sprintf("step %d (bound %g): warm Mapper %s, fresh Mapper %s", i, bound, got, want)
+		}
+		if warm.witnessNext != next {
+			path, _ := warm.g.CriticalPath(Cost(warm.tab, child))
+			if !reflect.DeepEqual(warm.witness[next], path) {
+				return fmt.Sprintf("step %d: remembered %v, critical path %v", i, warm.witness[next], path)
+			}
+		}
+		if rng.Intn(4) == 0 {
+			parent = child
+		}
+	}
+	return ""
+}
+
+// historyInstance draws an instance for the history tests: half of them
+// with identical tasks, whose equal bottom levels exercise the critical-path
+// walk's tie-breaks.
+func historyInstance(rng *rand.Rand) (*dag.Graph, schedule.Allocation, *model.Table) {
+	if rng.Intn(2) == 0 {
+		return randomInstance(rng)
+	}
+	g, tab, alloc := gridInstance(rng, gridProcs[rng.Intn(len(gridProcs))], model.Amdahl{}, true)
+	return g, alloc, tab
+}
+
+// TestPrefilterHistoryIndependent: a Mapper carries its remembered critical
+// paths from call to call, and those must change only the work a bounded
+// call does. Across random instances, a long-lived Mapper's outcome on every
+// child of a drifting stream equals a fresh Mapper's.
+func TestPrefilterHistoryIndependent(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, parent, tab := historyInstance(rng)
+		warm, err := NewMapper(g, tab)
+		if err != nil {
+			return false
+		}
+		if msg := checkHistoryIndependent(t, warm, parent, rng, 60, 1); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzPrefilterHistoryIndependent is the fuzz-smoke version of
+// TestPrefilterHistoryIndependent: the fuzzed scale moves the stream's bounds
+// from mostly rejecting to mostly accepting.
+func FuzzPrefilterHistoryIndependent(f *testing.F) {
+	f.Add(int64(1), 1.0)
+	f.Add(int64(5), 0.6)
+	f.Add(int64(23), 1.3)
+	f.Add(int64(-8), 0.9)
+	f.Fuzz(func(t *testing.T, seed int64, scale float64) {
+		if scale != scale || scale <= 0 || scale > 1e6 {
+			return // NaN or useless bound
+		}
+		rng := rand.New(rand.NewSource(seed))
+		g, parent, tab := historyInstance(rng)
+		warm, err := NewMapper(g, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := checkHistoryIndependent(t, warm, parent, rng, 40, scale); msg != "" {
+			t.Fatalf("seed %d, scale %g: %s", seed, scale, msg)
+		}
+	})
 }

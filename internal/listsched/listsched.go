@@ -60,10 +60,11 @@ type Options struct {
 	// Fitness evaluation uses this to avoid per-task allocations.
 	SkipProcSets bool
 	// DisablePrefilter skips the O(V) admissible lower-bound prefilter that
-	// normally runs between the bottom-level sweep and the map loop when
-	// RejectAbove is set. The prefilter is exact — it fires only when the
-	// in-loop rejection check would also fire — so this switch exists purely
-	// for A/B regression tests and benchmarks.
+	// normally runs before the map loop when RejectAbove is set: the
+	// remembered critical paths and the area bound before the bottom-level
+	// sweep, the critical-path bound after it. The prefilter is exact — it
+	// fires only when the in-loop rejection check would also fire — so this
+	// switch exists purely for A/B regression tests and benchmarks.
 	DisablePrefilter bool
 }
 

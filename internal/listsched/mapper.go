@@ -30,15 +30,25 @@ type availStep struct {
 	n int
 }
 
+// witnessSlots is the number of critical paths a Mapper remembers from its
+// latest critical-path rejections (DESIGN.md §10, Layer 1).
+const witnessSlots = 4
+
 // Mapper is a reusable evaluation engine for the mapping step: it owns every
 // piece of per-call scratch state (bottom-level buffer, indegrees, ready
-// heap, availability profile, per-processor free times), so repeated calls
-// reuse the same arenas instead of reallocating them. After the first call
-// on a given (graph, table) pair, Makespan performs zero heap allocations and
-// never touches per-processor state, which is what makes the EA's fitness
-// evaluation — the dominant cost of EMTS (Section VI) — cheap enough to
-// scale to large populations and clusters. Every call recomputes the bottom
-// levels with one full reverse-topological sweep.
+// heap, availability profile, per-processor free times, remembered critical
+// paths), so repeated calls reuse the same arenas instead of reallocating
+// them. After the first call on a given (graph, table) pair, Makespan
+// performs zero heap allocations and never touches per-processor state,
+// which is what makes the EA's fitness evaluation — the dominant cost of
+// EMTS (Section VI) — cheap enough to scale to large populations and
+// clusters. Every call that is not rejected by a remembered path or the area
+// bound recomputes the bottom levels with one full reverse-topological
+// sweep.
+//
+// The remembered paths are the only state a Mapper carries from one call to
+// the next. They decide how much work a bounded call does, never its
+// outcome: every result is the same as a fresh Mapper's.
 //
 // A Mapper is NOT safe for concurrent use: each worker goroutine must own its
 // own instance (see ea.Config.EvaluatorFactory). Results are bit-identical to
@@ -51,6 +61,17 @@ type Mapper struct {
 	// topoOrder is the graph's topological order; the bottom-level sweep
 	// walks it backwards.
 	topoOrder []dag.TaskID
+	// sources are the tasks without predecessors, in ID order: the
+	// critical-path walk of a rejection starts at one of them.
+	sources []dag.TaskID
+	// witness holds the critical paths of the latest critical-path
+	// rejections, source first, each in a slot sized for the graph's depth
+	// (no path holds more tasks than there are precedence levels).
+	// witnessNext is the slot the next path overwrites; witnessLen counts the
+	// slots in use.
+	witness     [witnessSlots][]dag.TaskID
+	witnessNext int
+	witnessLen  int
 
 	st mapState
 }
@@ -67,11 +88,12 @@ func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
 		return nil, err
 	}
 	n, procs := g.NumTasks(), tab.Procs()
-	return &Mapper{
+	m := &Mapper{
 		g:         g,
 		tab:       tab,
 		procs:     procs,
 		topoOrder: order,
+		sources:   g.Sources(),
 		st: mapState{
 			bl:        make([]float64, n),
 			indeg:     make([]int, n),
@@ -80,7 +102,12 @@ func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
 			steps:     make([]availStep, 0, procs),
 			ready:     blHeap{items: make([]dag.TaskID, 0, n)},
 		},
-	}, nil
+	}
+	depth := g.Depth()
+	for i := range m.witness {
+		m.witness[i] = make([]dag.TaskID, 0, depth)
+	}
+	return m, nil
 }
 
 // Makespan maps the allocation and returns only the resulting makespan — the
@@ -186,10 +213,16 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 	}
 	g, tab, procs, st := m.g, m.tab, m.procs, &m.st
 	n := g.NumTasks()
+	// The prefilter (DESIGN.md §10, Layer 1) tries the cheap proofs first and
+	// stops at the first that rejects: the remembered critical paths, the
+	// area bound, and only then the sweep's critical-path bound.
+	prefilter := opt.RejectAbove > 0 && !opt.DisablePrefilter
+	if prefilter && (m.witnessReject(alloc, opt.RejectAbove) || areaReject(tab, procs, alloc, opt.RejectAbove)) {
+		return 0, ErrRejectedPrefilter
+	}
 	bl := st.bl[:n]
 	bottomLevelsRow(g, tab, alloc, bl, m.topoOrder)
-
-	if opt.RejectAbove > 0 && !opt.DisablePrefilter && prefilterReject(tab, procs, alloc, bl, opt.RejectAbove) {
+	if prefilter && m.criticalPathReject(bl, opt.RejectAbove) {
 		return 0, ErrRejectedPrefilter
 	}
 	indeg := st.indeg[:n]
@@ -323,39 +356,109 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 // is therefore preserved (DESIGN.md §10, Layer 1).
 const areaSlack = 1e-9
 
-// prefilterReject reports whether two O(V) admissible lower bounds on the
-// makespan already exceed bound, in which case the in-loop rejection check
-// is guaranteed to fire and the map loop can be skipped entirely:
+// The prefilter's three checks each prove, without the map loop, that a
+// bounded call would be rejected. Each fires only when one of two O(V)
+// admissible lower bounds on the makespan exceeds the bound, so a prefilter
+// rejection implies the in-loop check would have rejected as well: results
+// with the prefilter on and off are bit-identical.
 //
 //   - Critical-path bound: max_v bl(v). The first task popped by the map
 //     loop is the source with the largest bottom level, started at time 0,
 //     so its in-loop check start+bl = max bl fires iff this bound exceeds
-//     the threshold — the prefilter is exact for this bound, no slack
-//     needed.
+//     the threshold — exact, no slack needed. criticalPathReject reads it
+//     from the sweep; witnessReject proves it from a remembered path
+//     without the sweep.
 //   - Area bound: Σ s(v)·T(v,s(v)) / P. All work must fit into P processors
 //     within the makespan, so makespan ≥ area/P; compared with relative
 //     slack areaSlack to absorb summation rounding (see above).
+
+// witnessReject reports whether a remembered critical path, timed under
+// alloc, already exceeds bound. Paths are tried newest first, and only while
+// the tasks they hold sum to at most V, so a chain-like graph pays at most
+// one sweep's worth of lookups.
 //
-// Both are true lower bounds, so a prefilter rejection implies the in-loop
-// check would have rejected as well: results with the prefilter on and off
-// are bit-identical.
+// The sum runs right to left, acc = T(v, s(v)) + acc, the sweep's own
+// expression with acc in place of the largest successor bottom level. Float
+// addition is monotone, so the sum over any suffix of the path never exceeds
+// the sweep's bottom level of that suffix's first task, and so never
+// exceeds max bl: a path sum above bound proves that the sweep's
+// critical-path check would reject. Any path of the graph will do, whatever
+// allocation it was recorded under, which is why the remembered paths change
+// the cost of a call and never its outcome.
 //
 //schedlint:hotpath
-func prefilterReject(tab *model.Table, procs int, alloc schedule.Allocation, bl []float64, bound float64) bool {
+func (m *Mapper) witnessReject(alloc schedule.Allocation, bound float64) bool {
+	budget := len(alloc)
+	for i := 1; i <= m.witnessLen; i++ {
+		path := m.witness[(m.witnessNext-i+witnessSlots)%witnessSlots]
+		if budget -= len(path); budget < 0 {
+			return false
+		}
+		acc := 0.0
+		for j := len(path) - 1; j >= 0; j-- {
+			v := path[j]
+			acc = m.tab.Time(v, alloc[v]) + acc
+			if acc > bound {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// areaReject reports whether the area bound exceeds bound.
+//
+//schedlint:hotpath
+func areaReject(tab *model.Table, procs int, alloc schedule.Allocation, bound float64) bool {
+	area := 0.0
+	for v, s := range alloc {
+		area += float64(s) * tab.Time(dag.TaskID(v), s)
+	}
+	return area > bound*float64(procs)*(1+areaSlack)
+}
+
+// criticalPathReject reports whether the largest of the bottom levels bl
+// exceeds bound. On a rejection it remembers the critical path for
+// witnessReject, replacing the oldest remembered one: the walk starts at the
+// source with the largest bottom level and follows the successor with the
+// largest one, ties toward the smaller task ID, as dag.CriticalPath does.
+// Along that walk each bottom level is the task's time plus the next one's,
+// so the path's right-to-left sum under alloc is exactly max bl.
+//
+//schedlint:hotpath
+func (m *Mapper) criticalPathReject(bl []float64, bound float64) bool {
 	maxBL := 0.0
 	for _, b := range bl {
 		if b > maxBL {
 			maxBL = b
 		}
 	}
-	if maxBL > bound {
-		return true
+	if maxBL <= bound {
+		return false
 	}
-	area := 0.0
-	for v, s := range alloc {
-		area += float64(s) * tab.Time(dag.TaskID(v), s)
+	cur := dag.TaskID(-1)
+	for _, src := range m.sources {
+		if cur == -1 || bl[src] > bl[cur] {
+			cur = src
+		}
 	}
-	return area > bound*float64(procs)*(1+areaSlack)
+	path := m.witness[m.witnessNext][:0]
+	for cur != -1 {
+		path = append(path, cur)
+		next := dag.TaskID(-1)
+		for _, s := range m.g.Successors(cur) {
+			if next == -1 || bl[s] > bl[next] {
+				next = s
+			}
+		}
+		cur = next
+	}
+	m.witness[m.witnessNext] = path
+	m.witnessNext = (m.witnessNext + 1) % witnessSlots
+	if m.witnessLen < witnessSlots {
+		m.witnessLen++
+	}
+	return true
 }
 
 // blHeap is a max-heap of ready tasks ordered by bottom level (largest

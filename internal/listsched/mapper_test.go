@@ -187,6 +187,42 @@ func TestMapperMakespanZeroAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("warm rejected MakespanBounded allocates %.1f times per call, want 0", avg)
 	}
+
+	// A bound between the area bound and the critical-path length is
+	// rejected by the sweep's critical-path check, which remembers the
+	// path in storage NewMapper sized; forgetting the paths before each call
+	// makes every call record one.
+	ones := schedule.Ones(g.NumTasks())
+	cp := g.CriticalPathLength(Cost(tab, ones))
+	area := 0.0
+	for v := range ones {
+		area += tab.Time(dag.TaskID(v), 1)
+	}
+	bound := (area/float64(tab.Procs()) + cp) / 2
+	if areaReject(tab, tab.Procs(), ones, bound) || bound >= cp {
+		t.Fatalf("bound %g does not lie between area/P = %g and the critical path %g", bound, area/float64(tab.Procs()), cp)
+	}
+	avg = testing.AllocsPerRun(100, func() {
+		m.witnessLen = 0
+		if _, err := m.MakespanBounded(ones, bound); !errors.Is(err, ErrRejectedPrefilter) {
+			t.Fatalf("expected a prefilter rejection, got %v", err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a rejection that records its critical path allocates %.1f times per call, want 0", avg)
+	}
+	// With the path remembered, the same call is rejected before the sweep.
+	if m.witnessLen != 1 || !m.witnessReject(ones, bound) {
+		t.Fatalf("remembered %d paths, and none rejects the call", m.witnessLen)
+	}
+	avg = testing.AllocsPerRun(100, func() {
+		if _, err := m.MakespanBounded(ones, bound); !errors.Is(err, ErrRejectedPrefilter) {
+			t.Fatalf("expected a prefilter rejection, got %v", err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a rejection by a remembered path allocates %.1f times per call, want 0", avg)
+	}
 }
 
 // benchMapperInstance is the 100-task irregular PTG of the root bench suite.

@@ -10,10 +10,16 @@
 // presets leave untouched — self-adaptation, comma-selection and crossover —
 // through the same core.Run path.
 //
+// testdata/engine_golden_platforms.json pins plain EMTS (rejection off) across
+// both clusters and both execution-time models, on DAGGEN, FFT and Strassen
+// graphs, so a claim that a change leaves results the same is checked beyond
+// the Grelon and Model 2 cell the other two corpora cover.
+//
 // Regenerate a corpus only for a deliberate change of search behavior:
 //
 //	go test -run '^TestEngineGoldenCorpus$' -update-golden .
 //	go test -run '^TestEngineGoldenCorpusStrategies$' -update-golden .
+//	go test -run '^TestEngineGoldenCorpusPlatforms$' -update-golden .
 package emts_test
 
 import (
@@ -28,6 +34,7 @@ import (
 
 	"emts/internal/core"
 	"emts/internal/dag"
+	"emts/internal/daggen"
 	"emts/internal/ea"
 	"emts/internal/model"
 	"emts/internal/platform"
@@ -139,6 +146,85 @@ func strategyCorpus(t *testing.T) []goldenRun {
 	return out
 }
 
+// namedGraph is a corpus graph with the name its entries are recorded under.
+type namedGraph struct {
+	name string
+	g    *dag.Graph
+}
+
+// platformGraphs returns the platforms corpus graphs: six DAGGEN graphs of
+// 20–100 tasks with jump 1–3, FFT of 2, 4, 8 and 16 points, and Strassen.
+func platformGraphs(t *testing.T) []namedGraph {
+	t.Helper()
+	var out []namedGraph
+	for i, n := range []int{20, 35, 50, 65, 80, 100} {
+		cfg := daggen.RandomConfig{
+			N:          n,
+			Width:      []float64{0.2, 0.5, 0.8}[i%3],
+			Regularity: []float64{0.2, 0.8}[i%2],
+			Density:    []float64{0.2, 0.8}[(i/2)%2],
+			Jump:       1 + i%3,
+		}
+		g, err := daggen.Random(cfg, daggen.DefaultCosts(), int64(200+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedGraph{fmt.Sprintf("random-n%d-j%d", n, cfg.Jump), g})
+	}
+	for _, points := range []int{2, 4, 8, 16} {
+		g, err := daggen.FFT(points, daggen.DefaultCosts(), int64(points))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedGraph{fmt.Sprintf("fft%d", points), g})
+	}
+	g, err := daggen.Strassen(daggen.DefaultCosts(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, namedGraph{"strassen", g})
+}
+
+// platformCorpus runs the platforms grid: platformGraphs × {Chti, Grelon} ×
+// {Amdahl, Synthetic} × {emts5, emts10, emts5 self-adaptive, emts5 crossover
+// 0.5} × Islands {1, 4}, rejection off, seed 42.
+func platformCorpus(t *testing.T) []goldenRun {
+	t.Helper()
+	variants := []struct {
+		name string
+		mk   func() core.Params
+	}{
+		{"emts5", func() core.Params { return core.EMTS5(42) }},
+		{"emts10", func() core.Params { return core.EMTS10(42) }},
+		{"emts5/self-adaptive", func() core.Params { p := core.EMTS5(42); p.SelfAdaptive = true; return p }},
+		{"emts5/crossover=0.5", func() core.Params { p := core.EMTS5(42); p.CrossoverProb = 0.5; return p }},
+	}
+	models := []struct {
+		name string
+		m    model.Model
+	}{{"amdahl", model.Amdahl{}}, {"synthetic", model.Synthetic{}}}
+	var out []goldenRun
+	for _, ng := range platformGraphs(t) {
+		for _, c := range platform.Both() {
+			for _, m := range models {
+				tab, err := model.NewTable(ng.g, m.m, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range variants {
+					for _, islands := range []int{1, 4} {
+						p := v.mk()
+						p.Islands = islands
+						out = append(out, runGolden(t, fmt.Sprintf("%s/%s/%s/%s/islands=%d",
+							ng.name, c.Name, m.name, v.name, islands), ng.g, tab, p))
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 // checkGolden compares got with the corpus at path, run for run, or rewrites
 // the file under -update-golden.
 func checkGolden(t *testing.T, path string, got []goldenRun) {
@@ -190,4 +276,10 @@ func TestEngineGoldenCorpus(t *testing.T) {
 // corpus exactly.
 func TestEngineGoldenCorpusStrategies(t *testing.T) {
 	checkGolden(t, "testdata/engine_golden_strategies.json", strategyCorpus(t))
+}
+
+// TestEngineGoldenCorpusPlatforms reproduces the recorded platforms corpus
+// exactly.
+func TestEngineGoldenCorpusPlatforms(t *testing.T) {
+	checkGolden(t, "testdata/engine_golden_platforms.json", platformCorpus(t))
 }

@@ -66,13 +66,16 @@ type Params struct {
 	// OnGeneration, when non-nil, receives per-generation statistics.
 	OnGeneration func(ea.GenStats)
 	// UseRejection enables the future-work rejection strategy of Section VI
-	// inside the fitness function.
+	// inside the fitness function: every offspring is evaluated against the
+	// best makespan so far instead of the worst parent's. It trades quality
+	// for speed and can change results (see ea.Config.UseRejection): 394 of
+	// 704 probe runs differed, and EMTS10 on Grelon under Model 2 came out
+	// 2.4 % worse on average (EXPERIMENTS.md A3).
 	UseRejection bool
 	// DisablePrefilter turns off the O(V) admissible lower-bound prefilter
-	// that short-circuits the map loop for rejected individuals when
-	// UseRejection is set (DESIGN.md §10, Layer 1). Results are bit-identical
-	// either way; the switch exists for A/B measurement and the determinism
-	// regression tests.
+	// that short-circuits the map loop for rejected and culled individuals
+	// (DESIGN.md §10, Layer 1). Results are bit-identical either way; the
+	// switch exists for A/B measurement and the determinism regression tests.
 	DisablePrefilter bool
 	// Islands, when > 1, runs the EA as that many independent populations
 	// with periodic migration (the island model, DESIGN.md §17). Each island
@@ -95,8 +98,11 @@ type Params struct {
 	// still being mutated. With Islands > 1 the evaluation budget is divided
 	// evenly across the islands. Results never depend on it.
 	Workers int
-	// Seed drives every stochastic choice. Equal seeds ⇒ identical results,
-	// which is how the paper guarantees EMTS10 finds every EMTS5 solution.
+	// Seed drives every stochastic choice. Equal seeds ⇒ identical results.
+	// EMTS10 at a seed does not contain EMTS5's run at that seed: the two
+	// presets draw different populations from the same stream, so EMTS10
+	// beats EMTS5 on average but can lose on a single instance (ROADMAP
+	// item 3).
 	Seed int64
 }
 
@@ -165,6 +171,11 @@ type Result struct {
 	// lower-bound prefilter instead of the map loop (see
 	// ea.Result.PrefilterRejections) — map loops skipped entirely.
 	PrefilterRejections int
+	// Culls counts the offspring whose evaluation stopped because
+	// plus-selection could not keep them (see ea.Result.Culls). They are in
+	// Evaluations and in neither Rejections nor PrefilterRejections, and
+	// every other field is the same as without the cull.
+	Culls int
 	// Generations counts the EA generations actually completed (see
 	// ea.Result.Generations). It is smaller than Params.Generations when the
 	// run was cancelled mid-flight and the Result is the anytime incumbent.
@@ -357,6 +368,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	res.Evaluations = run.Evaluations
 	res.Rejections = run.Rejections
 	res.PrefilterRejections = run.PrefilterRejections
+	res.Culls = run.Culls
 	res.Generations = run.Generations
 	res.Islands = 1
 	if p.Islands > 1 {

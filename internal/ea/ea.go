@@ -38,14 +38,19 @@ func (ind Individual) Clone() Individual {
 }
 
 // Evaluator computes the fitness of an allocation. rejectAbove > 0 allows the
-// evaluator to abort early (Section VI's rejection strategy) once it can
-// prove the fitness exceeds the bound; it then returns ErrRejected and the
-// individual is treated as infinitely unfit. Evaluators must be pure
-// functions: they are called concurrently from multiple goroutines.
+// evaluator to abort early once the fitness is shown to exceed the bound, up
+// to rounding: it then returns ErrRejected and the individual is treated as
+// infinitely unfit. The run passes a bound to every offspring evaluation of a
+// plus-selection run (the worst parent's fitness, see Result.Culls) or of a
+// UseRejection run (the best fitness so far, Section VI). An evaluator may
+// ignore the bound; one that honours it must never reject a fitness more
+// than a part in 1e9 below the bound. Evaluators must be pure functions:
+// they are called concurrently from multiple goroutines.
 type Evaluator func(alloc schedule.Allocation, rejectAbove float64) (float64, error)
 
-// ErrRejected is returned by an Evaluator that aborted due to rejectAbove.
-// It mirrors listsched.ErrRejected without importing the package.
+// ErrRejected is returned by an Evaluator that aborted due to rejectAbove: its
+// fitness exceeds the bound, or lies within rounding below it. It mirrors
+// listsched.ErrRejected without importing the package.
 var ErrRejected = errors.New("ea: individual rejected by fitness bound")
 
 // ErrRejectedPrefilter is the ErrRejected variant for rejections decided by
@@ -236,7 +241,10 @@ type GenStats struct {
 	// one GenStats per island per generation, in (generation, island) order.
 	Island int
 	// Best, Mean, Worst summarize the finite fitness values of the pool the
-	// new parents were selected from.
+	// new parents were selected from. Rejected and culled offspring have no
+	// finite fitness, so they are left out: in a plus-selection run without
+	// UseRejection, Mean and Worst cover the parents and the offspring that
+	// were not culled (see Result.Culls). Best is unaffected.
 	Best, Mean, Worst float64
 	// BestEver is the best fitness seen so far, including earlier
 	// generations. For multi-island runs it is the aggregate minimum across
@@ -244,7 +252,8 @@ type GenStats struct {
 	// BestEver values an observer sees is non-increasing and its last value
 	// equals Result.Best.Fitness exactly.
 	BestEver float64
-	// Rejected counts this generation's rejected offspring.
+	// Rejected counts this generation's offspring rejected by the
+	// UseRejection bound. Culled offspring are not counted.
 	Rejected int
 	// Evaluations and PrefilterRejections are cumulative snapshots of the
 	// run's counters (Result.Evaluations etc.) taken after this generation's
@@ -272,7 +281,11 @@ type Config struct {
 	// ablation study A4.
 	CrossoverProb float64
 	// UseRejection passes the best fitness found so far as rejectAbove to the
-	// Evaluator, enabling the early-abort optimization of Section VI.
+	// Evaluator, enabling the early-abort optimization of Section VI. Unlike
+	// the cull (Result.Culls), it can change results: under plus selection
+	// with μ > 1 a child worse than the best but better than the worst parent
+	// would have become a parent, and rejection drops it. EXPERIMENTS.md A3
+	// gives the measured effect.
 	UseRejection bool
 	// Workers bounds the parallelism of fitness evaluation; 0 means
 	// runtime.GOMAXPROCS(0) (see WorkerCount). Helpers start evaluating a
@@ -370,13 +383,24 @@ type Result struct {
 	// Evaluations counts fitness evaluations, rejected ones included: one per
 	// individual of the initial pool and one per offspring.
 	Evaluations int
-	// Rejections counts evaluations aborted by the rejection bound.
+	// Rejections counts evaluations aborted by the UseRejection bound.
 	Rejections int
 	// PrefilterRejections counts the subset of Rejections decided by an O(V)
 	// lower-bound prefilter before the full fitness computation
 	// (ErrRejectedPrefilter): every evaluation reaches an evaluator, so the
 	// counter is exactly the number of map loops skipped.
 	PrefilterRejections int
+	// Culls counts offspring whose evaluation was cut short because
+	// plus-selection could not keep them. Every offspring of a plus-selection
+	// run without UseRejection is evaluated under a bound of the worst
+	// parent's fitness times 1 + 1e-9, and a child the evaluator rejects
+	// there (ErrRejected or ErrRejectedPrefilter) scores +Inf. Such a child
+	// is at least as unfit as the worst parent, which selection keeps ahead
+	// of it, so a run culls exactly the offspring selection drops and
+	// returns the same Best, History and counters as with an evaluator that
+	// ignores its bound. Culls are counted neither in Rejections nor in
+	// PrefilterRejections, and in Evaluations like any other offspring.
+	Culls int
 	// Generations counts the generations actually completed. It equals
 	// Config.Generations for a full run and may be smaller when the run was
 	// cancelled mid-flight — Best then holds the incumbent at cancellation,

@@ -35,11 +35,12 @@ type evalEngine struct {
 	perW     []Evaluator
 
 	// Dispatch state of the generation between start and finish, reused
-	// across generations. inds, rejectAbove and active are written by start
-	// before any helper of the generation is spawned; spawnPending is the
-	// producer's own.
+	// across generations. inds, rejectAbove, cull and active are written by
+	// start before any helper of the generation is spawned; spawnPending is
+	// the producer's own.
 	inds         []Individual
 	rejectAbove  float64
+	cull         bool
 	active       int
 	spawnPending bool
 	cursor       atomic.Int64 // next unclaimed index
@@ -99,16 +100,18 @@ func (eng *evalEngine) ensureEvaluators(n int) {
 //
 //schedlint:hotpath
 func (eng *evalEngine) evaluateAll(inds []Individual, rejectAbove float64, res *Result) error {
-	eng.start(inds, rejectAbove)
+	eng.start(inds, rejectAbove, false)
 	eng.publish(len(inds))
 	return eng.finish(res)
 }
 
 // start begins the evaluation of inds, none of which is published yet.
+// cull files the generation's rejections under Result.Culls instead of
+// Rejections and PrefilterRejections.
 //
 //schedlint:hotpath
-func (eng *evalEngine) start(inds []Individual, rejectAbove float64) {
-	eng.inds, eng.rejectAbove = inds, rejectAbove
+func (eng *evalEngine) start(inds []Individual, rejectAbove float64, cull bool) {
+	eng.inds, eng.rejectAbove, eng.cull = inds, rejectAbove, cull
 	eng.active = max(1, min(eng.workers, len(inds)))
 	eng.ensureEvaluators(eng.active)
 	if cap(eng.tallies) < eng.active {
@@ -164,8 +167,12 @@ func (eng *evalEngine) finish(res *Result) error {
 	var err error
 	errAt := len(eng.inds)
 	for _, t := range eng.tallies[:eng.active] {
-		res.Rejections += t.rejected
-		res.PrefilterRejections += t.prefiltered
+		if eng.cull {
+			res.Culls += t.rejected
+		} else {
+			res.Rejections += t.rejected
+			res.PrefilterRejections += t.prefiltered
+		}
 		if t.err != nil && t.errAt < errAt {
 			err, errAt = t.err, t.errAt
 		}

@@ -294,7 +294,7 @@ func TestEngineCatchUpPath(t *testing.T) {
 			return float64(i), nil
 		}
 		eng := newEvalEngine(Config{Workers: workers}, fitness)
-		eng.start(inds, 0)
+		eng.start(inds, 0, false)
 		eng.publish(1)
 		for eng.active > 1 && calls.Load() == 0 {
 			runtime.Gosched()

@@ -142,6 +142,17 @@ func (is *island) init() error {
 	return nil
 }
 
+// cullSlack is the relative margin of the cull bound over the worst parent's
+// fitness. listsched.Mapper rejects when a lower bound exceeds the bound, and
+// its in-loop lower bound sums a path right to left while the schedule sums
+// it left to right, so a child's lower bound can exceed its own makespan by
+// rounding: by up to 1.5e-14 relative on 20,000-task chains. Without a margin
+// a child a few ulps better than the worst parent, which selection would
+// keep, could be culled. 1e-9 is five orders of magnitude wider than that
+// rounding, and a child culled under it is still strictly worse than the
+// worst parent.
+const cullSlack = 1e-9
+
 // step runs generation u: offspring generation, evaluation, selection,
 // incumbent/history update, and observer delivery. Every RNG draw is the
 // pre-island RunContext generation body's, in its order. Each child is
@@ -153,12 +164,24 @@ func (is *island) step(u int) error {
 	cfg := &is.cfg
 	m := MutationCount(u, cfg.Generations, cfg.Fm, is.v)
 	parents, offspring := is.parents, is.offspring
-	bound := 0.0
-	if cfg.UseRejection {
+	// The evaluation bound. Under UseRejection it is §VI's best fitness so
+	// far. Otherwise, under plus-selection, it is the worst parent's fitness:
+	// the island always holds μ parents in fitness order, and selectBest
+	// ranks a child whose fitness is at least the last one's after all of
+	// them (a tie goes to the parent), so the child can never be selected,
+	// and cutting its evaluation short (the cull) changes no parent,
+	// incumbent or counter other than Result.Culls. cullSlack lifts the bound
+	// above the evaluator's rounding (see there). Comma selection discards
+	// the parents, so it has no such bound.
+	bound, cull := 0.0, false
+	switch {
+	case cfg.UseRejection:
 		bound = is.res.Best.Fitness
+	case cfg.Strategy == Plus:
+		bound, cull = parents[len(parents)-1].Fitness*(1+cullSlack), true
 	}
 	rejectedBefore := is.res.Rejections
-	is.eng.start(offspring, bound)
+	is.eng.start(offspring, bound, cull)
 	for i := range offspring {
 		parent := parents[is.rng.Intn(len(parents))]
 		child := is.arena[i*is.v : (i+1)*is.v : (i+1)*is.v]
@@ -436,6 +459,7 @@ func assembleIslands(isls []*island, gens int) *Result {
 		res.Evaluations += is.res.Evaluations
 		res.Rejections += is.res.Rejections
 		res.PrefilterRejections += is.res.PrefilterRejections
+		res.Culls += is.res.Culls
 		if i > 0 && bestLess(is.res.Best, isls[bestIdx].res.Best) {
 			bestIdx = i
 		}

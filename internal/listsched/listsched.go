@@ -26,8 +26,9 @@ import (
 	"emts/internal/schedule"
 )
 
-// ErrRejected reports that mapping was aborted because the partial schedule
-// provably could not beat Options.RejectAbove.
+// ErrRejected reports that mapping was aborted because a lower bound on the
+// makespan exceeded Options.RejectAbove: the makespan exceeds the bound, or
+// lies within rounding below it (see Mapper.MakespanBounded).
 var ErrRejected = errors.New("listsched: schedule rejected by makespan bound")
 
 // ErrRejectedPrefilter is the ErrRejected variant raised by the O(V)
@@ -51,7 +52,8 @@ type Options struct {
 	// RejectAbove, when positive, enables the rejection strategy of Section
 	// VI: mapping fails with ErrRejected as soon as start(v) + bl(v) — a
 	// dependence-only lower bound on the final makespan — exceeds the bound
-	// for some task v.
+	// for some task v. A makespan above the bound is always rejected; one
+	// within rounding below it may be (see Mapper.MakespanBounded).
 	RejectAbove float64
 	// SkipProcSets, when true, leaves each entry's processor ID list nil and
 	// records only start/end times. The makespan is unaffected (processor

@@ -121,9 +121,17 @@ func (m *Mapper) Makespan(alloc schedule.Allocation) (float64, error) {
 
 // MakespanBounded is Makespan with the rejection strategy of Section VI: it
 // fails with ErrRejected as soon as a dependence-only lower bound on the
-// final makespan exceeds rejectAbove (when positive). Because that lower
-// bound is exact at the task achieving the makespan, rejection fires if and
-// only if the final makespan would exceed the bound.
+// final makespan exceeds rejectAbove (when positive).
+//
+// A makespan above the bound is always rejected: at the task achieving the
+// makespan the lower bound start + bl(v) is at least the task's end. A
+// makespan within rounding below the bound may be rejected as well, because
+// bl(v) sums a path right to left while the schedule sums the same times left
+// to right. On random allocations of 20,000-task chains the lower bound
+// exceeded the makespan by up to 1.5e-14 relative (106 ulps), and a bound
+// equal to the makespan was rejected on 672 of 80,000 allocations of DAGGEN
+// graphs of 20–100 tasks. A bound of the makespan times 1 + 1e-9 is never
+// rejected: that is the margin ea's cull relies on (TestMapperRejectionExact).
 //
 //schedlint:hotpath
 func (m *Mapper) MakespanBounded(alloc schedule.Allocation, rejectAbove float64) (float64, error) {

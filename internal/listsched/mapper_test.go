@@ -2,6 +2,8 @@ package listsched
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -113,11 +115,38 @@ func TestMapperBoundedMatchesOptions(t *testing.T) {
 	}
 }
 
-// TestMapperRejectionExact pins the property the fitness memoization cache
-// relies on: with bound b, mapping is rejected if and only if the unbounded
-// makespan exceeds b. This is what lets a cached fitness emulate a bounded
-// re-evaluation exactly (ea.evalEngine).
+// TestMapperRejectionExact pins the bound contract of MakespanBounded: a
+// makespan M above the bound is always rejected, and a bound of M·(1+1e-9)
+// never is. Between M and M·(1+1e-9) either answer is allowed, because the
+// in-loop lower bound sums a path right to left and the schedule left to
+// right. The cull (ea.Result.Culls) rests on the second half: it bounds each
+// child by the worst parent's fitness times 1+1e-9, so a child selection
+// would keep is never rejected. Besides random bounds it checks the two edge
+// bounds, math.Nextafter(M, 0) and M·(1+1e-9), on random instances and on
+// 20,000-task chains, whose long sums round the most.
 func TestMapperRejectionExact(t *testing.T) {
+	// check tries the two edge bounds and full·frac for each of fracs.
+	check := func(m *Mapper, alloc schedule.Allocation, fracs []float64) error {
+		full, err := m.Makespan(alloc)
+		if err != nil {
+			return err
+		}
+		bounds := []float64{math.Nextafter(full, 0), full * (1 + 1e-9)}
+		for _, frac := range fracs {
+			bounds = append(bounds, full*frac)
+		}
+		for _, bound := range bounds {
+			_, err := m.MakespanBounded(alloc, bound)
+			rejected := errors.Is(err, ErrRejected)
+			if full > bound && !rejected {
+				return fmt.Errorf("makespan %v above bound %v was not rejected", full, bound)
+			}
+			if bound >= full*(1+1e-9) && err != nil {
+				return fmt.Errorf("makespan %v was rejected by bound %v: %v", full, bound, err)
+			}
+		}
+		return nil
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g, alloc, tab := randomInstance(rng)
@@ -125,21 +154,47 @@ func TestMapperRejectionExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		full, err := m.Makespan(alloc)
-		if err != nil {
-			return false
-		}
+		var fracs []float64
 		for i := 0; i < 8; i++ {
-			bound := full * (0.5 + rng.Float64())
-			_, err := m.MakespanBounded(alloc, bound)
-			if (full > bound) != errors.Is(err, ErrRejected) {
-				return false
-			}
+			fracs = append(fracs, 0.5+rng.Float64())
+		}
+		if err := check(m, alloc, fracs); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	const n = 20000
+	b := dag.NewBuilder("chain")
+	for i := 0; i < n; i++ {
+		b.AddTask(dag.Task{Flops: 1e8 + rng.Float64()*5e9, Alpha: rng.Float64() / 4})
+		if i > 0 {
+			b.AddEdge(dag.TaskID(i-1), dag.TaskID(i))
+		}
+	}
+	g := b.MustBuild()
+	for _, cluster := range platform.Both() {
+		for _, mod := range []model.Model{model.Amdahl{}, model.Synthetic{}} {
+			tab := model.MustTable(g, mod, cluster)
+			m, err := NewMapper(g, tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 5; trial++ {
+				alloc := make(schedule.Allocation, n)
+				for i := range alloc {
+					alloc[i] = 1 + rng.Intn(cluster.Procs)
+				}
+				if err := check(m, alloc, nil); err != nil {
+					t.Fatalf("chain of %d tasks, %s, %s: %v", n, cluster.Name, mod.Name(), err)
+				}
+			}
+		}
 	}
 }
 

@@ -90,13 +90,15 @@ func (r Random) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, e
 // current allocation; it is the hook through which MCPA adds its level
 // bound. onGrow is called after each increment so bound bookkeeping can be
 // updated; it returns a task that gives one processor back in exchange (the
-// loop takes it), or -1.
+// loop takes it), or -1. picked, when set, sees each step's chosen task
+// before it grows (CPAPair forks MCPA off there).
 type cpaLoop struct {
 	g        *dag.Graph
 	tab      *model.Table
 	s        schedule.Allocation
 	growable func(v dag.TaskID, s schedule.Allocation) bool
 	onGrow   func(v dag.TaskID, s schedule.Allocation) dag.TaskID
+	picked   func(v dag.TaskID)
 	// area = Σ s(v)·T(v, s(v)), maintained incrementally. A task that gives
 	// a processor back keeps its old term: MCPA2's stop rule has always read
 	// the area that way, and the CPA golden corpus pins it.
@@ -179,6 +181,9 @@ func (c *cpaLoop) grow(q int) bool {
 		if best == -1 {
 			break // no critical-path task can beneficially grow
 		}
+		if c.picked != nil {
+			c.picked(best)
+		}
 		c.area -= float64(s[best]) * tab.Time(best, s[best])
 		s[best]++
 		c.area += float64(s[best]) * tab.Time(best, s[best])
@@ -193,6 +198,20 @@ func (c *cpaLoop) grow(q int) bool {
 		grew = true
 	}
 	return grew
+}
+
+// fork returns an independent copy of the loop, between two steps, that
+// continues under the given hooks. It shares only what no step writes: the
+// graph, the table, the topological order and the sources.
+func (c *cpaLoop) fork(growable func(v dag.TaskID, s schedule.Allocation) bool, onGrow func(v dag.TaskID, s schedule.Allocation) dag.TaskID) *cpaLoop {
+	f := *c
+	f.growable, f.onGrow, f.picked = growable, onGrow, nil
+	f.s = c.s.Clone()
+	f.levels.s = f.s
+	f.levels.bl = append([]float64(nil), c.levels.bl...)
+	f.levels.maxSucc = append([]float64(nil), c.levels.maxSucc...)
+	f.levels.marked = make([]bool, len(c.levels.marked)) // settled: nothing marked
+	return &f
 }
 
 // bottomLevels keeps the bottom levels of a changing allocation equal, bit
@@ -333,16 +352,20 @@ func (h HCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, err
 	if err := checkInputs(g, tab); err != nil {
 		return nil, err
 	}
-	s := cpaCore(g, tab, nil, nil)
+	return h.translate(cpaCore(g, tab, nil, nil), tab.Procs()), nil
+}
+
+// translate turns the reference cluster's allocation s into the target
+// cluster's, in place.
+func (h HCPA) translate(s schedule.Allocation, procs int) schedule.Allocation {
 	ref, target := h.ReferenceSpeedGFlops, h.ClusterSpeedGFlops
 	//schedlint:allow floateq -- exact identity short-circuit on two configured speeds, not on computed values: translation is the identity iff they are bit-equal
 	if ref <= 0 || target <= 0 || ref == target {
-		return s, nil
+		return s
 	}
 	// Translate reference allocations to the target cluster: a task that got
 	// s_ref processors of speed ref needs ceil(s_ref·ref/target) processors
 	// of speed target to retain (at least) the same aggregate speed.
-	procs := tab.Procs()
 	for i := range s {
 		s[i] = int(math.Ceil(float64(s[i]) * ref / target))
 		if s[i] < 1 {
@@ -352,7 +375,7 @@ func (h HCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, err
 			s[i] = procs
 		}
 	}
-	return s, nil
+	return s
 }
 
 // MCPA is the Modified CPA allocator of Bansal, Kumar & Singh: identical to
@@ -370,20 +393,86 @@ func (MCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, error
 	if err := checkInputs(g, tab); err != nil {
 		return nil, err
 	}
+	b := newLevelBound(g, tab.Procs())
+	return cpaCore(g, tab, b.growable, b.onGrow), nil
+}
+
+// levelBound is MCPA's precedence-level bound as CPA loop hooks: a task may
+// grow while the allocations of its level sum to less than P.
+type levelBound struct {
+	level []int
+	sum   []int
+	procs int
+}
+
+func newLevelBound(g *dag.Graph, procs int) *levelBound {
 	level, byLevel := g.PrecedenceLevels()
-	procs := tab.Procs()
-	levelSum := make([]int, len(byLevel))
+	sum := make([]int, len(byLevel))
 	for l, tasks := range byLevel {
-		levelSum[l] = len(tasks) // every task starts with 1 processor
+		sum[l] = len(tasks) // every task starts with 1 processor
 	}
-	growable := func(v dag.TaskID, s schedule.Allocation) bool {
-		return levelSum[level[v]] < procs
+	return &levelBound{level: level, sum: sum, procs: procs}
+}
+
+func (b *levelBound) growable(v dag.TaskID, _ schedule.Allocation) bool {
+	return b.sum[b.level[v]] < b.procs
+}
+
+func (b *levelBound) onGrow(v dag.TaskID, _ schedule.Allocation) dag.TaskID {
+	b.sum[b.level[v]]++
+	return -1
+}
+
+// CPAPair returns MCPA{}'s and h's allocations, bit for bit, from one CPA
+// loop where the two agree.
+//
+// MCPA's loop is CPA's with the level bound on the tasks that may grow. At a
+// step where CPA's pick passes the bound, MCPA picks the same task: it takes
+// the first largest gain among a subset of CPA's candidates that holds CPA's
+// pick, whose gain no earlier candidate reaches. Both then grow that task and
+// reach the same state, so they stop at the same step. The pair therefore
+// runs CPA's loop, and at the first step where the bound excludes CPA's pick
+// it copies the loop state and hands fork a function that runs the rest of
+// MCPA's loop from there, redoing that step under the bound, and returns
+// MCPA's allocation. That function may run on another goroutine, concurrently
+// with the rest of CPAPair, which finishes CPA's loop and returns h's
+// allocation with a nil mcpa. When the bound never excludes a pick, fork is
+// not called and mcpa is CPA's allocation. With a nil fork, CPAPair runs the
+// rest of MCPA's loop itself, after CPA's, and always returns both.
+func CPAPair(g *dag.Graph, tab *model.Table, h HCPA, fork func(mcpa func() schedule.Allocation)) (mcpa, hcpa schedule.Allocation, err error) {
+	if err := checkInputs(g, tab); err != nil {
+		return nil, nil, err
 	}
-	onGrow := func(v dag.TaskID, s schedule.Allocation) dag.TaskID {
-		levelSum[level[v]]++
+	procs := tab.Procs()
+	b := newLevelBound(g, procs)
+	var rest func() schedule.Allocation
+	c := newCPALoop(g, tab, nil, func(v dag.TaskID, s schedule.Allocation) dag.TaskID {
+		if rest == nil {
+			b.onGrow(v, s)
+		}
 		return -1
+	})
+	c.picked = func(v dag.TaskID) {
+		if rest != nil || b.growable(v, c.s) {
+			return
+		}
+		m := c.fork(b.growable, b.onGrow)
+		rest = func() schedule.Allocation {
+			m.grow(procs)
+			return m.s
+		}
+		if fork != nil {
+			fork(rest)
+		}
 	}
-	return cpaCore(g, tab, growable, onGrow), nil
+	c.grow(procs)
+	switch {
+	case rest == nil:
+		mcpa = c.s.Clone()
+	case fork == nil:
+		mcpa = rest()
+	}
+	return mcpa, h.translate(c.s, procs), nil
 }
 
 // MCPA2 extends MCPA in the spirit of Hunold (CCGrid 2010): when a critical

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -198,35 +199,127 @@ func (r *Result) BestSeedMakespan() float64 {
 	return best
 }
 
-// allocateSeeds runs the seeders' Allocate calls on up to
-// ea.WorkerCount(workers) goroutines, each claiming the next seeder from one
-// shared cursor, and returns the allocations and errors by seeder index.
-// Allocators are pure functions of (g, tab), so the claim order changes
-// timing only.
-func allocateSeeds(g *dag.Graph, tab *model.Table, seeders []alloc.Allocator, workers int) ([]schedule.Allocation, []error) {
-	allocs := make([]schedule.Allocation, len(seeders))
-	errs := make([]error, len(seeders))
-	var next atomic.Int64
-	claim := func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= len(seeders) {
+// seedOutcome is one seeder's starting allocation, clamped into [1, P] and
+// mapped, or its error.
+type seedOutcome struct {
+	alloc    schedule.Allocation
+	makespan float64
+	err      error
+}
+
+// mapSeed clamps a into [1, procs] and maps it on m; the Mapper's own check
+// rejects an allocation of the wrong length.
+func mapSeed(m *listsched.Mapper, a schedule.Allocation, procs int) seedOutcome {
+	a.Clamp(procs)
+	ms, err := m.Makespan(a)
+	if err != nil {
+		return seedOutcome{err: err}
+	}
+	return seedOutcome{alloc: a, makespan: ms}
+}
+
+// pairIndices returns the positions of the first alloc.MCPA and the first
+// alloc.HCPA among seeders, or -1s unless both are there.
+func pairIndices(seeders []alloc.Allocator) (iM, iH int) {
+	iM, iH = -1, -1
+	for i, s := range seeders {
+		switch s.(type) {
+		case alloc.MCPA:
+			if iM < 0 {
+				iM = i
+			}
+		case alloc.HCPA:
+			if iH < 0 {
+				iH = i
+			}
+		}
+	}
+	if iM < 0 || iH < 0 {
+		return -1, -1
+	}
+	return iM, iH
+}
+
+// allocateSeeds runs the seeders and maps their allocations on up to
+// ea.WorkerCount(workers) goroutines, each with a Mapper of its own, and
+// returns the outcomes by seeder index. m is the calling goroutine's Mapper.
+// Every allocation is mapped by the worker that produced it, and MCPA's and
+// HCPA's allocations are mapped once when they are equal.
+//
+// An MCPA and an HCPA seeder share one CPA pass (alloc.CPAPair): the pair is
+// the first job and MCPA's fork the last, so the worker that claims the fork
+// either runs it next to the pair's HCPA or learns that MCPA equals CPA.
+// Workers claim jobs from one shared cursor. Allocators and the map are pure
+// functions of (g, tab), so the claim order changes timing only.
+func allocateSeeds(g *dag.Graph, tab *model.Table, m *listsched.Mapper, seeders []alloc.Allocator, workers int) []seedOutcome {
+	procs := tab.Procs()
+	out := make([]seedOutcome, len(seeders))
+	var jobs []func(m *listsched.Mapper)
+	iM, iH := pairIndices(seeders)
+	forked := make(chan func() schedule.Allocation, 1) // the pair sends once
+	if iM >= 0 {
+		jobs = append(jobs, func(m *listsched.Mapper) {
+			mcpa, hcpa, err := alloc.CPAPair(g, tab, seeders[iH].(alloc.HCPA), func(rest func() schedule.Allocation) { forked <- rest })
+			switch {
+			case err != nil:
+				out[iM].err, out[iH].err = err, err
+			case mcpa == nil:
+				out[iH] = mapSeed(m, hcpa, procs)
+				return // MCPA forked: the fork job maps its allocation
+			default:
+				out[iH] = mapSeed(m, hcpa, procs)
+				if h := out[iH]; h.err == nil && slices.Equal(mcpa.Clamp(procs), h.alloc) {
+					out[iM] = seedOutcome{alloc: mcpa, makespan: h.makespan}
+				} else {
+					out[iM] = mapSeed(m, mcpa, procs)
+				}
+			}
+			forked <- nil
+		})
+	}
+	for i, s := range seeders {
+		if i == iM || i == iH {
+			continue
+		}
+		jobs = append(jobs, func(m *listsched.Mapper) {
+			a, err := s.Allocate(g, tab)
+			if err != nil {
+				out[i] = seedOutcome{err: err}
 				return
 			}
-			allocs[i], errs[i] = seeders[i].Allocate(g, tab)
+			out[i] = mapSeed(m, a, procs)
+		})
+	}
+	if iM >= 0 {
+		jobs = append(jobs, func(m *listsched.Mapper) {
+			if rest := <-forked; rest != nil {
+				out[iM] = mapSeed(m, rest(), procs)
+			}
+		})
+	}
+
+	var next atomic.Int64
+	claim := func(m *listsched.Mapper) {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(jobs) {
+				return
+			}
+			jobs[i](m)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(ea.WorkerCount(workers), len(seeders)); w++ {
+	for w := 1; w < min(ea.WorkerCount(workers), len(jobs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			claim()
+			wm, _ := listsched.NewMapper(g, tab) // m was built from the same inputs
+			claim(wm)
 		}()
 	}
-	claim()
+	claim(m)
 	wg.Wait()
-	return allocs, errs
+	return out
 }
 
 // Run executes EMTS on graph g with execution times tab (which also carries
@@ -268,24 +361,14 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	if err != nil {
 		return nil, err
 	}
-	allocs, allocErrs := allocateSeeds(g, tab, seeders, p.Workers)
-	var seedAllocs []schedule.Allocation
-	for i, s := range seeders {
-		a, err := allocs[i], allocErrs[i]
-		if err != nil {
-			res.Seeds = append(res.Seeds, SeedResult{Name: s.Name(), Err: err})
-			continue
+	var seedInds []ea.Individual
+	for i, o := range allocateSeeds(g, tab, seedMapper, seeders, p.Workers) {
+		res.Seeds = append(res.Seeds, SeedResult{Name: seeders[i].Name(), Makespan: o.makespan, Err: o.err})
+		if o.err == nil {
+			seedInds = append(seedInds, ea.Individual{Alloc: o.alloc, Fitness: o.makespan})
 		}
-		a.Clamp(procs)
-		ms, err := seedMapper.Makespan(a)
-		if err != nil {
-			res.Seeds = append(res.Seeds, SeedResult{Name: s.Name(), Err: err})
-			continue
-		}
-		res.Seeds = append(res.Seeds, SeedResult{Name: s.Name(), Makespan: ms})
-		seedAllocs = append(seedAllocs, a)
 	}
-	if len(seedAllocs) == 0 && len(seeders) > 0 {
+	if len(seedInds) == 0 && len(seeders) > 0 {
 		return nil, fmt.Errorf("emts: every starting heuristic failed (first: %v)", res.Seeds[0].Err)
 	}
 
@@ -305,7 +388,9 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 
 	// factory hands each EA worker its own Mapper for the whole run, so a
 	// warm fitness call allocates nothing. The engine calls each evaluator
-	// from a single worker goroutine, never concurrently.
+	// from a single worker goroutine, never concurrently. The EA checks every
+	// allocation where it enters the run and keeps its own within [1, P], so
+	// evaluations skip the Mapper's entry check.
 	baseOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
 	factory := func() ea.Evaluator {
 		m, err := listsched.NewMapper(g, tab)
@@ -317,7 +402,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
 			opt := baseOpt
 			opt.RejectAbove = rejectAbove
-			f, err := m.MakespanOpts(a, opt)
+			f, err := listsched.MakespanUnchecked(m, a, opt)
 			if err != nil {
 				return 0, mapErr(err)
 			}
@@ -345,7 +430,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		InitialSigma:      p.InitialSigma,
 		OnGeneration:      p.OnGeneration,
 	}
-	run, runErr := ea.RunContext(ctx, cfg, g.NumTasks(), procs, seedAllocs, nil)
+	run, runErr := ea.RunSeeded(ctx, cfg, g.NumTasks(), procs, seedInds, nil)
 	if run == nil {
 		// Hard failure or a cancellation before the initial evaluation:
 		// nothing usable to materialize.

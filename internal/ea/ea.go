@@ -62,25 +62,16 @@ var ErrRejectedPrefilter = fmt.Errorf("%w (lower-bound prefilter)", ErrRejected)
 
 // Mutator derives one offspring allocation change. Implementations mutate
 // exactly the requested number of alleles (or all of them if the vector is
-// shorter) and must keep every allele within [1, procs].
+// shorter) and must keep every allele within [1, procs]. A run checks every
+// child of a Mutator defined outside this package and fails with
+// schedule.Allocation.Validate's error on the first one out of range;
+// PaperMutator's and UniformMutator's children are in range by construction
+// and are not checked.
 type Mutator interface {
 	// Name identifies the operator in ablation reports.
 	Name() string
 	// Mutate modifies m distinct alleles of alloc in place.
 	Mutate(rng *rand.Rand, alloc schedule.Allocation, m, procs int)
-}
-
-// PositionsMutator is an optional extension of Mutator for operators that can
-// draw their positions in a caller-owned scratch buffer. Run uses it for
-// zero-allocation offspring generation: one permutation buffer is reused
-// across all offspring of a run. MutateInto must consume the RNG in exactly
-// the same call sequence as Mutate, so switching between the two paths
-// cannot change a seeded run.
-type PositionsMutator interface {
-	Mutator
-	// MutateInto is Mutate using perm as the position scratch buffer; a perm
-	// shorter than alloc is replaced by a fresh buffer for this call.
-	MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int)
 }
 
 // PaperMutator is the mutation operator of Section III-D. The number of
@@ -121,12 +112,7 @@ func (pm PaperMutator) Delta(rng *rand.Rand) int {
 // Mutate implements Mutator: it adjusts m distinct random alleles by Delta,
 // clamping each result into [1, procs].
 func (pm PaperMutator) Mutate(rng *rand.Rand, alloc schedule.Allocation, m, procs int) {
-	pm.MutateInto(rng, alloc, m, procs, nil)
-}
-
-// MutateInto implements PositionsMutator.
-func (pm PaperMutator) MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int) {
-	for _, i := range samplePositionsInto(rng, len(alloc), m, perm) {
+	for _, i := range samplePositions(rng, len(alloc), m) {
 		v := alloc[i] + pm.Delta(rng)
 		if v < 1 {
 			v = 1
@@ -136,6 +122,25 @@ func (pm PaperMutator) MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, 
 		}
 		alloc[i] = v
 	}
+}
+
+// mutateOn is Mutate on an island's stream, with the same draws in the same
+// order; perm holds the identity of [0, len(alloc)) on entry and on return,
+// so the island's offspring loop allocates nothing.
+//
+//schedlint:hotpath
+func (pm PaperMutator) mutateOn(r *islandRNG, alloc schedule.Allocation, m, procs int, perm []int) {
+	pos := r.positions(perm[:len(alloc)], m)
+	for _, i := range pos {
+		var v int
+		if r.Float64() < pm.A {
+			v = alloc[i] - (int(math.Floor(math.Abs(r.NormFloat64()*pm.Sigma1))) + 1)
+		} else {
+			v = alloc[i] + int(math.Floor(math.Abs(r.NormFloat64()*pm.Sigma2))) + 1
+		}
+		alloc[i] = min(max(v, 1), procs)
+	}
+	resetPositions(perm, len(pos))
 }
 
 // UniformMutator resamples each selected allele uniformly from [1, procs].
@@ -148,37 +153,32 @@ func (UniformMutator) Name() string { return "uniform" }
 
 // Mutate implements Mutator.
 func (UniformMutator) Mutate(rng *rand.Rand, alloc schedule.Allocation, m, procs int) {
-	UniformMutator{}.MutateInto(rng, alloc, m, procs, nil)
-}
-
-// MutateInto implements PositionsMutator.
-func (UniformMutator) MutateInto(rng *rand.Rand, alloc schedule.Allocation, m, procs int, perm []int) {
-	for _, i := range samplePositionsInto(rng, len(alloc), m, perm) {
+	for _, i := range samplePositions(rng, len(alloc), m) {
 		alloc[i] = 1 + rng.Intn(procs)
 	}
 }
 
-// samplePositions draws min(m, n) distinct indices from [0, n) via a partial
-// Fisher-Yates shuffle.
-func samplePositions(rng *rand.Rand, n, m int) []int {
-	return samplePositionsInto(rng, n, m, nil)
+// mutateOn is Mutate on an island's stream, as PaperMutator.mutateOn.
+//
+//schedlint:hotpath
+func (UniformMutator) mutateOn(r *islandRNG, alloc schedule.Allocation, m, procs int, perm []int) {
+	pos := r.positions(perm[:len(alloc)], m)
+	for _, i := range pos {
+		alloc[i] = 1 + r.Intn(procs)
+	}
+	resetPositions(perm, len(pos))
 }
 
-// samplePositionsInto is samplePositions writing into perm, which is grown if
-// its capacity is below n and reused otherwise — the offspring loop of Run
-// passes one buffer for the whole run, so mutation allocates nothing. The
-// RNG consumption (m Intn calls) is identical regardless of the buffer.
-func samplePositionsInto(rng *rand.Rand, n, m int, perm []int) []int {
+// samplePositions draws min(m, n) distinct indices from [0, n) via a partial
+// Fisher-Yates shuffle, with m Intn draws.
+func samplePositions(rng *rand.Rand, n, m int) []int {
 	if m > n {
 		m = n
 	}
 	if m <= 0 {
 		return nil
 	}
-	if cap(perm) < n {
-		perm = make([]int, n)
-	}
-	idx := perm[:n]
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -187,6 +187,38 @@ func samplePositionsInto(rng *rand.Rand, n, m int, perm []int) []int {
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:m]
+}
+
+// positions is samplePositions on an island's stream, with the same m Intn
+// draws, in perm, which must hold the identity of [0, len(perm)).
+// resetPositions restores it in O(m) instead of an O(V) reset per call.
+//
+//schedlint:hotpath
+func (r *islandRNG) positions(perm []int, m int) []int {
+	n := len(perm)
+	m = min(m, n)
+	for i := 0; i < m; i++ {
+		j := i + r.Intn(n-i)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm[:max(m, 0)]
+}
+
+// resetPositions restores the identity in perm after positions drew m of
+// them. Only the first m places and the drawn positions at or past m were
+// written: a place p ≥ m first swapped at step i sends its own value p to
+// place i, where it stays, so p was drawn.
+//
+//schedlint:hotpath
+func resetPositions(perm []int, m int) {
+	for _, p := range perm[:m] {
+		if p >= m {
+			perm[p] = p
+		}
+	}
+	for i := range perm[:m] {
+		perm[i] = i
+	}
 }
 
 // MutationCount implements the adaptive schedule of Section III-C: in
@@ -437,6 +469,33 @@ func Run(cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluato
 // island — islands only stop at barriers). Only a cancellation before the
 // initial evaluation returns a nil Result.
 func RunContext(ctx context.Context, cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluator) (*Result, error) {
+	inds := make([]Individual, len(seeds))
+	for i, s := range seeds {
+		inds[i] = Individual{Alloc: s}
+	}
+	return run(ctx, cfg, v, procs, starts{inds: inds}, fitness)
+}
+
+// RunSeeded is RunContext for seeds whose fitness the caller already has:
+// each seed's Fitness must be what the run's evaluator returns for its Alloc
+// without a bound, as core.Run's seeding workers compute it. The run takes
+// those values instead of evaluating the seeds, and it evaluates a random
+// fill individual only if no seed holds the same allocation. Result,
+// Evaluations and every GenStats are the same as RunContext's on the seeds'
+// allocations. A seed must already lie in [1, procs]: it is checked, not
+// clamped, since its fitness belongs to exactly that allocation.
+func RunSeeded(ctx context.Context, cfg Config, v, procs int, seeds []Individual, fitness Evaluator) (*Result, error) {
+	return run(ctx, cfg, v, procs, starts{inds: seeds, known: true}, fitness)
+}
+
+// starts are a run's seed individuals; known says whether their Fitness
+// fields hold their fitness.
+type starts struct {
+	inds  []Individual
+	known bool
+}
+
+func run(ctx context.Context, cfg Config, v, procs int, seeds starts, fitness Evaluator) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -500,7 +559,7 @@ func poolStats(u int, pool []Individual, bestEver float64, rejected int) GenStat
 }
 
 // uniformCrossover overwrites roughly half of child's alleles with other's.
-func uniformCrossover(rng *rand.Rand, child, other schedule.Allocation) {
+func uniformCrossover(rng *islandRNG, child, other schedule.Allocation) {
 	for i := range child {
 		if rng.Intn(2) == 0 {
 			child[i] = other[i]

@@ -155,6 +155,13 @@ func (eng *evalEngine) helper(w int) {
 	eng.work(w)
 }
 
+// abandon stops a generation before all of it is published: it waits for
+// the helpers, which evaluate only published individuals, and leaves the
+// tallies unmerged. The run is failing; the engine is not used again.
+func (eng *evalEngine) abandon() {
+	eng.wg.Wait()
+}
+
 // finish evaluates, as worker 0, every individual no helper claimed, waits
 // for the helpers and merges the generation's tallies into res. It must
 // follow publish(len(inds)).

@@ -13,8 +13,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,14 +38,15 @@ type island struct {
 	idx      int
 	cfg      Config // private copy; Workers holds this island's budget
 	v, procs int
-	seeds    []schedule.Allocation // shared, read-only
-	rng      *rand.Rand
+	seeds    starts // shared, read-only
+	rng      *islandRNG
 	eng      *evalEngine
 	res      *Result
 
-	mut          Mutator
-	pmut         PositionsMutator
-	hasPositions bool
+	mut Mutator
+	// own is the mutation operator when it is this package's PaperMutator
+	// or UniformMutator, whose children need no check; nil for any other.
+	own          ownMutator
 	initialSigma float64
 	tau          float64
 
@@ -55,7 +56,7 @@ type island struct {
 	parents   []Individual
 	offspring []Individual
 	arena     schedule.Allocation
-	perm      []int
+	perm      []int // the identity of [0, v) between children
 
 	// observe receives each generation's GenStats. The single-island path
 	// wires Config.OnGeneration directly; the coordinator wires a buffering
@@ -72,7 +73,7 @@ type island struct {
 // the coordinator pre-divides the worker budget, everything else is shared
 // verbatim. The construction order (mutator, RNG, result, engine) mirrors
 // the pre-island RunContext.
-func newIsland(idx int, cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluator) *island {
+func newIsland(idx int, cfg Config, v, procs int, seeds starts, fitness Evaluator) *island {
 	mut := cfg.Mutator
 	if mut == nil {
 		mut = DefaultPaperMutator()
@@ -81,22 +82,46 @@ func newIsland(idx int, cfg Config, v, procs int, seeds []schedule.Allocation, f
 	is.rng = newIslandRNG(cfg.Seed, idx)
 	is.res = &Result{}
 	is.eng = newEvalEngine(cfg, fitness)
-	is.pmut, is.hasPositions = mut.(PositionsMutator)
+	switch m := mut.(type) {
+	case PaperMutator:
+		is.own = m
+	case UniformMutator:
+		is.own = m
+	}
 	is.observe = cfg.OnGeneration
 	return is
+}
+
+// ownMutator is implemented by the mutation operators of this package, which
+// draw from an island's stream directly.
+type ownMutator interface {
+	mutateOn(r *islandRNG, alloc schedule.Allocation, m, procs int, perm []int)
 }
 
 // init seeds and evaluates the initial population, selects the first parent
 // generation, and allocates the generation-loop arenas.
 func (is *island) init() error {
 	cfg := &is.cfg
-	// Initial pool: seeds (clamped defensively) plus random fill.
-	pool := make([]Individual, 0, max(len(is.seeds), cfg.Mu))
-	for _, s := range is.seeds {
-		if len(s) != is.v {
-			return fmt.Errorf("ea: seed individual has %d alleles, want %d", len(s), is.v)
+	// Initial pool: seeds plus random fill. Seeds of unknown fitness are
+	// clamped defensively; seeds of known fitness must already be in range.
+	pool := make([]Individual, 0, max(len(is.seeds.inds), cfg.Mu))
+	for _, s := range is.seeds.inds {
+		if len(s.Alloc) != is.v {
+			return fmt.Errorf("ea: seed individual has %d alleles, want %d", len(s.Alloc), is.v)
 		}
-		pool = append(pool, Individual{Alloc: s.Clone().Clamp(is.procs)})
+		a := s.Alloc.Clone()
+		if !is.seeds.known {
+			pool = append(pool, Individual{Alloc: a.Clamp(is.procs)})
+			continue
+		}
+		if err := a.ValidateLen(is.v, is.procs); err != nil {
+			return err
+		}
+		pool = append(pool, Individual{Alloc: a, Fitness: s.Fitness})
+	}
+	known := 0
+	if is.seeds.known {
+		known = len(pool)
 	}
 	for len(pool) < cfg.Mu {
 		a := make(schedule.Allocation, is.v)
@@ -105,9 +130,24 @@ func (is *island) init() error {
 		}
 		pool = append(pool, Individual{Alloc: a})
 	}
-	if err := is.eng.evaluateAll(pool, 0, is.res); err != nil {
+	// Evaluate what is not known: a random fill equal to a seed takes the
+	// seed's fitness. Evaluations counts the whole pool either way.
+	var todo []Individual
+	var at []int
+	for i := known; i < len(pool); i++ {
+		if j := slices.IndexFunc(pool[:known], func(s Individual) bool { return slices.Equal(s.Alloc, pool[i].Alloc) }); j >= 0 {
+			pool[i].Fitness = pool[j].Fitness
+			continue
+		}
+		todo, at = append(todo, pool[i]), append(at, i)
+	}
+	if err := is.eng.evaluateAll(todo, 0, is.res); err != nil {
 		return err
 	}
+	for k, i := range at {
+		pool[i].Fitness = todo[k].Fitness
+	}
+	is.res.Evaluations += len(pool) - len(todo)
 	// The initial pool's vectors are all freshly allocated and private to
 	// this island, so every entry qualifies for clone-free passthrough.
 	is.parents = selectBest(pool, cfg.Mu, len(pool))
@@ -129,15 +169,18 @@ func (is *island) init() error {
 	is.tau = 1 / math.Sqrt(2*float64(is.v))
 
 	// Offspring arena: one backing array serves all λ child vectors and is
-	// reused every generation, and one permutation buffer serves every
-	// mutation call — offspring generation allocates nothing after this
-	// point. The aliasing rule making this safe: anything that must outlive
-	// the generation is copied out — selectBest clones arena-backed
-	// survivors — so overwriting the arena next generation cannot corrupt
-	// them.
+	// reused every generation, and one permutation buffer, kept the identity
+	// between children, serves every mutation call — offspring generation
+	// allocates nothing after this point. The aliasing rule making this safe:
+	// anything that must outlive the generation is copied out — selectBest
+	// clones arena-backed survivors — so overwriting the arena next
+	// generation cannot corrupt them.
 	is.offspring = make([]Individual, cfg.Lambda)
 	is.arena = make(schedule.Allocation, cfg.Lambda*is.v)
 	is.perm = make([]int, is.v)
+	for i := range is.perm {
+		is.perm[i] = i
+	}
 	is.pool = pool
 	return nil
 }
@@ -203,11 +246,16 @@ func (is *island) step(u int) error {
 			if max := float64(is.procs); sigma > max {
 				sigma = max
 			}
-			PaperMutator{A: 0.2, Sigma1: sigma, Sigma2: sigma}.MutateInto(is.rng, child, m, is.procs, is.perm)
-		} else if is.hasPositions {
-			is.pmut.MutateInto(is.rng, child, m, is.procs, is.perm)
+			PaperMutator{A: 0.2, Sigma1: sigma, Sigma2: sigma}.mutateOn(is.rng, child, m, is.procs, is.perm)
+		} else if is.own != nil {
+			is.own.mutateOn(is.rng, child, m, is.procs, is.perm)
 		} else {
-			is.mut.Mutate(is.rng, child, m, is.procs)
+			is.mut.Mutate(is.rng.std, child, m, is.procs)
+			// A child of an outside operator enters the run here.
+			if err := child.ValidateLen(is.v, is.procs); err != nil {
+				is.eng.abandon()
+				return err
+			}
 		}
 		offspring[i] = Individual{Alloc: child, Sigma: sigma}
 		is.eng.publish(i + 1)
@@ -264,7 +312,7 @@ func (is *island) runSpan(from, to int) error {
 // island goroutines parked, so the run is a deterministic function of
 // (Config, seeds) — worker counts, GOMAXPROCS, and goroutine interleaving
 // change timing but never bytes.
-func runIslands(ctx context.Context, cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluator) (*Result, error) {
+func runIslands(ctx context.Context, cfg Config, v, procs int, seeds starts, fitness Evaluator) (*Result, error) {
 	n := cfg.Islands
 	interval := cfg.MigrationInterval
 	if interval <= 0 {

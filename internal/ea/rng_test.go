@@ -1,0 +1,268 @@
+package ea
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"emts/internal/schedule"
+)
+
+// rn is the start of the ziggurat's tail in math/rand's NormFloat64: a value
+// beyond it came from the base strip's slow case.
+const rn = 3.442619855899
+
+// TestIslandRNGMatchesRand compares an island's draws with a *rand.Rand on
+// rand.NewSource(islandSeed(seed, idx)) over 120 seeds and three islands each:
+// long mixed sequences of Intn over 1..V (powers of two and large n with
+// frequent rejection included), Float64, NormFloat64, and draws through the
+// island's std, the way outside mutators read it. The sequences are long
+// enough to reach the ziggurat's tail many times.
+func TestIslandRNGMatchesRand(t *testing.T) {
+	tails, slow := 0, 0
+	for seed := int64(-3); seed < 117; seed++ {
+		for idx := 0; idx < 3; idx++ {
+			got := newIslandRNG(seed, idx)
+			want := rand.New(rand.NewSource(islandSeed(seed, idx)))
+			ops := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
+			for k := 0; k < 12000; k++ {
+				switch op := ops.Intn(10); op {
+				case 0, 1, 2:
+					n := 1 + ops.Intn(300)
+					switch ops.Intn(4) {
+					case 0:
+						n = 1 << ops.Intn(31)
+					case 1:
+						n = 1<<30 + 1 + ops.Intn(1<<30-2) // rejects often
+					}
+					if g, w := got.Intn(n), want.Intn(n); g != w {
+						t.Fatalf("seed %d island %d draw %d: Intn(%d) = %d, rand %d", seed, idx, k, n, g, w)
+					}
+				case 3, 4:
+					if g, w := got.Float64(), want.Float64(); g != w {
+						t.Fatalf("seed %d island %d draw %d: Float64 = %v, rand %v", seed, idx, k, g, w)
+					}
+				case 5, 6, 7:
+					before := got.feed
+					g, w := got.NormFloat64(), want.NormFloat64()
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("seed %d island %d draw %d: NormFloat64 = %v, rand %v", seed, idx, k, g, w)
+					}
+					if math.Abs(g) > rn {
+						tails++
+					}
+					if (before-got.feed+rngLen)%rngLen != 1 {
+						slow++ // took more than one value
+					}
+				case 8:
+					n := 1 + ops.Intn(50)
+					if g, w := got.std.Intn(n), want.Intn(n); g != w {
+						t.Fatalf("seed %d island %d draw %d: std.Intn(%d) = %d, rand %d", seed, idx, k, n, g, w)
+					}
+				case 9:
+					if g, w := got.std.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("seed %d island %d draw %d: std.Uint64 = %v, rand %v", seed, idx, k, g, w)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d NormFloat64 draws in the tail, %d took the slow path", tails, slow)
+	if tails == 0 || slow == 0 {
+		t.Fatalf("the sequences never reached the ziggurat's tail (%d) or slow path (%d)", tails, slow)
+	}
+}
+
+// TestIslandRNGSeed: reseeding through the island's std restarts the stream
+// as a fresh rand.NewSource of that seed would.
+func TestIslandRNGSeed(t *testing.T) {
+	r := newIslandRNG(1, 0)
+	for i := 0; i < 1000; i++ {
+		r.Uint64()
+	}
+	r.std.Seed(99)
+	want := rand.New(rand.NewSource(99))
+	for i := 0; i < 2000; i++ {
+		if g, w := r.Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d after Seed: %d, rand %d", i, g, w)
+		}
+	}
+}
+
+// TestMutatorsIslandPathMatchRand: PaperMutator (with the paper's and with
+// self-adaptive step sizes) and UniformMutator produce, child for child, the
+// same offspring on an island's stream as their Mutate on a *rand.Rand, with
+// the parent pick and crossover draws of a generation in between, and leave
+// the island's position buffer the identity.
+func TestMutatorsIslandPathMatchRand(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		ctl := rand.New(rand.NewSource(seed + 1000))
+		v, procs := 1+ctl.Intn(200), 1+ctl.Intn(128)
+		isl := newIslandRNG(seed, 0)
+		ref := rand.New(rand.NewSource(seed))
+		perm := make([]int, v)
+		for i := range perm {
+			perm[i] = i
+		}
+		parents := make([]schedule.Allocation, 1+ctl.Intn(5))
+		for i := range parents {
+			parents[i] = make(schedule.Allocation, v)
+			for j := range parents[i] {
+				parents[i][j] = 1 + ctl.Intn(procs)
+			}
+		}
+		for child := 0; child < 60; child++ {
+			m := ctl.Intn(v + 3)
+			pi, pr := isl.Intn(len(parents)), ref.Intn(len(parents))
+			if pi != pr {
+				t.Fatalf("seed %d child %d: parent pick %d, rand %d", seed, child, pi, pr)
+			}
+			got, want := parents[pi].Clone(), parents[pr].Clone()
+			if ctl.Intn(3) == 0 {
+				other := parents[ctl.Intn(len(parents))]
+				uniformCrossover(isl, got, other)
+				for i := range want {
+					if ref.Intn(2) == 0 {
+						want[i] = other[i]
+					}
+				}
+			}
+			var mut interface {
+				Mutator
+				ownMutator
+			}
+			switch ctl.Intn(3) {
+			case 0:
+				mut = DefaultPaperMutator()
+			case 1:
+				s := 0.3 + 20*ctl.Float64()
+				mut = PaperMutator{A: 0.2, Sigma1: s, Sigma2: s}
+			default:
+				mut = UniformMutator{}
+			}
+			mut.mutateOn(isl, got, m, procs, perm)
+			mut.Mutate(ref, want, m, procs)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d child %d (%s, m %d): island path %v, rand %v", seed, child, mut.Name(), m, got, want)
+			}
+			for i, p := range perm {
+				if p != i {
+					t.Fatalf("seed %d child %d: position buffer not the identity at %d", seed, child, i)
+				}
+			}
+		}
+		if g, w := isl.Int63(), ref.Int63(); g != w {
+			t.Fatalf("seed %d: streams out of step after the children", seed)
+		}
+	}
+}
+
+// inRangeEvaluator fails every allocation of the wrong length or with an
+// allele outside [1, procs], and otherwise scores the distance to target.
+func inRangeEvaluator(v, procs int, target schedule.Allocation) Evaluator {
+	fit := sphereFitness(target)
+	return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
+		if err := a.ValidateLen(v, procs); err != nil {
+			return 0, err
+		}
+		return fit(a, rejectAbove)
+	}
+}
+
+// checkOffspringInRange runs a small EA from seed under PaperMutator,
+// UniformMutator, crossover and self-adaptation, and fails if any evaluated
+// allocation leaves [1, procs]: the EA's evaluations are not checked, so
+// this is the guarantee they rest on.
+func checkOffspringInRange(t testing.TB, seed int64) {
+	ctl := rand.New(rand.NewSource(seed))
+	v, procs := 1+ctl.Intn(120), 1+ctl.Intn(200)
+	target := make(schedule.Allocation, v)
+	for i := range target {
+		target[i] = 1 + ctl.Intn(procs)
+	}
+	seeds := []schedule.Allocation{schedule.Ones(v)}
+	cfgs := []Config{
+		{Mutator: DefaultPaperMutator()},
+		{Mutator: PaperMutator{A: ctl.Float64(), Sigma1: 50 * ctl.Float64(), Sigma2: 50 * ctl.Float64()}},
+		{Mutator: UniformMutator{}},
+		{CrossoverProb: ctl.Float64()},
+		{SelfAdaptive: true, InitialSigma: 100 * ctl.Float64()},
+		{SelfAdaptive: true, CrossoverProb: 0.5, Islands: 2},
+	}
+	for i, cfg := range cfgs {
+		cfg.Mu, cfg.Lambda, cfg.Generations = 1+ctl.Intn(6), 1+ctl.Intn(20), 1+ctl.Intn(5)
+		cfg.Fm = 0.01 + 0.99*ctl.Float64()
+		cfg.Seed, cfg.Workers = seed, 1
+		if _, err := Run(cfg, v, procs, seeds, inRangeEvaluator(v, procs, target)); err != nil {
+			t.Fatalf("seed %d config %d (v %d, procs %d): %v", seed, i, v, procs, err)
+		}
+	}
+}
+
+// FuzzOffspringInRange: every offspring of this package's operators stays in
+// [1, procs].
+func FuzzOffspringInRange(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkOffspringInRange(t, seed)
+	})
+}
+
+// TestRunSeededMatchesRunContext: seeds with their fitness give the same
+// result as the same seeds evaluated by the run, without evaluating them or a
+// random fill equal to one of them, and a seed out of range is an error.
+func TestRunSeededMatchesRunContext(t *testing.T) {
+	const v, procs = 30, 16
+	target := islandTarget(v, procs)
+	fit := sphereFitness(target)
+	var calls atomic.Int64 // islands evaluate concurrently
+	counting := func(a schedule.Allocation, b float64) (float64, error) {
+		calls.Add(1)
+		return fit(a, b)
+	}
+	for _, islands := range []int{1, 3} {
+		cfg := Config{Mu: 10, Lambda: 40, Generations: 4, Fm: 0.33, Seed: 77, Workers: 1, Islands: islands}
+		// The island-0 stream's first random fill, as alloc.Random{Seed: 77}
+		// draws it.
+		rng := rand.New(rand.NewSource(77))
+		first := make(schedule.Allocation, v)
+		for i := range first {
+			first[i] = 1 + rng.Intn(procs)
+		}
+		allocs := []schedule.Allocation{schedule.Ones(v), target.Clone(), first}
+		calls.Store(0)
+		want, err := Run(cfg, v, procs, allocs, counting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plainCalls := calls.Load()
+		seeds := make([]Individual, len(allocs))
+		for i, a := range allocs {
+			f, _ := fit(a, 0)
+			seeds[i] = Individual{Alloc: a, Fitness: f}
+		}
+		calls.Store(0)
+		got, err := RunSeeded(context.Background(), cfg, v, procs, seeds, counting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fingerprintResult(got), fingerprintResult(want)) {
+			t.Fatalf("islands %d: RunSeeded %+v, RunContext %+v", islands, fingerprintResult(got), fingerprintResult(want))
+		}
+		// Island 0 skips its first random fill; other islands draw their own.
+		if skipped := int(plainCalls - calls.Load()); skipped != islands*len(allocs)+1 {
+			t.Fatalf("islands %d: RunSeeded saved %d evaluations, want %d", islands, skipped, islands*len(allocs)+1)
+		}
+	}
+	bad := []Individual{{Alloc: append(schedule.Ones(v-1), procs+1), Fitness: 1}}
+	want := bad[0].Alloc.ValidateLen(v, procs)
+	if _, err := RunSeeded(context.Background(), defaultConfig(1), v, procs, bad, fit); err == nil || err.Error() != want.Error() {
+		t.Fatalf("RunSeeded on a seed out of range: err %v, want %v", err, want)
+	}
+}

@@ -3,11 +3,12 @@ package ea
 import "math/rand"
 
 // Island RNG derivation (DESIGN.md §17). Every island of a run owns a private
-// *rand.Rand; the streams are decorrelated by deriving each island's seed
-// from the run seed with splitmix64, the standard seed-spreading finalizer
-// (Steele et al., "Fast splittable pseudorandom number generators"). Island 0
-// keeps the raw run seed so a single-island run draws exactly the sequence
-// the pre-island code drew — the byte-identity anchor for the whole lattice.
+// random stream, an islandRNG over rand.NewSource; the streams are
+// decorrelated by deriving each island's seed from the run seed with
+// splitmix64, the standard seed-spreading finalizer (Steele et al., "Fast
+// splittable pseudorandom number generators"). Island 0 keeps the raw run
+// seed so a single-island run draws exactly the sequence the pre-island code
+// drew — the byte-identity anchor for the whole lattice.
 //
 // newIslandRNG is the only sanctioned constructor of RNGs in this package:
 // the schedlint islandrng analyzer rejects any other math/rand construction
@@ -45,6 +46,9 @@ func islandSeed(seed int64, idx int) int64 {
 
 // newIslandRNG builds island idx's private generator. All math/rand
 // construction in this package must flow through here (schedlint islandrng).
-func newIslandRNG(seed int64, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(islandSeed(seed, idx)))
+func newIslandRNG(seed int64, idx int) *islandRNG {
+	r := &islandRNG{src: rand.NewSource(islandSeed(seed, idx)).(rand.Source64)}
+	r.load()
+	r.std = rand.New(r)
+	return r
 }

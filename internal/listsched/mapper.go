@@ -116,7 +116,7 @@ func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
 //
 //schedlint:hotpath
 func (m *Mapper) Makespan(alloc schedule.Allocation) (float64, error) {
-	return m.mapLoop(alloc, Options{SkipProcSets: true}, nil, nil)
+	return m.MakespanOpts(alloc, Options{})
 }
 
 // MakespanBounded is Makespan with the rejection strategy of Section VI: it
@@ -135,14 +135,34 @@ func (m *Mapper) Makespan(alloc schedule.Allocation) (float64, error) {
 //
 //schedlint:hotpath
 func (m *Mapper) MakespanBounded(alloc schedule.Allocation, rejectAbove float64) (float64, error) {
-	return m.mapLoop(alloc, Options{SkipProcSets: true, RejectAbove: rejectAbove}, nil, nil)
+	return m.MakespanOpts(alloc, Options{RejectAbove: rejectAbove})
 }
 
 // MakespanOpts is Makespan with full Options control (rejection bound,
 // prefilter switch). SkipProcSets is implied: no schedule is materialized.
 //
+// Every public Mapper call first checks alloc with schedule.Allocation.Validate
+// and returns its error for an allocation of the wrong length or with an
+// entry outside [1, P].
+//
 //schedlint:hotpath
 func (m *Mapper) MakespanOpts(alloc schedule.Allocation, opt Options) (float64, error) {
+	if err := alloc.Validate(m.g, m.procs); err != nil {
+		return 0, err
+	}
+	return MakespanUnchecked(m, alloc, opt)
+}
+
+// MakespanUnchecked is m.MakespanOpts without the Validate check: alloc must
+// already hold one entry per task, each in [1, P], and any other allocation
+// reads the wrong table cells or panics. It is the EA's fitness path, where
+// an O(V) check per evaluation would re-prove what holds by construction:
+// the EA checks allocations where they enter a run and derives every other
+// one from them within [1, P] (DESIGN.md §10). It is a function rather than
+// a method so that the public Mapper type keeps checking every call.
+//
+//schedlint:hotpath
+func MakespanUnchecked(m *Mapper, alloc schedule.Allocation, opt Options) (float64, error) {
 	opt.SkipProcSets = true
 	return m.mapLoop(alloc, opt, nil, nil)
 }
@@ -214,11 +234,10 @@ func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedu
 // entries; each task's Procs is carved from it, so a full Map costs one arena
 // allocation instead of one per task.
 //
+// The caller has checked alloc (see MakespanUnchecked).
+//
 //schedlint:hotpath
 func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
-	if err := alloc.Validate(m.g, m.procs); err != nil {
-		return 0, err
-	}
 	g, tab, procs, st := m.g, m.tab, m.procs, &m.st
 	n := g.NumTasks()
 	// The prefilter (DESIGN.md §10, Layer 1) tries the cheap proofs first and

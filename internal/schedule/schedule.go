@@ -37,8 +37,15 @@ func (a Allocation) Clone() Allocation { return append(Allocation(nil), a...) }
 // Validate checks that the allocation covers every task of g and that every
 // entry lies in [1, procs].
 func (a Allocation) Validate(g *dag.Graph, procs int) error {
-	if len(a) != g.NumTasks() {
-		return fmt.Errorf("schedule: allocation has %d entries for %d tasks", len(a), g.NumTasks())
+	return a.ValidateLen(g.NumTasks(), procs)
+}
+
+// ValidateLen is Validate for a graph of n tasks, for callers that know the
+// task count but not the graph (the EA checks the children of outside
+// mutation operators with it).
+func (a Allocation) ValidateLen(n, procs int) error {
+	if len(a) != n {
+		return fmt.Errorf("schedule: allocation has %d entries for %d tasks", len(a), n)
 	}
 	for i, s := range a {
 		if s < 1 || s > procs {

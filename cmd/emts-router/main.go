@@ -28,7 +28,7 @@
 //	GET  /readyz       routability (503 while draining or no healthy backends)
 //	GET  /metrics      per-backend counters, latency histograms, ejections,
 //	                   rebalances, affinity hit counters
-//	(anything else)    forwarded round-robin to a healthy backend
+//	(anything else)    spread over the healthy backends by a request counter
 //
 // SIGINT/SIGTERM drain gracefully: readiness flips to 503, in-flight proxied
 // requests finish, then the listener closes.

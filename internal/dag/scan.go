@@ -8,8 +8,9 @@ import "strconv"
 const maxScanDepth = 16
 
 // Scanner reads a plain subset of JSON in one pass, without reflection: the
-// subset that the PTG codec (UnmarshalGraph) and emts-serve's request
-// envelope decode on their fast paths.
+// subset that the PTG codec (UnmarshalGraph) and the request envelope's
+// decoder (envelope.Decode, run by emts-serve and by emts-router's routing
+// key alike) decode on their fast paths.
 //
 // The subset is strict. Object keys and string values are printable ASCII
 // without escapes; numbers follow the JSON grammar and must parse; null is

@@ -23,7 +23,7 @@ import (
 
 	"emts/internal/dag"
 	"emts/internal/daggen"
-	"emts/internal/server"
+	"emts/internal/envelope"
 )
 
 // Options is one run's parameters; emts-loadgen maps its flags onto it one
@@ -155,9 +155,9 @@ func Bodies(o Options) ([][]byte, error) {
 
 // body is the request for graph g at seed.
 func (o Options) body(g json.RawMessage, seed int64) ([]byte, error) {
-	return json.Marshal(server.ScheduleRequest{
+	return json.Marshal(envelope.ScheduleRequest{
 		Graph:     g,
-		Cluster:   server.ClusterSpec{Preset: o.Cluster},
+		Cluster:   envelope.ClusterSpec{Preset: o.Cluster},
 		Model:     o.Model,
 		Algorithm: o.Algo,
 		Seed:      seed,

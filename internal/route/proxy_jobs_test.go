@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -224,5 +225,48 @@ func TestRouterSSEOutlivesUpstreamTimeout(t *testing.T) {
 	}
 	if keepalives < 2 {
 		t.Fatalf("saw %d keep-alives across the window, want >= 2 (stream cut early?)", keepalives)
+	}
+}
+
+// TestRouterJobRetryOnRefused polls a job whose owner refuses connections:
+// the poll is replayed once onto the next rendezvous choice for the job's
+// key, which answers the authoritative 404.
+func TestRouterJobRetryOnRefused(t *testing.T) {
+	backends := startBackends(t, 2, server.Config{})
+	router, err := New(Config{Backends: []Backend{backends[0].b, backends[1].b}, Health: HealthConfig{Interval: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Shutdown(context.Background())
+	rts := httptest.NewServer(router.Handler())
+	defer rts.Close()
+
+	key, err := RequestKey(scheduleBody(t, "fft4", "emts5", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/jobs/" + hex.EncodeToString(key[:]) + "-" + strings.Repeat("0", 64)
+	owner, _ := router.Table().Pick(key[:], "")
+	next, _ := router.Table().Pick(key[:], owner.ID)
+	for _, rb := range backends {
+		if rb.b.ID == owner.ID {
+			rb.ts.Close()
+		}
+	}
+
+	resp, err := http.Get(rts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("poll status %d, want the next choice's 404", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Emts-Backend"); got != next.ID {
+		t.Fatalf("poll answered by %s, want the next rendezvous choice %s", got, next.ID)
+	}
+	if n := sampleValue(t, scrape(t, rts.URL), "emts_router_retries_total"); n != 1 {
+		t.Fatalf("emts_router_retries_total %d, want 1", n)
 	}
 }

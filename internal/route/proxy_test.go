@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"emts/internal/daggen"
+	"emts/internal/envelope"
 	"emts/internal/server"
 )
 
@@ -66,9 +67,9 @@ func scheduleBody(t *testing.T, spec string, algo string, seed int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(server.ScheduleRequest{
+	body, err := json.Marshal(envelope.ScheduleRequest{
 		Graph:     raw,
-		Cluster:   server.ClusterSpec{Preset: "chti"},
+		Cluster:   envelope.ClusterSpec{Preset: "chti"},
 		Algorithm: algo,
 		Seed:      seed,
 	})
@@ -242,9 +243,6 @@ func TestRouterEjectionLifecycle(t *testing.T) {
 
 	setDown("b", true)
 	waitFor(t, "ejection of b", func() bool { return router.Table().Len() == 2 })
-	if router.Healthy()["b"] {
-		t.Fatal("b still marked healthy after ejection")
-	}
 	for _, bk := range router.Table().Backends() {
 		if bk.ID == "b" {
 			t.Fatal("ejected backend still in the table")
@@ -253,7 +251,7 @@ func TestRouterEjectionLifecycle(t *testing.T) {
 
 	setDown("b", false)
 	waitFor(t, "re-admission of b", func() bool { return router.Table().Len() == 3 })
-	ej, re, rb := router.Checker().Stats()
+	ej, re, rb := router.checker.Stats()
 	if ej != 1 || re != 1 || rb != 2 {
 		t.Fatalf("stats ejections=%d readmissions=%d rebalances=%d, want 1/1/2", ej, re, rb)
 	}
@@ -355,8 +353,8 @@ func TestRouterDrain(t *testing.T) {
 	}
 }
 
-// TestRouterForwardsAlgorithms pins the round-robin forwarding of
-// non-schedule endpoints.
+// TestRouterForwardsAlgorithms pins the forwarding of non-schedule
+// endpoints, which are keyed by the router's request counter.
 func TestRouterForwardsAlgorithms(t *testing.T) {
 	backends := startBackends(t, 2, server.Config{})
 	router, err := New(Config{Backends: []Backend{backends[0].b, backends[1].b}, Health: HealthConfig{Interval: time.Hour}})
@@ -417,5 +415,152 @@ func TestRouterBodyLimit(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(got), "exceeds 1024 bytes") {
 			t.Errorf("%s %s with a 4 KiB body: %d %s, want 413", tc.method, tc.path, resp.StatusCode, got)
 		}
+	}
+}
+
+// refusingBackend returns a backend whose address refuses connections: a
+// listener that was bound and closed again.
+func refusingBackend(t *testing.T, id string) Backend {
+	t.Helper()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	url := dead.URL
+	dead.Close()
+	return Backend{ID: id, URL: url}
+}
+
+// TestRouterRetryConcurrentUnkeyed sends unkeyed requests from 8 concurrent
+// clients while one of two backends refuses connections and the health
+// checker has not ejected it. Every request must reach the live backend:
+// the retry excludes the backend that refused, whatever the other requests
+// did in between, and every refusal is counted as a retry.
+func TestRouterRetryConcurrentUnkeyed(t *testing.T) {
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"algorithms":[]}`)
+	}))
+	defer live.Close()
+	dead := refusingBackend(t, "dead")
+	router, err := New(Config{
+		Backends: []Backend{{ID: "live", URL: live.URL}, dead},
+		Health:   HealthConfig{Interval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Shutdown(context.Background())
+	rts := httptest.NewServer(router.Handler())
+	defer rts.Close()
+
+	const clients, perClient = 8, 100
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	failed := 0
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Get(rts.URL + "/v1/algorithms")
+				ok := err == nil && resp.StatusCode == http.StatusOK && resp.Header.Get("X-Emts-Backend") == "live"
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				if !ok {
+					mu.Lock()
+					failed++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failed > 0 {
+		t.Fatalf("%d of %d requests were not answered 200 by the live backend", failed, clients*perClient)
+	}
+	page := scrape(t, rts.URL)
+	refusals := sampleValue(t, page, `emts_router_requests_total{backend="dead",code="-1"}`)
+	if refusals == 0 {
+		t.Fatal("no request picked the refusing backend first; the test proves nothing")
+	}
+	if retries := sampleValue(t, page, "emts_router_retries_total"); retries != refusals {
+		t.Fatalf("emts_router_retries_total %d, want the %d refusals", retries, refusals)
+	}
+}
+
+// sampleValue reads one integer sample from a /metrics page (0 when the
+// series is absent).
+func sampleValue(t *testing.T, page, series string) int {
+	t.Helper()
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			var n int
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestRouterClientCancelIsNotBackendError hangs up on a request the
+// backend has not answered yet. The router must neither retry it nor file
+// it as a backend transport error (code -1): the client went away, so it is
+// a 499, as emts-serve files it.
+func TestRouterClientCancelIsNotBackendError(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer upstream.Close()
+	defer close(release)
+	router, err := New(Config{
+		Backends: []Backend{{ID: "up", URL: upstream.URL}},
+		Health:   HealthConfig{Interval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Shutdown(context.Background())
+	rts := httptest.NewServer(router.Handler())
+	defer rts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rts.URL+"/v1/schedule", strings.NewReader(`{"graph":{"tasks":[{"flops":1}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-arrived
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the cancelled request got an answer")
+	}
+
+	var page string
+	waitFor(t, "the router to file the hung-up request", func() bool {
+		page = scrape(t, rts.URL)
+		return strings.Contains(page, `emts_router_requests_total{backend="up",`)
+	})
+	if strings.Contains(page, `code="-1"`) {
+		t.Fatalf("a client hang-up was filed as a backend transport error:\n%s", page)
+	}
+	if n := sampleValue(t, page, `emts_router_requests_total{backend="up",code="499"}`); n != 1 {
+		t.Fatalf("499 sample %d, want 1:\n%s", n, page)
+	}
+	if n := sampleValue(t, page, "emts_router_retries_total"); n != 0 {
+		t.Fatalf("a hung-up request was retried %d times", n)
 	}
 }

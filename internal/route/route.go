@@ -15,9 +15,11 @@
 // stays at one backend's worth. Hashing each request's graph digest onto a
 // stable backend instead partitions the key space: backend i only ever sees
 // ~1/N of the graphs, its LRUs stay hot for exactly that range, and
-// aggregate cache capacity scales with N. The router computes the digest
-// with intern.RawKey — the very function the backend's graph intern uses —
-// so the routing key and the cache key are the same bytes by construction.
+// aggregate cache capacity scales with N. The router finds the graph with
+// envelope.Decode — the decoder the backend parses the body with — and
+// digests it with intern.RawKey — the very function the backend's graph
+// intern uses — so the routing key and the cache key are the same bytes by
+// construction.
 //
 // # Why rendezvous (highest-random-weight) hashing
 //
@@ -33,12 +35,11 @@
 package route
 
 import (
-	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"strings"
 
+	"emts/internal/envelope"
 	"emts/internal/intern"
 )
 
@@ -168,60 +169,20 @@ func (t *Table) Pick(key []byte, exclude string) (Backend, bool) {
 	return best, found
 }
 
-// Rank returns the full per-key preference order (cold path: tests and
-// diagnostics; the proxy only ever needs the first one or two choices via
-// Pick).
-func (t *Table) Rank(key []byte) []Backend {
-	out := make([]Backend, 0, len(t.backends))
-	excluded := make(map[string]bool, len(t.backends))
-	for len(out) < len(t.backends) {
-		var best Backend
-		var bestScore uint64
-		found := false
-		h0 := uint64(fnvOffset64)
-		for _, b := range key {
-			h0 = (h0 ^ uint64(b)) * fnvPrime64
-		}
-		for i := range t.backends {
-			b := &t.backends[i]
-			if excluded[b.ID] {
-				continue
-			}
-			h := h0
-			for j := 0; j < len(b.ID); j++ {
-				h = (h ^ uint64(b.ID[j])) * fnvPrime64
-			}
-			h = fmix64(h)
-			if !found || h > bestScore || (h == bestScore && b.ID < best.ID) {
-				best, bestScore, found = *b, h, true
-			}
-		}
-		excluded[best.ID] = true
-		out = append(out, best)
-	}
-	return out
-}
-
-// graphEnvelope extracts only the graph member of a schedule request; every
-// other field is left to the backend's full validation.
-type graphEnvelope struct {
-	Graph json.RawMessage `json:"graph"`
-}
-
 // RequestKey computes the routing key for a raw /v1/schedule body: the exact
 // digest the backend's graph intern will look the graph up under
-// (intern.RawKey over the graph field's raw bytes). A body with no graph
-// field returns ErrNoGraph — the router then routes by the whole body so the
-// chosen backend can produce the authoritative 400; validation stays
-// single-sourced in internal/server. Like the backend, it decodes the
-// body's first JSON value and ignores what follows it, so a body the
-// backend accepts always shards by its graph.
+// (intern.RawKey over the graph field's raw bytes). The body is decoded by
+// envelope.Decode, the decoder the backend parses it with, so a body the
+// backend accepts always shards by its graph. A body whose envelope Decode
+// rejects, or that has no graph, returns the whole body's digest with
+// ErrNoGraph: the router routes it by that key, and the chosen backend
+// answers the authoritative 400.
 func RequestKey(body []byte) ([32]byte, error) {
-	var env graphEnvelope
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil || len(env.Graph) == 0 {
+	req, err := envelope.Decode(body)
+	if err != nil || len(req.Graph) == 0 {
 		return intern.RawKey(body), ErrNoGraph
 	}
-	return intern.RawKey(env.Graph), nil
+	return intern.RawKey(req.Graph), nil
 }
 
 // JobKey recovers the affinity key from a /v1/jobs/{id}[/...] path. Job ids

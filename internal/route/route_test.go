@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"emts/internal/intern"
+	"emts/internal/loadgen"
 )
 
 // testBackends builds n synthetic backends b0..b(n-1).
@@ -179,36 +180,6 @@ func TestMembershipStability(t *testing.T) {
 	}
 }
 
-// TestRankIsPermutation checks Rank returns every backend exactly once with
-// Pick as its head, so retry order == rank order.
-func TestRankIsPermutation(t *testing.T) {
-	tab, err := NewTable(testBackends(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range testKeys(50) {
-		rank := tab.Rank(k[:])
-		if len(rank) != 6 {
-			t.Fatalf("rank length %d", len(rank))
-		}
-		seen := make(map[string]bool)
-		for _, b := range rank {
-			if seen[b.ID] {
-				t.Fatalf("rank repeats %s", b.ID)
-			}
-			seen[b.ID] = true
-		}
-		head, _ := tab.Pick(k[:], "")
-		if head.ID != rank[0].ID {
-			t.Fatalf("Pick %s != Rank head %s", head.ID, rank[0].ID)
-		}
-		second, _ := tab.Pick(k[:], head.ID)
-		if second.ID != rank[1].ID {
-			t.Fatalf("Pick(exclude head) %s != Rank[1] %s", second.ID, rank[1].ID)
-		}
-	}
-}
-
 // TestNewTableRejectsDuplicates pins the identity rule.
 func TestNewTableRejectsDuplicates(t *testing.T) {
 	if _, err := NewTable([]Backend{{ID: "a"}, {ID: "a"}}); err == nil {
@@ -247,9 +218,16 @@ func TestRequestKey(t *testing.T) {
 	if k, err := RequestKey(append(body, '}')); err != nil || k != key {
 		t.Fatalf("trailing brace: key differs (%v)", err)
 	}
-	// No graph: deterministic whole-body fallback plus the sentinel.
-	if _, err := RequestKey([]byte(`{"algorithm":"cpa"}`)); err != ErrNoGraph {
-		t.Fatalf("no-graph error = %v, want ErrNoGraph", err)
+	// No graph, or an envelope the backend rejects (an unknown field,
+	// trailing data): deterministic whole-body fallback plus the sentinel.
+	for _, bad := range []string{
+		`{"algorithm":"cpa"}`,
+		`{"graph":` + string(graph) + `,"priority":1}`,
+		string(body) + ` {}`,
+	} {
+		if k, err := RequestKey([]byte(bad)); err != ErrNoGraph || k != intern.RawKey([]byte(bad)) {
+			t.Fatalf("RequestKey(%s) = %x, %v; want the body's RawKey and ErrNoGraph", bad, k, err)
+		}
 	}
 }
 
@@ -292,6 +270,25 @@ func TestJobKey(t *testing.T) {
 		k2, _ := JobKey(path)
 		if k1 != k2 {
 			t.Fatalf("JobKey(%q) not deterministic", path)
+		}
+	}
+}
+
+// BenchmarkRequestKey keys the bodies emts-loadgen sends (random50/55/60,
+// FFT8 and Strassen at two request seeds each), one body per iteration in
+// turn: the router's per-request cost of finding a schedule body's shard.
+func BenchmarkRequestKey(b *testing.B) {
+	bodies, err := loadgen.Bodies(loadgen.Options{
+		Graphs: "random50,random55,random60,fft8,strassen", Seeds: 2, Seed: 1,
+		Algo: "emts5", Model: "synthetic", Cluster: "chti",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RequestKey(bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

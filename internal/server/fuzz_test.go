@@ -2,10 +2,11 @@ package server
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
+	"emts/internal/envelope"
 	"emts/internal/intern"
+	"emts/internal/route"
 )
 
 // FuzzDecodeScheduleRequest hammers the /v1/schedule request decoder: it must
@@ -67,11 +68,13 @@ func FuzzDecodeScheduleRequest(f *testing.F) {
 	})
 }
 
-// FuzzScanScheduleRequest is the differential check of the envelope fast
-// path: whenever scanScheduleRequest accepts a body, encoding/json
-// (decodeScheduleRequest) accepts it too and decodes the identical request,
-// and parseScheduleRequest returns the same result or error as the reference
-// path that skips the scanner.
+// FuzzScanScheduleRequest checks that the parse result does not depend on
+// which decoder delimited the graph. envelope's FuzzDecodeMatchesJSON
+// checks that its one-pass scanner and encoding/json decode the same
+// request; the scanner's Graph aliases the body, encoding/json's is a copy.
+// So parseScheduleRequest must answer exactly as validateScheduleRequest
+// over the decoded request with its graph copied out of the body, and
+// reject an envelope Decode rejects with Decode's text on the body field.
 func FuzzScanScheduleRequest(f *testing.F) {
 	seeds := []string{
 		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}}`,
@@ -88,44 +91,68 @@ func FuzzScanScheduleRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, ok := scanScheduleRequest(data); ok {
-			ref, err := decodeScheduleRequest(data)
-			if err != nil {
-				t.Fatalf("scanner accepted what encoding/json rejects: %v", err)
-			}
-			if !sameRequest(req, ref) {
-				t.Fatalf("scanner decoded %+v, encoding/json %+v", req, ref)
-			}
-		}
 		p, err := parseScheduleRequest(data, 1000, 8, nil)
 		var ref *parsedRequest
-		req, rerr := decodeScheduleRequest(data)
-		if rerr == nil {
+		req, rerr := envelope.Decode(data)
+		if rerr != nil {
+			rerr = &RequestError{Field: "body", Msg: rerr.Error()}
+		} else {
+			req.Graph = bytes.Clone(req.Graph)
 			ref, rerr = validateScheduleRequest(req, 1000, 8, nil)
 		}
 		if (err == nil) != (rerr == nil) {
-			t.Fatalf("scanner changed acceptance: %v vs reference %v", err, rerr)
+			t.Fatalf("graph aliasing changed acceptance: %v vs reference %v", err, rerr)
 		}
 		if err != nil {
 			if err.Error() != rerr.Error() || errorField(err) != errorField(rerr) {
-				t.Fatalf("scanner changed the error: %v (%s) vs reference %v (%s)", err, errorField(err), rerr, errorField(rerr))
+				t.Fatalf("graph aliasing changed the error: %v (%s) vs reference %v (%s)", err, errorField(err), rerr, errorField(rerr))
 			}
 			return
 		}
 		if p.key != ref.key || p.graphKey != ref.graphKey || p.plan.ModelName != ref.plan.ModelName || p.plan.Algorithm != ref.plan.Algorithm ||
-			p.cluster != ref.cluster || !sameRequest(p.req, ref.req) {
-			t.Fatalf("scanner changed the parsed request: %+v vs reference %+v", p, ref)
+			p.cluster != ref.cluster || !bytes.Equal(p.req.Graph, ref.req.Graph) {
+			t.Fatalf("graph aliasing changed the parsed request: %+v vs reference %+v", p, ref)
 		}
 	})
 }
 
-// sameRequest reports whether two decoded envelopes are identical, float
-// bits and raw graph bytes included.
-func sameRequest(a, b ScheduleRequest) bool {
-	ca, cb := a.Cluster, b.Cluster
-	ca.SpeedGFlops, cb.SpeedGFlops = 0, 0
-	return bytes.Equal(a.Graph, b.Graph) && (a.Graph == nil) == (b.Graph == nil) && ca == cb &&
-		math.Float64bits(a.Cluster.SpeedGFlops) == math.Float64bits(b.Cluster.SpeedGFlops) &&
-		a.Model == b.Model && a.Algorithm == b.Algorithm && a.Seed == b.Seed && a.TimeoutMS == b.TimeoutMS &&
-		a.Islands == b.Islands && a.MigrationInterval == b.MigrationInterval
+// FuzzRouterKeyMatchesIntern is the differential check of the router's
+// shard key against the backend: whenever parseScheduleRequest accepts a
+// body, route.RequestKey returns the RawKey the graph intern looks the graph
+// up under, and that digest leads the job ID, so JobKey recovers it from
+// every job path. Whenever envelope.Decode rejects a body or finds no graph
+// in it, the key is the whole body's RawKey with ErrNoGraph.
+func FuzzRouterKeyMatchesIntern(f *testing.F) {
+	seeds := []string{
+		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}}`,
+		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}}}`,
+		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}} {}`,
+		`{"GRAPH":{"tasks":[{"flops":1}]},"Cluster":{"preset":"chti"},"seed":1,"seed":2}`,
+		`{"graph":{"tasks":[{"flops":9}]},"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"}}`,
+		`{"graph":{"tasks":[{"flops":1}]},"cluster":{"preset":"chti"},"priority":1}`,
+		`{"cluster":{"preset":"chti"}}`,
+		`{"graph":null,"cluster":{"preset":"chti"}}`,
+		`{"graph":`,
+		`[1,2,3]`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		key, err := route.RequestKey(data)
+		if p, perr := parseScheduleRequest(data, 1000, 8, nil); perr == nil {
+			if err != nil || key != intern.RawKey(p.req.Graph) {
+				t.Fatalf("accepted body: router key %x (%v), backend intern RawKey %x", key, err, intern.RawKey(p.req.Graph))
+			}
+			id := p.jobID()
+			if jk, ok := route.JobKey("/v1/jobs/" + id + "/events"); !ok || jk != key {
+				t.Fatalf("job ID %s does not lead with the router key", id)
+			}
+		}
+		if req, derr := envelope.Decode(data); derr != nil || len(req.Graph) == 0 {
+			if err != route.ErrNoGraph || key != intern.RawKey(data) {
+				t.Fatalf("graphless envelope: key %x (%v), want the body's RawKey %x and ErrNoGraph", key, err, intern.RawKey(data))
+			}
+		}
+	})
 }

@@ -10,15 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"emts/internal/envelope"
 	"emts/internal/jobs"
 )
 
 // islandScheduleBody builds a request body with island parameters.
 func islandScheduleBody(t *testing.T, seed int64, islands, interval int) []byte {
 	t.Helper()
-	b, err := json.Marshal(ScheduleRequest{
+	b, err := json.Marshal(envelope.ScheduleRequest{
 		Graph:             testGraphJSON(t),
-		Cluster:           ClusterSpec{Preset: "chti"},
+		Cluster:           envelope.ClusterSpec{Preset: "chti"},
 		Model:             "synthetic",
 		Algorithm:         "emts5",
 		Seed:              seed,

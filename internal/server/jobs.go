@@ -25,7 +25,6 @@ package server
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,7 +35,6 @@ import (
 
 	"emts/internal/dag"
 	"emts/internal/ea"
-	"emts/internal/intern"
 	"emts/internal/jobs"
 )
 
@@ -120,13 +118,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The job id leads with the digest of the *raw* graph bytes — the same
-	// key route.RequestKey hashes for /v1/schedule — so the router can
-	// affinity-route every later poll/SSE/cancel to this backend by parsing
-	// it back out of the path. The canonical digest (parsed.key) follows as
-	// the idempotency component.
-	rawKey := intern.RawKey(parsed.req.Graph)
-	id := hex.EncodeToString(rawKey[:]) + "-" + parsed.key
+	id := parsed.jobID()
 
 	// The run context is detached from the submitting connection (the job
 	// outlives it) but keeps the sync path's deadline discipline: the

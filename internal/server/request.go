@@ -1,57 +1,19 @@
 package server
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"emts/internal/dag"
+	"emts/internal/envelope"
 	"emts/internal/intern"
 	"emts/internal/platform"
 	"emts/internal/sim"
 )
-
-// ScheduleRequest is the body of POST /v1/schedule. Graph is the PTG JSON
-// file format (the structure produced by emts-daggen and dag.Graph's
-// MarshalJSON); Cluster selects a platform preset or describes one inline.
-type ScheduleRequest struct {
-	// Graph is the PTG in its JSON file format.
-	Graph json.RawMessage `json:"graph"`
-	// Cluster selects the platform.
-	Cluster ClusterSpec `json:"cluster"`
-	// Model names the execution-time model (default "synthetic").
-	Model string `json:"model,omitempty"`
-	// Algorithm names the scheduler (default "emts5").
-	Algorithm string `json:"algorithm,omitempty"`
-	// Seed drives every stochastic choice; equal requests give equal
-	// responses.
-	Seed int64 `json:"seed,omitempty"`
-	// TimeoutMS optionally tightens the server's per-request deadline. It can
-	// only lower the server limit, never raise it.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Islands selects the island-model EA for EMTS algorithms: 0 or 1 is the
-	// classic single population, N > 1 runs N coupled subpopulations (see
-	// ea.Config.Islands). Bounded by the server's MaxIslands cap.
-	Islands int `json:"islands,omitempty"`
-	// MigrationInterval is the generation period between island migrations
-	// (0 picks the default; ignored when Islands <= 1).
-	MigrationInterval int `json:"migration_interval,omitempty"`
-}
-
-// ClusterSpec names a platform preset ("chti", "grelon") or describes a
-// homogeneous cluster inline. Preset and the inline fields are mutually
-// exclusive.
-type ClusterSpec struct {
-	Preset      string  `json:"preset,omitempty"`
-	Name        string  `json:"name,omitempty"`
-	Procs       int     `json:"procs,omitempty"`
-	SpeedGFlops float64 `json:"speed_gflops,omitempty"`
-}
 
 // RequestError is a typed validation failure of a schedule request. The
 // server maps it (and dag.DecodeError) to a 400 response naming the field.
@@ -81,7 +43,7 @@ const maxTableCells = 20000 * 120
 // parsedRequest is a fully validated schedule request: the decoded graph, the
 // resolved cluster, the run plan, and the canonical cache key.
 type parsedRequest struct {
-	req     ScheduleRequest
+	req     envelope.ScheduleRequest
 	graph   *dag.Graph
 	cluster platform.Cluster
 	// plan is the run the names resolve to (sim.Resolve), with the request's
@@ -107,91 +69,26 @@ type parsedRequest struct {
 // All rejections are typed (*RequestError or *dag.DecodeError) and identical
 // with or without an intern.
 //
-// The envelope is decoded in one pass by scanScheduleRequest when the body
-// is in the plain JSON subset of dag.Scanner, and by decodeScheduleRequest
-// (encoding/json) otherwise; the graph likewise (dag.UnmarshalGraph). On
-// every body the scanner accepts, encoding/json decodes the same request, so
-// which decoder ran never shows in a key, an error or a response.
+// The envelope is decoded by envelope.Decode, the decoder emts-router keys
+// the same body with; the graph by dag.UnmarshalGraph. Both take a one-pass
+// dag.Scanner path when they can, and which decoder ran never shows in a
+// key, an error or a response.
 func parseScheduleRequest(body []byte, maxTasks, maxIslands int, graphs *intern.Graphs) (*parsedRequest, error) {
-	req, ok := scanScheduleRequest(body)
-	if !ok {
-		var err error
-		if req, err = decodeScheduleRequest(body); err != nil {
-			return nil, err
-		}
+	req, err := envelope.Decode(body)
+	if err != nil {
+		return nil, &RequestError{Field: "body", Msg: err.Error()}
 	}
 	return validateScheduleRequest(req, maxTasks, maxIslands, graphs)
 }
 
-// decodeScheduleRequest decodes the envelope with encoding/json: the
-// reference decoder, which alone decides acceptance and error text for every
-// body outside the scanner's subset.
-func decodeScheduleRequest(body []byte) (ScheduleRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req ScheduleRequest
-	if err := dec.Decode(&req); err != nil {
-		return ScheduleRequest{}, requestErrorf("body", "malformed JSON: %v", err)
-	}
-	// A second document after the first is a smuggling smell; reject it.
-	if dec.More() {
-		return ScheduleRequest{}, requestErrorf("body", "trailing data after request object")
-	}
-	return req, nil
-}
-
-// Keys of the request envelope, for dag.Scanner.Fields.
-var (
-	requestFields = []string{"graph", "cluster", "model", "algorithm", "seed", "timeout_ms", "islands", "migration_interval"}
-	clusterFields = []string{"preset", "name", "procs", "speed_gflops"}
-)
-
-// scanScheduleRequest decodes body in one pass with a dag.Scanner. The graph
-// is not decoded, only delimited: Graph aliases its bytes in body, exactly
-// the bytes encoding/json would copy into the RawMessage. It reports false,
-// and the caller falls back to decodeScheduleRequest, when body leaves the
-// scanner's subset, has a key that is not a field name spelled exactly, or
-// repeats a key (encoding/json matches keys case-insensitively and merges
-// repeated ones), or has anything but whitespace after the object.
-func scanScheduleRequest(body []byte) (req ScheduleRequest, ok bool) {
-	s := dag.NewScanner(body)
-	cluster := func(name string) bool {
-		var ok bool
-		switch name {
-		case "preset":
-			req.Cluster.Preset, ok = s.String()
-		case "name":
-			req.Cluster.Name, ok = s.String()
-		case "procs":
-			req.Cluster.Procs, ok = s.Int()
-		case "speed_gflops":
-			req.Cluster.SpeedGFlops, ok = s.Float()
-		}
-		return ok
-	}
-	ok = s.Fields(requestFields, func(name string) bool {
-		var ok bool
-		switch name {
-		case "graph":
-			req.Graph, ok = s.Skip()
-		case "cluster":
-			ok = s.Fields(clusterFields, cluster)
-		case "model":
-			req.Model, ok = s.String()
-		case "algorithm":
-			req.Algorithm, ok = s.String()
-		case "seed":
-			req.Seed, ok = s.Int64()
-		case "timeout_ms":
-			req.TimeoutMS, ok = s.Int64()
-		case "islands":
-			req.Islands, ok = s.Int()
-		case "migration_interval":
-			req.MigrationInterval, ok = s.Int()
-		}
-		return ok
-	})
-	return req, ok && s.End()
+// jobID is the request's job id. It leads with the digest of the raw graph
+// bytes, the key route.RequestKey shards the body by, so the router can
+// route every later poll, SSE subscription and cancel to this backend by
+// parsing it back out of the path. The canonical digest follows as the
+// idempotency component.
+func (p *parsedRequest) jobID() string {
+	raw := intern.RawKey(p.req.Graph)
+	return hex.EncodeToString(raw[:]) + "-" + p.key
 }
 
 // validateScheduleRequest resolves and validates a decoded request: the
@@ -199,7 +96,7 @@ func scanScheduleRequest(body []byte) (req ScheduleRequest, ok bool) {
 // admission limits, the run parameters and, last, the model and algorithm
 // names, so a request is rejected for an unknown name before it can take a
 // queue slot, build a table or create a job. It then derives the keys.
-func validateScheduleRequest(req ScheduleRequest, maxTasks, maxIslands int, graphs *intern.Graphs) (*parsedRequest, error) {
+func validateScheduleRequest(req envelope.ScheduleRequest, maxTasks, maxIslands int, graphs *intern.Graphs) (*parsedRequest, error) {
 	if len(req.Graph) == 0 {
 		return nil, requestErrorf("graph", "missing")
 	}
@@ -223,7 +120,7 @@ func validateScheduleRequest(req ScheduleRequest, maxTasks, maxIslands int, grap
 	if maxTasks > 0 && g.NumTasks() > maxTasks {
 		return nil, requestErrorf("graph.tasks", "%d tasks exceeds the admission limit of %d", g.NumTasks(), maxTasks)
 	}
-	cluster, err := req.Cluster.resolve()
+	cluster, err := resolveCluster(req.Cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -265,8 +162,8 @@ func validateScheduleRequest(req ScheduleRequest, maxTasks, maxIslands int, grap
 	}, nil
 }
 
-// resolve maps the spec to a validated platform.Cluster.
-func (cs ClusterSpec) resolve() (platform.Cluster, error) {
+// resolveCluster maps the spec to a validated platform.Cluster.
+func resolveCluster(cs envelope.ClusterSpec) (platform.Cluster, error) {
 	if cs.Preset != "" {
 		if cs.Name != "" || cs.Procs != 0 || cs.SpeedGFlops != 0 {
 			return platform.Cluster{}, requestErrorf("cluster", "preset and inline fields are mutually exclusive")

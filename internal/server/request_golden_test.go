@@ -11,13 +11,13 @@ package server
 
 import (
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"emts/internal/daggen"
+	"emts/internal/envelope"
 	"emts/internal/intern"
 	"emts/internal/route"
 )
@@ -102,17 +102,21 @@ type requestKeys struct {
 
 // TestRequestKeysGolden derives the keys of every golden body, with and
 // without the graph intern, and compares them with the golden file. For
-// every body whose envelope the backend decodes, the router's shard key must
-// be the RawKey the backend's graph intern looks the graph up under, which
-// is also the leading component of the job ID.
+// every body whose envelope decodes with a graph, the router's shard key
+// must be the RawKey the backend's graph intern looks the graph up under,
+// which is also the leading component of the job ID; for every other body
+// it is the whole body's RawKey.
 func TestRequestKeysGolden(t *testing.T) {
 	var got []requestKeys
 	for _, c := range requestKeyBodies(t) {
 		rec := requestKeys{Name: c.name, Body: c.body}
-		if req, err := decodeScheduleRequest([]byte(c.body)); err == nil && len(req.Graph) > 0 {
-			if shard, _ := route.RequestKey([]byte(c.body)); shard != intern.RawKey(req.Graph) {
-				t.Errorf("%s: router shard key %x, backend intern RawKey %x", c.name, shard, intern.RawKey(req.Graph))
+		shard, serr := route.RequestKey([]byte(c.body))
+		if req, err := envelope.Decode([]byte(c.body)); err == nil && len(req.Graph) > 0 {
+			if serr != nil || shard != intern.RawKey(req.Graph) {
+				t.Errorf("%s: router shard key %x (%v), backend intern RawKey %x", c.name, shard, serr, intern.RawKey(req.Graph))
 			}
+		} else if serr != route.ErrNoGraph || shard != intern.RawKey([]byte(c.body)) {
+			t.Errorf("%s: graphless envelope: router key %x (%v), want the body's RawKey and ErrNoGraph", c.name, shard, serr)
 		}
 		p, err := parseScheduleRequest([]byte(c.body), 0, 0, nil)
 		pi, erri := parseScheduleRequest([]byte(c.body), 0, 0, intern.NewGraphs(4))
@@ -131,9 +135,7 @@ func TestRequestKeysGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := intern.RawKey(p.req.Graph)
-		rec.Key, rec.GraphKey, rec.Canon = p.key, p.graphKey, string(canon)
-		rec.JobID = hex.EncodeToString(raw[:]) + "-" + p.key
+		rec.Key, rec.GraphKey, rec.Canon, rec.JobID = p.key, p.graphKey, string(canon), p.jobID()
 		got = append(got, rec)
 	}
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 
 	"emts/internal/dag"
 	"emts/internal/daggen"
+	"emts/internal/envelope"
 )
 
 const keyGraph = `{"tasks":[{"flops":1,"alpha":0.5},{"flops":2,"alpha":0.5}],"edges":[[0,1]]}`
@@ -108,18 +108,18 @@ func TestParseTableCellBound(t *testing.T) {
 
 // clientBody is a request as emts-loadgen spells it: json.Marshal of a
 // ScheduleRequest around json.Marshal of a generated PTG.
-func clientBody(t testing.TB, g *dag.Graph, preset string, seed int64) (body, graph []byte) {
+func clientBody(t testing.TB, g *dag.Graph, preset string, seed int64) []byte {
 	t.Helper()
 	graph, err := json.Marshal(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err = json.Marshal(ScheduleRequest{Graph: graph, Cluster: ClusterSpec{Preset: preset},
+	body, err := json.Marshal(envelope.ScheduleRequest{Graph: graph, Cluster: envelope.ClusterSpec{Preset: preset},
 		Model: "synthetic", Algorithm: "emts5", Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body, graph
+	return body
 }
 
 // benchGraph is a 100-task random PTG, the largest graph of the serving
@@ -133,42 +133,11 @@ func benchGraph(t testing.TB) *dag.Graph {
 	return g
 }
 
-// TestScannerTakesClientBodies: the bodies clients send are in the
-// scanner's subset, so the one-pass decoder is the common path, and it
-// delimits exactly the graph bytes the client wrote.
-func TestScannerTakesClientBodies(t *testing.T) {
-	costs := daggen.DefaultCosts()
-	for seed := int64(1); seed <= 6; seed++ {
-		fft, err := daggen.FFT(8, costs, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strassen, err := daggen.Strassen(costs, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		random, err := daggen.Random(daggen.RandomConfig{N: 20 + int(seed)*13, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 1}, costs, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range []*dag.Graph{fft, strassen, random} {
-			body, graph := clientBody(t, g, "grelon", seed*7919)
-			req, ok := scanScheduleRequest(body)
-			if !ok {
-				t.Fatalf("%s: scanner rejects the client body %s", g.Name(), body)
-			}
-			if !bytes.Equal(req.Graph, graph) || req.Cluster.Preset != "grelon" || req.Seed != seed*7919 {
-				t.Fatalf("%s: scanner decoded %+v", g.Name(), req)
-			}
-		}
-	}
-}
-
 // BenchmarkParseScheduleRequest decodes, validates and keys a client body
 // for a 100-task PTG on Grelon, without a graph intern: the per-request
 // parse cost of a server whose interns miss.
 func BenchmarkParseScheduleRequest(b *testing.B) {
-	body, _ := clientBody(b, benchGraph(b), "grelon", 7)
+	body := clientBody(b, benchGraph(b), "grelon", 7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := parseScheduleRequest(body, 0, 0, nil); err != nil {

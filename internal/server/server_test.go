@@ -16,6 +16,7 @@ import (
 
 	"emts/internal/dag"
 	"emts/internal/daggen"
+	"emts/internal/envelope"
 	"emts/internal/model"
 	"emts/internal/platform"
 	"emts/internal/sim"
@@ -38,9 +39,9 @@ func testGraphJSON(t *testing.T) []byte {
 // scheduleBody builds a request body around the test graph.
 func scheduleBody(t *testing.T, algorithm string, seed int64) []byte {
 	t.Helper()
-	b, err := json.Marshal(ScheduleRequest{
+	b, err := json.Marshal(envelope.ScheduleRequest{
 		Graph:     testGraphJSON(t),
-		Cluster:   ClusterSpec{Preset: "chti"},
+		Cluster:   envelope.ClusterSpec{Preset: "chti"},
 		Model:     "synthetic",
 		Algorithm: algorithm,
 		Seed:      seed,
@@ -367,9 +368,9 @@ func TestRequestDeadlineCancelsEA(t *testing.T) {
 		t.Fatal(err)
 	}
 	graph, _ := json.Marshal(g)
-	body, _ := json.Marshal(ScheduleRequest{
+	body, _ := json.Marshal(envelope.ScheduleRequest{
 		Graph:     graph,
-		Cluster:   ClusterSpec{Preset: "grelon"},
+		Cluster:   envelope.ClusterSpec{Preset: "grelon"},
 		Algorithm: "emts10",
 		TimeoutMS: 5,
 	})
@@ -692,7 +693,7 @@ func TestRequestTimeoutOnlyLowersCap(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := &Server{cfg: Config{RequestTimeout: c.cap}}
-		got := s.requestTimeout(&parsedRequest{req: ScheduleRequest{TimeoutMS: c.timeoutMS}})
+		got := s.requestTimeout(&parsedRequest{req: envelope.ScheduleRequest{TimeoutMS: c.timeoutMS}})
 		if got != c.want {
 			t.Errorf("cap %v, timeout_ms %d: deadline %v, want %v", c.cap, c.timeoutMS, got, c.want)
 		}

@@ -208,7 +208,7 @@ func BenchmarkAblationMutation(b *testing.B) {
 		mPaper := runAblation(b, insts, core.EMTS5)
 		mUniform := runAblation(b, insts, func(seed int64) core.Params {
 			p := core.EMTS5(seed)
-			p.Mutation = ea.UniformMutator{}
+			p.Mutator = ea.UniformMutator{}
 			return p
 		})
 		mAdaptive := runAblation(b, insts, func(seed int64) core.Params {

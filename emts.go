@@ -68,6 +68,9 @@ type (
 	// Mutator generates EA offspring; see PaperMutator and UniformMutator.
 	Mutator = ea.Mutator
 	// Params configures an EMTS run; use EMTS5, EMTS10, or DefaultParams.
+	// It is the EA's configuration (its fields promoted: Mu, Lambda,
+	// Generations, Mutator, Islands, Workers, Seed, ...) plus the seed
+	// allocators and the prefilter switch.
 	Params = core.Params
 	// Result is the outcome of an EMTS run.
 	Result = core.Result
@@ -97,15 +100,6 @@ const (
 	PlusStrategy = ea.Plus
 	// CommaStrategy is (μ,λ) selection (future-work comparison).
 	CommaStrategy = ea.Comma
-)
-
-// Migration topologies for Params.Topology (effective when Params.Islands
-// exceeds 1; see the island model in DESIGN.md §17).
-const (
-	// TopologyRing passes migrants around a directed cycle (the default).
-	TopologyRing = ea.TopologyRing
-	// TopologyFull sends every island's migrants to every other island.
-	TopologyFull = ea.TopologyFull
 )
 
 // NewProfile computes the utilization profile of a schedule.
@@ -210,9 +204,10 @@ func Optimize(g *Graph, c Cluster, m Model, p Params) (*Result, error) {
 }
 
 // OptimizeContext is Optimize with cooperative cancellation: the evolutionary
-// loop observes ctx once per generation, so an in-flight optimization stops
-// within one generation of cancellation. A run that completes is
-// bit-identical to the same seed without a context.
+// loop observes ctx before every generation (every migration interval with
+// Params.Islands > 1), so an in-flight optimization stops within one epoch
+// of cancellation. A run that completes is bit-identical to the same seed
+// without a context.
 func OptimizeContext(ctx context.Context, g *Graph, c Cluster, m Model, p Params) (*Result, error) {
 	tab, err := model.NewTable(g, m, c)
 	if err != nil {

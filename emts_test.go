@@ -144,7 +144,7 @@ func TestDowneyModelExposed(t *testing.T) {
 func TestMutatorsExposed(t *testing.T) {
 	g, _ := emts.GenerateStrassen(2)
 	p := emts.EMTS5(1)
-	p.Mutation = emts.UniformMutator()
+	p.Mutator = emts.UniformMutator()
 	res, err := emts.Optimize(g, emts.Chti(), emts.Synthetic(), p)
 	if err != nil {
 		t.Fatal(err)

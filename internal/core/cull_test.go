@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,9 +15,9 @@ import (
 	"emts/internal/schedule"
 )
 
-// cullEvaluators returns an EvaluatorFactory that gives each worker its own
-// listsched.Mapper. With honour false every evaluation ignores the bound the
-// run passes, which is exactly the engine without the cull.
+// cullEvaluators returns an evaluator constructor that gives each worker its
+// own listsched.Mapper. With honour false every evaluation ignores the bound
+// the run passes, which is exactly the engine without the cull.
 func cullEvaluators(g *dag.Graph, tab *model.Table, honour bool) func() ea.Evaluator {
 	return func() ea.Evaluator {
 		m, err := listsched.NewMapper(g, tab)
@@ -29,14 +28,7 @@ func cullEvaluators(g *dag.Graph, tab *model.Table, honour bool) func() ea.Evalu
 			if !honour {
 				rejectAbove = 0
 			}
-			f, err := m.MakespanBounded(a, rejectAbove)
-			switch {
-			case errors.Is(err, listsched.ErrRejectedPrefilter):
-				return 0, ea.ErrRejectedPrefilter
-			case errors.Is(err, listsched.ErrRejected):
-				return 0, ea.ErrRejected
-			}
-			return f, err
+			return m.MakespanBounded(a, rejectAbove)
 		}
 	}
 }
@@ -56,10 +48,18 @@ func checkCullMatchesUncut(t testing.TB, seed int64) int {
 		mod = model.Synthetic{}
 	}
 	tab := model.MustTable(g, mod, cluster)
-	var seeds []schedule.Allocation
+	m, err := listsched.NewMapper(g, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seeds []ea.Individual
 	for _, s := range DefaultSeeds(seed) {
 		if a, err := s.Allocate(g, tab); err == nil {
-			seeds = append(seeds, a.Clamp(cluster.Procs))
+			f, err := m.Makespan(a.Clamp(cluster.Procs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds = append(seeds, ea.Individual{Alloc: a, Fitness: f})
 		}
 	}
 	variants := []struct {
@@ -76,10 +76,9 @@ func checkCullMatchesUncut(t testing.TB, seed int64) int {
 			name := fmt.Sprintf("seed %d, %d tasks, %d procs, %s, %s, islands=%d",
 				seed, g.NumTasks(), cluster.Procs, mod.Name(), v.name, islands)
 			run := func(honour bool) *ea.Result {
-				cfg := ea.Config{Mu: 5, Lambda: 25, Generations: 5, Fm: 0.33, Seed: seed,
-					Islands: islands, Workers: 2, EvaluatorFactory: cullEvaluators(g, tab, honour)}
+				cfg := ea.Config{Mu: 5, Lambda: 25, Generations: 5, Fm: 0.33, Seed: seed, Islands: islands, Workers: 2}
 				v.set(&cfg)
-				res, err := ea.RunContext(context.Background(), cfg, g.NumTasks(), cluster.Procs, seeds, nil)
+				res, err := ea.RunSeeded(context.Background(), cfg, g.NumTasks(), cluster.Procs, seeds, cullEvaluators(g, tab, honour))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

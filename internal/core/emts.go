@@ -33,20 +33,14 @@ import (
 	"emts/internal/schedule"
 )
 
-// Params configures one EMTS run. The zero value is not runnable; start from
-// EMTS5, EMTS10, or DefaultParams and override fields as needed.
+// Params configures one EMTS run: the (μ+λ)-EA's configuration (ea.Config,
+// whose fields it promotes) plus the two things the EA does not know about.
+// The zero value is not runnable; start from EMTS5, EMTS10, or DefaultParams
+// and override fields as needed. Workers also bounds the seeding phase: the
+// seed allocators run on up to Workers goroutines. Results never depend on
+// it.
 type Params struct {
-	// Mu, Lambda, Generations define the (μ+λ)-EA (Section IV: (5+25)×5 for
-	// EMTS5, (10+100)×10 for EMTS10).
-	Mu, Lambda, Generations int
-	// Fm is the initial mutation fraction (paper: 0.33).
-	Fm float64
-	// Mutation is the offspring operator; nil means the paper's Eq. (1)
-	// operator with a = 0.2, σ₁ = σ₂ = 5.
-	Mutation ea.Mutator
-	// CrossoverProb enables the optional uniform-crossover extension
-	// (ablation A4); the paper's EMTS is mutation-only (0).
-	CrossoverProb float64
+	ea.Config
 	// Seeds produce the starting individuals (Section III-B). Nil means
 	// DefaultSeeds(Seed): MCPA, HCPA, Δ-CP(0.9), the all-ones allocation,
 	// and one random individual. Seed allocators that fail are skipped (the
@@ -55,66 +49,26 @@ type Params struct {
 	// to call alongside the others (see alloc.Allocator); Result.Seeds keeps
 	// their order whatever order they finish in.
 	Seeds []alloc.Allocator
-	// Strategy selects plus- (default, the paper's choice) or
-	// comma-selection; see ea.Strategy.
-	Strategy ea.Strategy
-	// SelfAdaptive enables per-individual mutation step sizes (contemporary
-	// ES style); see ea.Config.SelfAdaptive. InitialSigma 0 means the
-	// paper's σ = 5.
-	SelfAdaptive bool
-	// InitialSigma is the starting step size for self-adaptation.
-	InitialSigma float64
-	// OnGeneration, when non-nil, receives per-generation statistics.
-	OnGeneration func(ea.GenStats)
-	// UseRejection enables the future-work rejection strategy of Section VI
-	// inside the fitness function: every offspring is evaluated against the
-	// best makespan so far instead of the worst parent's. It trades quality
-	// for speed and can change results (see ea.Config.UseRejection): 394 of
-	// 704 probe runs differed, and EMTS10 on Grelon under Model 2 came out
-	// 2.4 % worse on average (EXPERIMENTS.md A3).
-	UseRejection bool
 	// DisablePrefilter turns off the O(V) admissible lower-bound prefilter
 	// that short-circuits the map loop for rejected and culled individuals
 	// (DESIGN.md §10, Layer 1). Results are bit-identical either way; the
 	// switch exists for A/B measurement and the determinism regression tests.
 	DisablePrefilter bool
-	// Islands, when > 1, runs the EA as that many independent populations
-	// with periodic migration (the island model, DESIGN.md §17). Each island
-	// derives a private RNG stream from Seed, so results are deterministic
-	// for any worker count; 0 and 1 mean the classic single population,
-	// bit-identical to pre-island runs. See ea.Config.Islands.
-	Islands int
-	// MigrationInterval is the number of generations between migrations when
-	// Islands > 1 (0 = every generation); see ea.Config.MigrationInterval.
-	MigrationInterval int
-	// MigrationCount is the number of top individuals each island emits per
-	// migration (0 = 1); see ea.Config.MigrationCount.
-	MigrationCount int
-	// Topology selects the migration topology: ea.TopologyRing (default,
-	// also "") or ea.TopologyFull.
-	Topology string
-	// Workers bounds the run's parallelism (0 = GOMAXPROCS; 1 on a
-	// single-core host): the seed allocators run on up to Workers goroutines,
-	// and so does fitness evaluation, whose helpers start while offspring are
-	// still being mutated. With Islands > 1 the evaluation budget is divided
-	// evenly across the islands. Results never depend on it.
-	Workers int
-	// Seed drives every stochastic choice. Equal seeds ⇒ identical results.
-	// EMTS10 at a seed does not contain EMTS5's run at that seed: the two
-	// presets draw different populations from the same stream, so EMTS10
-	// beats EMTS5 on average but can lose on a single instance (ROADMAP
-	// item 3).
-	Seed int64
 }
 
-// EMTS5 returns the paper's (5+25)-EA preset, run for 5 generations.
+// EMTS5 returns the paper's (5+25)-EA preset, run for 5 generations
+// (Section IV).
 func EMTS5(seed int64) Params {
-	return Params{Mu: 5, Lambda: 25, Generations: 5, Fm: 0.33, Seed: seed}
+	return Params{Config: ea.Config{Mu: 5, Lambda: 25, Generations: 5, Fm: 0.33, Seed: seed}}
 }
 
-// EMTS10 returns the paper's (10+100)-EA preset, run for 10 generations.
+// EMTS10 returns the paper's (10+100)-EA preset, run for 10 generations
+// (Section IV). EMTS10 at a seed does not contain EMTS5's run at that seed:
+// the two presets draw different populations from the same stream, so
+// EMTS10 beats EMTS5 on average but can lose on a single instance (ROADMAP
+// item 3).
 func EMTS10(seed int64) Params {
-	return Params{Mu: 10, Lambda: 100, Generations: 10, Fm: 0.33, Seed: seed}
+	return Params{Config: ea.Config{Mu: 10, Lambda: 100, Generations: 10, Fm: 0.33, Seed: seed}}
 }
 
 // DefaultParams is an alias for EMTS5, the configuration the paper deems
@@ -329,10 +283,12 @@ func Run(g *dag.Graph, tab *model.Table, p Params) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the evolutionary loop
-// observes ctx once per generation (see ea.RunContext), so an in-flight
-// optimization stops within one generation of ctx being cancelled or its
-// deadline passing. Cancellation never perturbs results — a run that
-// completes is bit-identical to the same seed without a context.
+// observes ctx before every epoch, the first right after the initial
+// evaluation (an epoch is one generation, or MigrationInterval generations
+// with Islands > 1; see ea.RunContext), so an in-flight optimization stops
+// within one epoch of ctx being cancelled or its deadline passing.
+// Cancellation never perturbs results — a run that completes is
+// bit-identical to the same seed without a context.
 //
 // A cancellation after the EA's initial evaluation returns the partial
 // Result alongside the context error: the incumbent allocation is
@@ -372,27 +328,13 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		return nil, fmt.Errorf("emts: every starting heuristic failed (first: %v)", res.Seeds[0].Err)
 	}
 
-	// mapErr translates listsched sentinels into their ea mirrors so the
-	// evaluation engine can count rejections (and prefilter rejections)
-	// without importing listsched. The prefilter variant wraps the generic
-	// one, so it must be tested first.
-	mapErr := func(err error) error {
-		if errors.Is(err, listsched.ErrRejectedPrefilter) {
-			return ea.ErrRejectedPrefilter
-		}
-		if errors.Is(err, listsched.ErrRejected) {
-			return ea.ErrRejected
-		}
-		return err
-	}
-
-	// factory hands each EA worker its own Mapper for the whole run, so a
+	// newEval hands each EA worker its own Mapper for the whole run, so a
 	// warm fitness call allocates nothing. The engine calls each evaluator
 	// from a single worker goroutine, never concurrently. The EA checks every
 	// allocation where it enters the run and keeps its own within [1, P], so
 	// evaluations skip the Mapper's entry check.
 	baseOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
-	factory := func() ea.Evaluator {
+	newEval := func() ea.Evaluator {
 		m, err := listsched.NewMapper(g, tab)
 		if err != nil {
 			// Unreachable (sizes were validated above), but a constructor
@@ -402,35 +344,11 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
 			opt := baseOpt
 			opt.RejectAbove = rejectAbove
-			f, err := listsched.MakespanUnchecked(m, a, opt)
-			if err != nil {
-				return 0, mapErr(err)
-			}
-			return f, nil
+			return listsched.MakespanUnchecked(m, a, opt)
 		}
 	}
 
-	cfg := ea.Config{
-		Mu:                p.Mu,
-		Lambda:            p.Lambda,
-		Generations:       p.Generations,
-		Fm:                p.Fm,
-		Mutator:           p.Mutation,
-		CrossoverProb:     p.CrossoverProb,
-		UseRejection:      p.UseRejection,
-		Workers:           p.Workers,
-		Seed:              p.Seed,
-		EvaluatorFactory:  factory,
-		Islands:           p.Islands,
-		MigrationInterval: p.MigrationInterval,
-		MigrationCount:    p.MigrationCount,
-		Topology:          p.Topology,
-		Strategy:          p.Strategy,
-		SelfAdaptive:      p.SelfAdaptive,
-		InitialSigma:      p.InitialSigma,
-		OnGeneration:      p.OnGeneration,
-	}
-	run, runErr := ea.RunSeeded(ctx, cfg, g.NumTasks(), procs, seedInds, nil)
+	run, runErr := ea.RunSeeded(ctx, p.Config, g.NumTasks(), procs, seedInds, newEval)
 	if run == nil {
 		// Hard failure or a cancellation before the initial evaluation:
 		// nothing usable to materialize.
@@ -455,9 +373,6 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	res.PrefilterRejections = run.PrefilterRejections
 	res.Culls = run.Culls
 	res.Generations = run.Generations
-	res.Islands = 1
-	if p.Islands > 1 {
-		res.Islands = p.Islands
-	}
+	res.Islands = max(p.Islands, 1)
 	return res, runErr
 }

@@ -86,7 +86,7 @@ func TestRunRejectsOutsideMutatorChildren(t *testing.T) {
 		for _, islands := range []int{0, 4} {
 			for _, workers := range []int{1, 4} {
 				p := EMTS10(3)
-				p.Mutation, p.Islands, p.Workers = badMutation{value}, islands, workers
+				p.Mutator, p.Islands, p.Workers = badMutation{value}, islands, workers
 				res, err := Run(g, tab, p)
 				if res != nil || err == nil || err.Error() != want.Error() {
 					t.Fatalf("value %d, islands %d, workers %d: result %v, err %v; want %v", value, islands, workers, res != nil, err, want)

@@ -105,3 +105,31 @@ func TestRunContextIsTransparent(t *testing.T) {
 		t.Fatal("RunContext result differs from Run with the same seed")
 	}
 }
+
+// TestRunContextCancelDuringInitialization: a context cancelled while the
+// initial population is evaluated stops the run before its first
+// generation, at any island count: the partial Result holds the initial
+// incumbent, one History entry and Generations 0.
+func TestRunContextCancelDuringInitialization(t *testing.T) {
+	fit := sphereFitness(schedule.Ones(8))
+	for _, islands := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelling := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
+			cancel()
+			return fit(a, rejectAbove)
+		}
+		cfg := defaultConfig(13)
+		cfg.Islands = islands
+		res, err := RunContext(ctx, cfg, 8, 8, nil, cancelling)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("islands=%d: err = %v, want context.Canceled", islands, err)
+		}
+		if res == nil {
+			t.Fatalf("islands=%d: cancellation after initialization returned no partial result", islands)
+		}
+		if res.Generations != 0 || len(res.History) != 1 {
+			t.Fatalf("islands=%d: Generations %d, %d History entries; want 0 and 1", islands, res.Generations, len(res.History))
+		}
+	}
+}

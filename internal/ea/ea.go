@@ -39,26 +39,16 @@ func (ind Individual) Clone() Individual {
 
 // Evaluator computes the fitness of an allocation. rejectAbove > 0 allows the
 // evaluator to abort early once the fitness is shown to exceed the bound, up
-// to rounding: it then returns ErrRejected and the individual is treated as
-// infinitely unfit. The run passes a bound to every offspring evaluation of a
+// to rounding: it then returns schedule.ErrRejected (or its prefilter
+// variant, schedule.ErrRejectedPrefilter, counted in
+// Result.PrefilterRejections) and the individual is treated as infinitely
+// unfit. The run passes a bound to every offspring evaluation of a
 // plus-selection run (the worst parent's fitness, see Result.Culls) or of a
 // UseRejection run (the best fitness so far, Section VI). An evaluator may
 // ignore the bound; one that honours it must never reject a fitness more
 // than a part in 1e9 below the bound. Evaluators must be pure functions:
 // they are called concurrently from multiple goroutines.
 type Evaluator func(alloc schedule.Allocation, rejectAbove float64) (float64, error)
-
-// ErrRejected is returned by an Evaluator that aborted due to rejectAbove: its
-// fitness exceeds the bound, or lies within rounding below it. It mirrors
-// listsched.ErrRejected without importing the package.
-var ErrRejected = errors.New("ea: individual rejected by fitness bound")
-
-// ErrRejectedPrefilter is the ErrRejected variant for rejections decided by
-// an O(V) lower-bound prefilter before the full fitness computation
-// (listsched.ErrRejectedPrefilter, mirrored here without the import). It
-// wraps ErrRejected; the engine counts it separately in
-// Result.PrefilterRejections.
-var ErrRejectedPrefilter = fmt.Errorf("%w (lower-bound prefilter)", ErrRejected)
 
 // Mutator derives one offspring allocation change. Implementations mutate
 // exactly the requested number of alleles (or all of them if the vector is
@@ -319,50 +309,37 @@ type Config struct {
 	// would have become a parent, and rejection drops it. EXPERIMENTS.md A3
 	// gives the measured effect.
 	UseRejection bool
-	// Workers bounds the parallelism of fitness evaluation; 0 means
-	// runtime.GOMAXPROCS(0) (see WorkerCount). Helpers start evaluating a
-	// generation's offspring while the rest are still being mutated. 1
-	// forces sequential evaluation.
+	// Workers bounds the parallelism of the run (0 = GOMAXPROCS, see
+	// WorkerCount): each island's engine evaluates on an equal share of it,
+	// each worker through an evaluator of its own, and helpers start
+	// evaluating a generation's offspring while the rest are still being
+	// mutated. 1 forces sequential evaluation. Results never depend on it.
 	Workers int
-	// EvaluatorFactory, when non-nil, supplies one evaluator per worker
-	// goroutine instead of sharing the Evaluator passed to Run. Each worker
-	// owns its evaluator for the whole run, so arena-backed evaluators
-	// (listsched.Mapper, wired by core.Run) reuse their scratch state
-	// lock-free: a (5+25)×5 EMTS run builds O(workers) arenas instead of ~130.
-	// The evaluators must obey the purity contract of Evaluator.
-	EvaluatorFactory func() Evaluator
 	// Seed drives all stochastic choices; equal seeds give equal runs.
 	Seed int64
 	// Islands, when > 1, runs that many independent populations (the
 	// coarse-grained island model, DESIGN.md §17), each with a private RNG
 	// stream derived from Seed by splitmix64 (island 0 keeps the raw seed),
-	// a private evaluation engine, and Mu parents of its own; the islands
-	// exchange their best individuals every MigrationInterval generations.
-	// 0 and 1 both mean the classic single panmictic population, which is
-	// bit-identical to runs predating the island layer. Results for any
-	// fixed Islands value are independent of Workers and GOMAXPROCS.
+	// a private evaluation engine, and Mu parents of its own; every
+	// MigrationInterval generations a copy of each island's best parent
+	// goes to the next island of a ring. 0 and 1 both mean the classic
+	// single panmictic population, which is bit-identical to runs predating
+	// the island layer. Results for any fixed Islands value are independent
+	// of Workers and GOMAXPROCS.
 	Islands int
 	// MigrationInterval is the number of generations between migrations for
 	// Islands > 1; 0 defaults to 1 (migrate at every generation boundary).
 	// The final generation is never followed by a migration.
 	MigrationInterval int
-	// MigrationCount is the number of top individuals each island emits per
-	// migration (its rank-ordered parent prefix); 0 defaults to 1.
-	MigrationCount int
-	// Topology selects who receives whose migrants: TopologyRing (the
-	// default, also "") or TopologyFull.
-	Topology string
 	// Strategy selects plus- (default) or comma-selection.
 	Strategy Strategy
 	// SelfAdaptive enables per-individual mutation step sizes in the style
 	// of contemporary evolution strategies (Schwefel & Rudolph, cited in
-	// Section IV): each offspring inherits its parent's σ, perturbs it
-	// log-normally (τ = 1/√(2V)), and mutates its alleles with the paper's
-	// Eq. (1) operator at σ₁ = σ₂ = σ'. Overrides Mutator.
+	// Section IV): each individual starts at the paper's σ = 5, each
+	// offspring inherits its parent's σ, perturbs it log-normally
+	// (τ = 1/√(2V)), and mutates its alleles with the paper's Eq. (1)
+	// operator at σ₁ = σ₂ = σ'. Overrides Mutator.
 	SelfAdaptive bool
-	// InitialSigma is the starting step size for self-adaptation
-	// (default 5, the paper's σ).
-	InitialSigma float64
 	// OnGeneration, when non-nil, receives per-generation statistics after
 	// selection. It is called from the Run goroutine, in order.
 	OnGeneration func(GenStats)
@@ -394,14 +371,6 @@ func (c Config) Validate() error {
 	if c.MigrationInterval < 0 {
 		return fmt.Errorf("ea: migration interval = %d, want >= 0", c.MigrationInterval)
 	}
-	if c.MigrationCount < 0 {
-		return fmt.Errorf("ea: migration count = %d, want >= 0", c.MigrationCount)
-	}
-	switch c.Topology {
-	case "", TopologyRing, TopologyFull:
-	default:
-		return fmt.Errorf("ea: unknown topology %q (want %q or %q)", c.Topology, TopologyRing, TopologyFull)
-	}
 	return nil
 }
 
@@ -419,19 +388,20 @@ type Result struct {
 	Rejections int
 	// PrefilterRejections counts the subset of Rejections decided by an O(V)
 	// lower-bound prefilter before the full fitness computation
-	// (ErrRejectedPrefilter): every evaluation reaches an evaluator, so the
-	// counter is exactly the number of map loops skipped.
+	// (schedule.ErrRejectedPrefilter): every evaluation reaches an
+	// evaluator, so the counter is exactly the number of map loops skipped.
 	PrefilterRejections int
 	// Culls counts offspring whose evaluation was cut short because
 	// plus-selection could not keep them. Every offspring of a plus-selection
 	// run without UseRejection is evaluated under a bound of the worst
 	// parent's fitness times 1 + 1e-9, and a child the evaluator rejects
-	// there (ErrRejected or ErrRejectedPrefilter) scores +Inf. Such a child
-	// is at least as unfit as the worst parent, which selection keeps ahead
-	// of it, so a run culls exactly the offspring selection drops and
-	// returns the same Best, History and counters as with an evaluator that
-	// ignores its bound. Culls are counted neither in Rejections nor in
-	// PrefilterRejections, and in Evaluations like any other offspring.
+	// there (schedule.ErrRejected or its prefilter variant) scores +Inf.
+	// Such a child is at least as unfit as the worst parent, which selection
+	// keeps ahead of it, so a run culls exactly the offspring selection
+	// drops and returns the same Best, History and counters as with an
+	// evaluator that ignores its bound. Culls are counted neither in
+	// Rejections nor in PrefilterRejections, and in Evaluations like any
+	// other offspring.
 	Culls int
 	// Generations counts the generations actually completed. It equals
 	// Config.Generations for a full run and may be smaller when the run was
@@ -445,8 +415,7 @@ type Result struct {
 // (already-allocated vectors from heuristics such as MCPA and HCPA,
 // Section III-B). Missing parents are filled with uniform random individuals;
 // surplus seeds compete, and the best μ form the first parent generation.
-// fitness is shared by every worker; it may be nil when
-// cfg.EvaluatorFactory supplies per-worker evaluators instead.
+// fitness is shared by every worker.
 //
 // Because the paper uses a plus-strategy, the best solution is conserved: the
 // population never worsens across generations (Section IV, citing Schwefel &
@@ -455,37 +424,46 @@ func Run(cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluato
 	return RunContext(context.Background(), cfg, v, procs, seeds, fitness)
 }
 
-// RunContext is Run with cooperative cancellation. ctx is observed at two
-// points only — before the initial evaluation and once at the top of each
-// generation (for Islands > 1: once at each migration barrier) — so
-// cancellation adds zero cost to the hot fitness path and cannot perturb the
-// RNG streams: a run that completes under a live context is bit-identical to
-// the same seed under context.Background(). On cancellation the error wraps
-// ctx's cause (context.Canceled or DeadlineExceeded), so errors.Is works. A
-// cancellation after initialization returns the partial Result alongside the
-// error: Best is the incumbent at cancellation (a valid answer by
-// plus-selection — the population never worsens) and Result.Generations
-// counts the generations actually completed (for Islands > 1, by every
-// island — islands only stop at barriers). Only a cancellation before the
-// initial evaluation returns a nil Result.
+// RunContext is Run with cooperative cancellation. ctx is observed before
+// the initial evaluation and before every epoch, the generations between two
+// migrations (one generation when Islands <= 1), so cancellation adds zero
+// cost to the hot fitness path and cannot perturb the RNG streams: a run that
+// completes under a live context is bit-identical to the same seed under
+// context.Background(). On cancellation the error wraps ctx's cause
+// (context.Canceled or DeadlineExceeded), so errors.Is works. A cancellation
+// after initialization returns the partial Result alongside the error: Best
+// is the incumbent at cancellation (a valid answer by plus-selection — the
+// population never worsens) and Result.Generations counts the generations
+// every island completed, 0 when ctx was cancelled during the initial
+// evaluation. Only a cancellation before the initial evaluation returns a
+// nil Result.
 func RunContext(ctx context.Context, cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluator) (*Result, error) {
 	inds := make([]Individual, len(seeds))
 	for i, s := range seeds {
 		inds[i] = Individual{Alloc: s}
 	}
-	return run(ctx, cfg, v, procs, starts{inds: inds}, fitness)
+	var newEval func() Evaluator
+	if fitness != nil {
+		newEval = func() Evaluator { return fitness }
+	}
+	return run(ctx, cfg, v, procs, starts{inds: inds}, newEval)
 }
 
-// RunSeeded is RunContext for seeds whose fitness the caller already has:
-// each seed's Fitness must be what the run's evaluator returns for its Alloc
-// without a bound, as core.Run's seeding workers compute it. The run takes
-// those values instead of evaluating the seeds, and it evaluates a random
-// fill individual only if no seed holds the same allocation. Result,
-// Evaluations and every GenStats are the same as RunContext's on the seeds'
-// allocations. A seed must already lie in [1, procs]: it is checked, not
-// clamped, since its fitness belongs to exactly that allocation.
-func RunSeeded(ctx context.Context, cfg Config, v, procs int, seeds []Individual, fitness Evaluator) (*Result, error) {
-	return run(ctx, cfg, v, procs, starts{inds: seeds, known: true}, fitness)
+// RunSeeded is RunContext for seeds whose fitness the caller already has,
+// with an evaluator per worker: the engine calls newEval once for each
+// worker it starts, and calls each evaluator from one goroutine at a time,
+// so an arena-backed evaluator (a listsched.Mapper, as core.Run wires it)
+// reuses its scratch state without locks. The evaluators must obey
+// Evaluator's purity contract. Each seed's Fitness must be what the run's
+// evaluators return for its Alloc without a bound, as core.Run's seeding
+// workers compute it. The run takes those values instead of evaluating the
+// seeds, and it evaluates a random fill individual only if no seed holds the
+// same allocation. Result, Evaluations and every GenStats are the same as
+// RunContext's on the seeds' allocations. A seed must already lie in
+// [1, procs]: it is checked, not clamped, since its fitness belongs to
+// exactly that allocation.
+func RunSeeded(ctx context.Context, cfg Config, v, procs int, seeds []Individual, newEval func() Evaluator) (*Result, error) {
+	return run(ctx, cfg, v, procs, starts{inds: seeds, known: true}, newEval)
 }
 
 // starts are a run's seed individuals; known says whether their Fitness
@@ -495,7 +473,8 @@ type starts struct {
 	known bool
 }
 
-func run(ctx context.Context, cfg Config, v, procs int, seeds starts, fitness Evaluator) (*Result, error) {
+// run validates a run and hands it to the island coordinator.
+func run(ctx context.Context, cfg Config, v, procs int, seeds starts, newEval func() Evaluator) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -508,30 +487,10 @@ func run(ctx context.Context, cfg Config, v, procs int, seeds starts, fitness Ev
 	if procs < 1 {
 		return nil, fmt.Errorf("ea: procs = %d, want >= 1", procs)
 	}
-	if fitness == nil && cfg.EvaluatorFactory == nil {
-		return nil, errors.New("ea: no evaluator: pass a fitness function or set EvaluatorFactory")
+	if newEval == nil {
+		return nil, errors.New("ea: no evaluator")
 	}
-	if cfg.Islands > 1 {
-		return runIslands(ctx, cfg, v, procs, seeds, fitness)
-	}
-	// Single panmictic population: one island executing the classic
-	// generation loop, observer delivered inline from this goroutine.
-	isl := newIsland(0, cfg, v, procs, seeds, fitness)
-	if err := isl.init(); err != nil {
-		return nil, err
-	}
-	for u := 0; u < cfg.Generations; u++ {
-		if err := ctx.Err(); err != nil {
-			// Anytime contract: the incumbent in res.Best is already a
-			// private clone and History covers every completed generation, so
-			// the partial Result is safe to hand out alongside the error.
-			return isl.res, fmt.Errorf("ea: run cancelled before generation %d: %w", u, err)
-		}
-		if err := isl.step(u); err != nil {
-			return nil, err
-		}
-	}
-	return isl.res, nil
+	return runIslands(ctx, cfg, v, procs, seeds, newEval)
 }
 
 // poolStats summarizes the finite fitness values of a selection pool.

@@ -21,7 +21,7 @@ func sphereFitness(target schedule.Allocation) Evaluator {
 			sum += d * d
 		}
 		if rejectAbove > 0 && sum > rejectAbove {
-			return 0, ErrRejected
+			return 0, schedule.ErrRejected
 		}
 		return sum, nil
 	}

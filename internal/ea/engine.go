@@ -6,13 +6,15 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"emts/internal/schedule"
 )
 
 // evalEngine evaluates the individuals of one Run (of one island, for
 // Islands > 1) — the loop EMTS spends its time in (paper §III-A). It owns one
-// evaluator per worker, built once from Config.EvaluatorFactory, so
-// arena-backed evaluators like listsched.Mapper are reused for the whole run
-// and never shared between goroutines.
+// evaluator per worker, built once by the run's constructor (RunSeeded's
+// newEval), so arena-backed evaluators like listsched.Mapper are reused for
+// the whole run and never shared between goroutines.
 //
 // A generation is evaluated in three steps, so that evaluation can start
 // while the caller (the producer) is still writing offspring: start resets
@@ -29,10 +31,9 @@ import (
 // error is the one at the lowest failing index. With one worker no helper is
 // spawned and finish runs the loop inline.
 type evalEngine struct {
-	fallback Evaluator
-	factory  func() Evaluator
-	workers  int
-	perW     []Evaluator
+	newEval func() Evaluator
+	workers int
+	perW    []Evaluator
 
 	// Dispatch state of the generation between start and finish, reused
 	// across generations. inds, rejectAbove, cull and active are written by
@@ -58,12 +59,8 @@ type tally struct {
 	err                   error
 }
 
-func newEvalEngine(cfg Config, fitness Evaluator) *evalEngine {
-	return &evalEngine{
-		fallback: fitness,
-		factory:  cfg.EvaluatorFactory,
-		workers:  WorkerCount(cfg.Workers),
-	}
+func newEvalEngine(workers int, newEval func() Evaluator) *evalEngine {
+	return &evalEngine{newEval: newEval, workers: WorkerCount(workers)}
 }
 
 // WorkerCount resolves a worker budget (Config.Workers) to the number of
@@ -86,11 +83,7 @@ func WorkerCount(workers int) int {
 //schedlint:hotpath
 func (eng *evalEngine) ensureEvaluators(n int) {
 	for len(eng.perW) < n {
-		ev := eng.fallback
-		if eng.factory != nil {
-			ev = eng.factory()
-		}
-		eng.perW = append(eng.perW, ev)
+		eng.perW = append(eng.perW, eng.newEval())
 	}
 }
 
@@ -213,11 +206,11 @@ func (eng *evalEngine) work(w int) {
 		switch {
 		case err == nil:
 			ind.Fitness = f
-		case errors.Is(err, ErrRejectedPrefilter):
+		case errors.Is(err, schedule.ErrRejectedPrefilter):
 			ind.Fitness = math.Inf(1)
 			t.rejected++
 			t.prefiltered++
-		case errors.Is(err, ErrRejected):
+		case errors.Is(err, schedule.ErrRejected):
 			ind.Fitness = math.Inf(1)
 			t.rejected++
 		case t.err == nil:

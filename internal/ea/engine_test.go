@@ -1,6 +1,7 @@
 package ea
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -22,9 +23,9 @@ func tieredFitness(target schedule.Allocation) Evaluator {
 		f, _ := inner(a, 0)
 		switch {
 		case rejectAbove > 0 && f > 2*rejectAbove:
-			return 0, ErrRejectedPrefilter
+			return 0, schedule.ErrRejectedPrefilter
 		case rejectAbove > 0 && f > rejectAbove:
-			return 0, ErrRejected
+			return 0, schedule.ErrRejected
 		}
 		return f, nil
 	}
@@ -56,11 +57,11 @@ func TestEngineOutcomesAtFixedIndices(t *testing.T) {
 	for _, ind := range enginePopulation(n, v, procs) {
 		f, err := fitness(ind.Alloc, bound)
 		switch {
-		case errors.Is(err, ErrRejectedPrefilter):
+		case errors.Is(err, schedule.ErrRejectedPrefilter):
 			wantRej++
 			wantPre++
 			f = math.Inf(1)
-		case errors.Is(err, ErrRejected):
+		case errors.Is(err, schedule.ErrRejected):
 			wantRej++
 			f = math.Inf(1)
 		}
@@ -70,7 +71,7 @@ func TestEngineOutcomesAtFixedIndices(t *testing.T) {
 		t.Fatalf("population does not exercise every outcome: %d rejected, %d prefiltered of %d", wantRej, wantPre, n)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		eng := newEvalEngine(Config{Workers: workers}, fitness)
+		eng := newEvalEngine(workers, shared(fitness))
 		inds := enginePopulation(n, v, procs)
 		var res Result
 		if err := eng.evaluateAll(inds, bound, &res); err != nil {
@@ -106,7 +107,7 @@ func TestEngineLowestIndexError(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		for rep := 0; rep < 20; rep++ {
-			eng := newEvalEngine(Config{Workers: workers}, fitness)
+			eng := newEvalEngine(workers, shared(fitness))
 			var res Result
 			if err := eng.evaluateAll(inds, 0, &res); err != errLow {
 				t.Fatalf("workers=%d: evaluateAll returned %v, want the lowest-index error %v", workers, err, errLow)
@@ -115,49 +116,51 @@ func TestEngineLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestEvaluatorFactoryUsedPerWorker: when a factory is configured, Run builds
-// one evaluator per worker, never calls the fallback, and calls an evaluator
-// exactly once per counted evaluation.
-func TestEvaluatorFactoryUsedPerWorker(t *testing.T) {
-	const v, procs = 8, 4
-	target := schedule.Ones(v)
+// shared is the evaluator constructor that hands every worker fitness.
+func shared(fitness Evaluator) func() Evaluator {
+	return func() Evaluator { return fitness }
+}
 
-	var built, calls, fallbackCalls atomic.Int64
-	cfg := defaultConfig(11)
-	cfg.Workers = 3
-	cfg.EvaluatorFactory = func() Evaluator {
-		built.Add(1)
-		return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
-			calls.Add(1)
-			return sphereFitness(target)(a, rejectAbove)
+// TestEvaluatorConstructorPerWorker: RunSeeded builds at most one evaluator
+// per worker from its constructor and calls an evaluator exactly once per
+// counted evaluation, at one island and at three; without a constructor it
+// fails.
+func TestEvaluatorConstructorPerWorker(t *testing.T) {
+	const v, procs = 8, 4
+	fitness := sphereFitness(schedule.Ones(v))
+	seeds := []Individual{{Alloc: schedule.Ones(v)}}
+	for _, islands := range []int{1, 3} {
+		var built, calls atomic.Int64
+		cfg := defaultConfig(11)
+		cfg.Workers = 3 * islands
+		cfg.Islands = islands
+		newEval := func() Evaluator {
+			built.Add(1)
+			return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
+				calls.Add(1)
+				return fitness(a, rejectAbove)
+			}
+		}
+		res, err := RunSeeded(context.Background(), cfg, v, procs, seeds, newEval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := built.Load(); n == 0 || n > int64(cfg.Workers) {
+			t.Fatalf("islands=%d: built %d evaluators, want 1..%d", islands, n, cfg.Workers)
+		}
+		// The seed's fitness is known, so it is counted but not evaluated.
+		if got, want := calls.Load(), int64(res.Evaluations-islands); got != want {
+			t.Fatalf("islands=%d: evaluators called %d times for %d evaluations of unknown fitness", islands, got, want)
+		}
+		if math.IsInf(res.Best.Fitness, 1) {
+			t.Fatalf("islands=%d: no valid best found: %g", islands, res.Best.Fitness)
 		}
 	}
-	fallback := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
-		fallbackCalls.Add(1)
-		return sphereFitness(target)(a, rejectAbove)
+	if _, err := RunSeeded(context.Background(), defaultConfig(11), v, procs, seeds, nil); err == nil {
+		t.Fatal("RunSeeded without an evaluator constructor succeeded")
 	}
-	res, err := Run(cfg, v, procs, nil, fallback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fallbackCalls.Load() != 0 {
-		t.Fatalf("fallback evaluator called %d times despite factory", fallbackCalls.Load())
-	}
-	if n := built.Load(); n == 0 || n > int64(cfg.Workers) {
-		t.Fatalf("factory built %d evaluators, want 1..%d", n, cfg.Workers)
-	}
-	if got := calls.Load(); got != int64(res.Evaluations) {
-		t.Fatalf("evaluators called %d times for %d evaluations", got, res.Evaluations)
-	}
-	if math.IsInf(res.Best.Fitness, 1) {
-		t.Fatalf("no valid best found: %g", res.Best.Fitness)
-	}
-	if _, err := Run(cfg, v, procs, nil, nil); err != nil {
-		t.Fatalf("nil fitness with a factory: %v", err)
-	}
-	cfg.EvaluatorFactory = nil
-	if _, err := Run(cfg, v, procs, nil, nil); err == nil {
-		t.Fatal("Run with neither a fitness function nor a factory succeeded")
+	if _, err := Run(defaultConfig(11), v, procs, nil, nil); err == nil {
+		t.Fatal("Run without a fitness function succeeded")
 	}
 }
 
@@ -235,14 +238,14 @@ func TestEngineCatchUpPath(t *testing.T) {
 		cfg.UseRejection = true
 		cfg.Mutator = slowMutator{spin: 20000}
 		cfg.Workers = workers
-		cfg.EvaluatorFactory = func() Evaluator {
+		newEval := func() Evaluator {
 			fitness := tieredFitness(target)
 			return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
 				calls.Add(1)
 				return fitness(a, rejectAbove)
 			}
 		}
-		res, err := Run(cfg, v, procs, nil, nil)
+		res, err := RunSeeded(context.Background(), cfg, v, procs, nil, newEval)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -293,7 +296,7 @@ func TestEngineCatchUpPath(t *testing.T) {
 			}
 			return float64(i), nil
 		}
-		eng := newEvalEngine(Config{Workers: workers}, fitness)
+		eng := newEvalEngine(workers, shared(fitness))
 		eng.start(inds, 0, false)
 		eng.publish(1)
 		for eng.active > 1 && calls.Load() == 0 {

@@ -1,11 +1,11 @@
 // Island-model execution (DESIGN.md §17). An island is one self-contained
 // (μ+λ) population: it owns its parents, its offspring arena, its RNG stream
 // (seed.go), and its evaluation engine with the engine's per-worker
-// evaluators, so islands never contend on shared mutable state. A
-// single-island run (Config.Islands <= 1) executes exactly the statement
-// sequence the pre-island RunContext executed, against exactly the same RNG
-// stream; the multi-island coordinator (runIslands) composes the same island
-// steps with deterministic migration barriers.
+// evaluators, so islands never contend on shared mutable state. Every run
+// goes through one coordinator (runIslands): a single-island run
+// (Config.Islands <= 1) is island 0 alone, with exactly the statement
+// sequence and the RNG stream of the pre-island RunContext, and more islands
+// compose the same island steps with deterministic migration barriers.
 
 package ea
 
@@ -19,16 +19,6 @@ import (
 	"sync"
 
 	"emts/internal/schedule"
-)
-
-// Topology names for Config.Topology.
-const (
-	// TopologyRing connects the islands in a directed cycle: island i
-	// receives migrants from island (i−1+N) mod N. The default.
-	TopologyRing = "ring"
-	// TopologyFull connects every island to every other: island i receives
-	// the migrants of all N−1 peers.
-	TopologyFull = "full"
 )
 
 // island is one population of a run, plus the scratch state its generation
@@ -46,9 +36,8 @@ type island struct {
 	mut Mutator
 	// own is the mutation operator when it is this package's PaperMutator
 	// or UniformMutator, whose children need no check; nil for any other.
-	own          ownMutator
-	initialSigma float64
-	tau          float64
+	own ownMutator
+	tau float64
 
 	// Generation-loop arenas, allocated once in init (see the aliasing-rule
 	// comment there).
@@ -58,22 +47,17 @@ type island struct {
 	arena     schedule.Allocation
 	perm      []int // the identity of [0, v) between children
 
-	// observe receives each generation's GenStats. The single-island path
-	// wires Config.OnGeneration directly; the coordinator wires a buffering
-	// closure and replays the buffer in deterministic order at each barrier.
-	observe func(GenStats)
-
-	// Multi-island bookkeeping, touched only at barriers.
-	stats  []GenStats   // buffered per-generation stats, indexed by generation
-	outbox []Individual // this island's migrants, cloned at the barrier
-	err    error        // the island's failure, collected by the coordinator
+	// Coordinator bookkeeping, touched only at barriers.
+	stats   []GenStats // per-generation stats when observed, indexed by generation
+	migrant Individual // this island's best parent, cloned at the barrier
+	err     error      // the island's failure, collected by the coordinator
 }
 
 // newIsland builds island idx of a run. cfg is the island's private copy:
 // the coordinator pre-divides the worker budget, everything else is shared
 // verbatim. The construction order (mutator, RNG, result, engine) mirrors
 // the pre-island RunContext.
-func newIsland(idx int, cfg Config, v, procs int, seeds starts, fitness Evaluator) *island {
+func newIsland(idx int, cfg Config, v, procs int, seeds starts, newEval func() Evaluator) *island {
 	mut := cfg.Mutator
 	if mut == nil {
 		mut = DefaultPaperMutator()
@@ -81,14 +65,16 @@ func newIsland(idx int, cfg Config, v, procs int, seeds starts, fitness Evaluato
 	is := &island{idx: idx, cfg: cfg, v: v, procs: procs, seeds: seeds, mut: mut}
 	is.rng = newIslandRNG(cfg.Seed, idx)
 	is.res = &Result{}
-	is.eng = newEvalEngine(cfg, fitness)
+	is.eng = newEvalEngine(cfg.Workers, newEval)
 	switch m := mut.(type) {
 	case PaperMutator:
 		is.own = m
 	case UniformMutator:
 		is.own = m
 	}
-	is.observe = cfg.OnGeneration
+	if cfg.OnGeneration != nil {
+		is.stats = make([]GenStats, 0, cfg.Generations)
+	}
 	return is
 }
 
@@ -154,16 +140,11 @@ func (is *island) init() error {
 	is.res.Best = is.parents[0].Clone()
 	is.res.History = append(is.res.History, is.res.Best.Fitness)
 
-	// Self-adaptation bookkeeping.
-	is.initialSigma = cfg.InitialSigma
-	if is.initialSigma <= 0 {
-		is.initialSigma = 5 // the paper's σ
-	}
+	// Self-adaptation bookkeeping: every first parent starts at the paper's
+	// σ, and every later individual inherits a perturbed σ from its parent.
 	if cfg.SelfAdaptive {
 		for i := range is.parents {
-			if is.parents[i].Sigma <= 0 {
-				is.parents[i].Sigma = is.initialSigma
-			}
+			is.parents[i].Sigma = 5
 		}
 	}
 	is.tau = 1 / math.Sqrt(2*float64(is.v))
@@ -235,11 +216,7 @@ func (is *island) step(u int) error {
 		}
 		sigma := 0.0
 		if cfg.SelfAdaptive {
-			sigma = parent.Sigma
-			if sigma <= 0 {
-				sigma = is.initialSigma
-			}
-			sigma *= math.Exp(is.tau * is.rng.NormFloat64())
+			sigma = parent.Sigma * math.Exp(is.tau*is.rng.NormFloat64())
 			if sigma < 0.3 {
 				sigma = 0.3 // keep |C| >= 1 meaningful
 			}
@@ -280,49 +257,33 @@ func (is *island) step(u int) error {
 	}
 	is.res.History = append(is.res.History, is.res.Best.Fitness)
 	is.res.Generations = u + 1
-	if is.observe != nil {
+	if cfg.OnGeneration != nil {
 		gs := poolStats(u, is.pool, is.res.Best.Fitness, is.res.Rejections-rejectedBefore)
 		gs.Island = is.idx
 		gs.Evaluations = is.res.Evaluations
 		gs.PrefilterRejections = is.res.PrefilterRejections
-		is.observe(gs)
+		is.stats = append(is.stats, gs)
 	}
 	return nil
 }
 
-// runSpan runs generations [from, to). The multi-island epoch body; context
-// is deliberately not consulted here — the coordinator observes it at the
-// migration barriers only, so a cancelled multi-island run always stops at a
-// barrier with every island at the same generation (the anytime contract's
-// "result equals the last streamed aggregate" then holds exactly).
-func (is *island) runSpan(from, to int) error {
-	for u := from; u < to; u++ {
-		if err := is.step(u); err != nil {
-			return err
-		}
+// runIslands executes a run on N = max(Islands, 1) islands, which advance in
+// epochs: the generations between two migrations, MigrationInterval of them,
+// or one when N = 1, since a single island never migrates. Before each epoch,
+// the first included, the coordinator observes ctx. Then every island runs
+// the epoch, island 0 on the coordinator's goroutine and each other island on
+// one of its own, up to a full barrier. There the coordinator replays the
+// epoch's GenStats in (generation, island) order and, when N > 1 and
+// generations remain, migrates. Every cross-island exchange happens at a
+// barrier with all island goroutines parked, so the run is a deterministic
+// function of (Config, seeds) — worker counts, GOMAXPROCS, and goroutine
+// interleaving change timing but never bytes.
+func runIslands(ctx context.Context, cfg Config, v, procs int, seeds starts, newEval func() Evaluator) (*Result, error) {
+	n := max(cfg.Islands, 1)
+	interval := 1
+	if n > 1 && cfg.MigrationInterval > 0 {
+		interval = cfg.MigrationInterval
 	}
-	return nil
-}
-
-// runIslands executes an Islands > 1 run: N independent islands advance in
-// epochs of MigrationInterval generations between full barriers; at each
-// barrier the coordinator replays buffered GenStats in (generation, island)
-// order, observes ctx, and migrates the top MigrationCount individuals along
-// the topology. Every cross-island exchange happens at a barrier with all
-// island goroutines parked, so the run is a deterministic function of
-// (Config, seeds) — worker counts, GOMAXPROCS, and goroutine interleaving
-// change timing but never bytes.
-func runIslands(ctx context.Context, cfg Config, v, procs int, seeds starts, fitness Evaluator) (*Result, error) {
-	n := cfg.Islands
-	interval := cfg.MigrationInterval
-	if interval <= 0 {
-		interval = 1
-	}
-	count := cfg.MigrationCount
-	if count <= 0 {
-		count = 1
-	}
-	full := cfg.Topology == TopologyFull
 
 	// Divide the worker budget: each island's engine gets an equal share
 	// (floor, min 1) so N islands saturate the same core budget one island
@@ -331,35 +292,27 @@ func runIslands(ctx context.Context, cfg Config, v, procs int, seeds starts, fit
 	if totalW <= 0 {
 		totalW = runtime.GOMAXPROCS(0)
 	}
-	perIslandW := totalW / n
-	if perIslandW < 1 {
-		perIslandW = 1
-	}
-
+	icfg := cfg
+	icfg.Workers = max(totalW/n, 1)
 	isls := make([]*island, n)
 	for i := range isls {
-		icfg := cfg
-		icfg.Workers = perIslandW
-		is := newIsland(i, icfg, v, procs, seeds, fitness)
-		if cfg.OnGeneration != nil {
-			is.observe = func(gs GenStats) { is.stats = append(is.stats, gs) }
-		} else {
-			is.observe = nil
-		}
-		isls[i] = is
+		isls[i] = newIsland(i, icfg, v, procs, seeds, newEval)
 	}
 
-	// barrier runs one phase on every island concurrently and collects the
-	// first failure in island order (deterministic, unlike a racing CAS).
+	// barrier runs one phase on every island, island 0 on this goroutine,
+	// and collects the first failure in island order (deterministic, unlike
+	// a racing CAS). The WaitGroup and the span bounds live outside the
+	// epoch loop, so an epoch allocates nothing here.
+	var wg sync.WaitGroup
 	barrier := func(phase func(*island) error) error {
-		var wg sync.WaitGroup
-		for _, is := range isls {
+		for _, is := range isls[1:] {
 			wg.Add(1)
-			go func(is *island) {
+			go func() {
 				defer wg.Done()
 				is.err = phase(is)
-			}(is)
+			}()
 		}
+		isls[0].err = phase(isls[0])
 		wg.Wait()
 		for _, is := range isls {
 			if is.err != nil {
@@ -368,151 +321,114 @@ func runIslands(ctx context.Context, cfg Config, v, procs int, seeds starts, fit
 		}
 		return nil
 	}
+	var from, to int
+	span := func(is *island) error {
+		for u := from; u < to; u++ {
+			if err := is.step(u); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
-	if err := barrier(func(is *island) error { return is.init() }); err != nil {
+	if err := barrier((*island).init); err != nil {
 		return nil, err
 	}
 
-	// deliver replays the islands' buffered stats for generations [from, to)
-	// in (generation, island) order, rewriting BestEver to the aggregate
-	// running minimum across all islands — so an observer watching any
-	// single stream of events sees best_makespan non-increasing, and the
-	// last delivered BestEver equals the assembled Result.Best.Fitness.
+	// aggBest is the running minimum of BestEver across all islands: the
+	// replay rewrites each event's BestEver to it, so an observer watching
+	// the stream sees best_makespan non-increasing, and the last delivered
+	// BestEver equals the assembled Result.Best.Fitness.
 	aggBest := math.Inf(1)
-	deliver := func(from, to int) {
-		if cfg.OnGeneration == nil {
-			return
+	for ; from < cfg.Generations; from = to {
+		if err := ctx.Err(); err != nil {
+			// Anytime contract at island granularity: every island has
+			// completed exactly from generations and every completed
+			// generation's stats were delivered, so the partial Result is
+			// consistent with the observer stream.
+			return assembleIslands(isls), fmt.Errorf("ea: run cancelled before generation %d: %w", from, err)
 		}
-		for u := from; u < to; u++ {
-			for _, is := range isls {
-				gs := is.stats[u]
-				if gs.BestEver < aggBest {
-					aggBest = gs.BestEver
-				}
-				gs.BestEver = aggBest
-				cfg.OnGeneration(gs)
-			}
-		}
-	}
-
-	for g := 0; g < cfg.Generations; {
-		end := g + interval
-		if end > cfg.Generations {
-			end = cfg.Generations
-		}
-		if err := barrier(func(is *island) error { return is.runSpan(g, end) }); err != nil {
+		to = min(from+interval, cfg.Generations)
+		if err := barrier(span); err != nil {
 			return nil, err
 		}
-		deliver(g, end)
-		g = end
-		if g < cfg.Generations {
-			if err := ctx.Err(); err != nil {
-				// Anytime contract at island granularity: every island has
-				// completed exactly g generations and every completed
-				// generation's stats were delivered, so the partial Result is
-				// consistent with the observer stream.
-				return assembleIslands(isls, g), fmt.Errorf("ea: run cancelled before generation %d: %w", g, err)
+		if cfg.OnGeneration != nil {
+			for u := from; u < to; u++ {
+				for _, is := range isls {
+					gs := is.stats[u]
+					if gs.BestEver < aggBest {
+						aggBest = gs.BestEver
+					}
+					gs.BestEver = aggBest
+					cfg.OnGeneration(gs)
+				}
 			}
-			migrate(isls, count, full)
+		}
+		if n > 1 && to < cfg.Generations {
+			migrate(isls)
 		}
 	}
-	return assembleIslands(isls, cfg.Generations), nil
+	return assembleIslands(isls), nil
 }
 
-// migrate exchanges the islands' top-count parents along the topology. Two
-// phases: first every island clones its migrants into its outbox (so merges
-// cannot observe a peer's post-merge parents), then every island merges its
-// inbox. Migration consumes no RNG, so the per-island streams are
-// independent of topology and migration parameters.
-func migrate(isls []*island, count int, full bool) {
+// migrate sends a copy of each island's best parent to the next island of
+// the ring: island i receives island (i−1+N) mod N's. Two phases: first
+// every island clones its migrant (so merges cannot observe a peer's
+// post-merge parents), then every island merges its predecessor's.
+// Migration consumes no RNG, so the per-island streams are independent of
+// it.
+func migrate(isls []*island) {
 	for _, is := range isls {
-		is.outbox = is.outbox[:0]
-		// parents are rank-ordered by selectBest, so the top-count is a
-		// prefix; Clone makes the migrants free-standing.
-		for i := 0; i < count && i < len(is.parents); i++ {
-			is.outbox = append(is.outbox, is.parents[i].Clone())
-		}
+		// parents are rank-ordered by selectBest, so the best comes first.
+		is.migrant = is.parents[0].Clone()
 	}
 	n := len(isls)
 	for i, is := range isls {
-		if full {
-			var inbox []Individual
-			for j := 0; j < n; j++ {
-				if j != i {
-					inbox = append(inbox, isls[j].outbox...)
-				}
-			}
-			is.mergeMigrants(inbox)
-		} else {
-			is.mergeMigrants(isls[(i+n-1)%n].outbox)
-		}
+		is.mergeMigrant(isls[(i+n-1)%n].migrant)
 	}
 }
 
-// mergeMigrants forms the island's next parent generation from its current
-// parents plus the incoming migrants: rank-ordered by fitness, ties broken
-// by the canonical placement bytes (and then by the stable sort, so an
-// existing parent wins over a byte-identical migrant). Surviving parents
-// pass through without a copy, as in selectBest, where the measured saving
-// is recorded, while surviving migrants are cloned, because under the full
-// topology the same outbox clone lands in several inboxes.
-func (is *island) mergeMigrants(inbox []Individual) {
-	if len(inbox) == 0 {
-		return
-	}
-	np := len(is.parents)
-	cand := make([]Individual, 0, np+len(inbox))
-	cand = append(cand, is.parents...)
-	cand = append(cand, inbox...)
+// mergeMigrant forms the island's next parent generation from its current
+// parents plus the incoming migrant: rank-ordered by fitness, ties broken by
+// the canonical placement bytes (and then by the stable sort, so an existing
+// parent wins over a byte-identical migrant). The migrant is the island's
+// own clone, so parents and migrant all pass through without a copy.
+func (is *island) mergeMigrant(migrant Individual) {
+	cand := append(slices.Clip(is.parents), migrant)
 	idx := make([]int, len(cand))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return bestLess(cand[idx[a]], cand[idx[b]]) })
-	mu := is.cfg.Mu
-	if mu > len(cand) {
-		mu = len(cand)
-	}
-	next := make([]Individual, mu)
+	next := make([]Individual, min(is.cfg.Mu, len(cand)))
 	for i := range next {
-		j := idx[i]
-		if j < np {
-			next[i] = cand[j]
-		} else {
-			next[i] = cand[j].Clone()
-		}
+		next[i] = cand[idx[i]]
 	}
 	is.parents = next
 }
 
-// assembleIslands folds N island results into one Result: counters are
-// summed, History[g] is the best incumbent across islands after generation
-// g, and Best is the global winner — fitness first, ties broken by the
-// canonical placement bytes, then by island index (the iteration order) —
-// so the assembled result is independent of which island finished first.
-func assembleIslands(isls []*island, gens int) *Result {
-	res := &Result{Generations: gens}
-	res.History = make([]float64, gens+1)
-	for g := range res.History {
-		best := isls[0].res.History[g]
-		for _, is := range isls[1:] {
-			if h := is.res.History[g]; h < best {
-				best = h
+// assembleIslands folds the island results into island 0's, which it
+// returns: counters are summed, History[g] is the best incumbent across
+// islands after generation g, and Best is the global winner — fitness
+// first, ties broken by the canonical placement bytes, then by island index
+// (the iteration order) — so the assembled result is independent of which
+// island finished first. Every island has completed the same generations.
+func assembleIslands(isls []*island) *Result {
+	res := isls[0].res
+	for _, is := range isls[1:] {
+		for g, h := range is.res.History {
+			if h < res.History[g] {
+				res.History[g] = h
 			}
 		}
-		res.History[g] = best
-	}
-	bestIdx := 0
-	for i, is := range isls {
 		res.Evaluations += is.res.Evaluations
 		res.Rejections += is.res.Rejections
 		res.PrefilterRejections += is.res.PrefilterRejections
 		res.Culls += is.res.Culls
-		if i > 0 && bestLess(is.res.Best, isls[bestIdx].res.Best) {
-			bestIdx = i
+		if bestLess(is.res.Best, res.Best) {
+			res.Best = is.res.Best // already a private clone
 		}
 	}
-	res.Best = isls[bestIdx].res.Best // already a private clone
 	return res
 }
 

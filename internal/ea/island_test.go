@@ -87,7 +87,7 @@ func TestIslandSeedDerivationIdentity(t *testing.T) {
 // TestIslandSingleIslandIdentity pins the compatibility half of the island
 // contract: Islands 0 and 1 are the classic panmictic population, byte-
 // identical to a run predating the island layer for every combination of
-// worker count and (ignored) migration parameters.
+// worker count and (ignored) migration interval.
 func TestIslandSingleIslandIdentity(t *testing.T) {
 	const v, procs = 12, 6
 	fitness := sphereFitness(islandTarget(v, procs))
@@ -101,11 +101,9 @@ func TestIslandSingleIslandIdentity(t *testing.T) {
 			cfg := defaultConfig(7)
 			cfg.Islands = islands
 			cfg.Workers = workers
-			// Migration parameters are inert for a single population —
+			// The migration interval is inert for a single population —
 			// the serving tier's cache key relies on that.
 			cfg.MigrationInterval = 3
-			cfg.MigrationCount = 2
-			cfg.Topology = TopologyFull
 			got, err := Run(cfg, v, procs, nil, fitness)
 			if err != nil {
 				t.Fatal(err)
@@ -119,47 +117,43 @@ func TestIslandSingleIslandIdentity(t *testing.T) {
 }
 
 // TestIslandMigrationLatticeDeterminism is the migration determinism property
-// test: for each topology × island count, the run is a pure function of
-// (Config, seed) — byte-identical results and identical counters across
-// GOMAXPROCS 1 and 8 and any worker budget.
+// test: for each island count, the run is a pure function of (Config, seed)
+// — byte-identical results and identical counters across GOMAXPROCS 1 and 8
+// and any worker budget.
 func TestIslandMigrationLatticeDeterminism(t *testing.T) {
 	const v, procs = 12, 6
 	fitness := sphereFitness(islandTarget(v, procs))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, islands := range []int{2, 3, 4} {
-		for _, topo := range []string{TopologyRing, TopologyFull} {
-			var want islandFingerprint
-			first := true
-			for _, gmp := range []int{1, 8} {
-				runtime.GOMAXPROCS(gmp)
-				for _, workers := range []int{0, 1, 5} {
-					cfg := defaultConfig(11)
-					cfg.Islands = islands
-					cfg.MigrationInterval = 2
-					cfg.MigrationCount = 2
-					cfg.Topology = topo
-					cfg.Workers = workers
-					res, err := Run(cfg, v, procs, nil, fitness)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fingerprintResult(res)
-					if first {
-						want = got
-						first = false
-						for i := 1; i < len(got.History); i++ {
-							if got.History[i] > got.History[i-1] {
-								t.Fatalf("islands=%d topo=%s: aggregate history worsened at generation %d: %g after %g",
-									islands, topo, i, got.History[i], got.History[i-1])
-							}
+		var want islandFingerprint
+		first := true
+		for _, gmp := range []int{1, 8} {
+			runtime.GOMAXPROCS(gmp)
+			for _, workers := range []int{0, 1, 5} {
+				cfg := defaultConfig(11)
+				cfg.Islands = islands
+				cfg.MigrationInterval = 2
+				cfg.Workers = workers
+				res, err := Run(cfg, v, procs, nil, fitness)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fingerprintResult(res)
+				if first {
+					want = got
+					first = false
+					for i := 1; i < len(got.History); i++ {
+						if got.History[i] > got.History[i-1] {
+							t.Fatalf("islands=%d: aggregate history worsened at generation %d: %g after %g",
+								islands, i, got.History[i], got.History[i-1])
 						}
-						continue
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("islands=%d topo=%s gomaxprocs=%d workers=%d: diverged (fitness %g vs %g, evals %d vs %d)",
-							islands, topo, gmp, workers,
-							got.Fitness, want.Fitness, got.Evaluations, want.Evaluations)
-					}
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("islands=%d gomaxprocs=%d workers=%d: diverged (fitness %g vs %g, evals %d vs %d)",
+						islands, gmp, workers,
+						got.Fitness, want.Fitness, got.Evaluations, want.Evaluations)
 				}
 			}
 		}
@@ -263,8 +257,6 @@ func TestIslandConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Islands = -1 },
 		func(c *Config) { c.MigrationInterval = -1 },
-		func(c *Config) { c.MigrationCount = -1 },
-		func(c *Config) { c.Topology = "torus" },
 	}
 	for i, mutate := range bad {
 		cfg := defaultConfig(1)
@@ -273,13 +265,10 @@ func TestIslandConfigValidation(t *testing.T) {
 			t.Errorf("island config %d accepted: %+v", i, cfg)
 		}
 	}
-	for _, topo := range []string{"", TopologyRing, TopologyFull} {
-		cfg := defaultConfig(1)
-		cfg.Islands = 4
-		cfg.Topology = topo
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("topology %q rejected: %v", topo, err)
-		}
+	cfg := defaultConfig(1)
+	cfg.Islands, cfg.MigrationInterval = 4, 3
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("islands 4, migration interval 3 rejected: %v", err)
 	}
 }
 

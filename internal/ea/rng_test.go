@@ -190,7 +190,7 @@ func checkOffspringInRange(t testing.TB, seed int64) {
 		{Mutator: PaperMutator{A: ctl.Float64(), Sigma1: 50 * ctl.Float64(), Sigma2: 50 * ctl.Float64()}},
 		{Mutator: UniformMutator{}},
 		{CrossoverProb: ctl.Float64()},
-		{SelfAdaptive: true, InitialSigma: 100 * ctl.Float64()},
+		{SelfAdaptive: true},
 		{SelfAdaptive: true, CrossoverProb: 0.5, Islands: 2},
 	}
 	for i, cfg := range cfgs {
@@ -248,7 +248,7 @@ func TestRunSeededMatchesRunContext(t *testing.T) {
 			seeds[i] = Individual{Alloc: a, Fitness: f}
 		}
 		calls.Store(0)
-		got, err := RunSeeded(context.Background(), cfg, v, procs, seeds, counting)
+		got, err := RunSeeded(context.Background(), cfg, v, procs, seeds, shared(counting))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestRunSeededMatchesRunContext(t *testing.T) {
 	}
 	bad := []Individual{{Alloc: append(schedule.Ones(v-1), procs+1), Fitness: 1}}
 	want := bad[0].Alloc.ValidateLen(v, procs)
-	if _, err := RunSeeded(context.Background(), defaultConfig(1), v, procs, bad, fit); err == nil || err.Error() != want.Error() {
+	if _, err := RunSeeded(context.Background(), defaultConfig(1), v, procs, bad, shared(fit)); err == nil || err.Error() != want.Error() {
 		t.Fatalf("RunSeeded on a seed out of range: err %v, want %v", err, want)
 	}
 }

@@ -160,7 +160,6 @@ func TestSelfAdaptiveSigmaBounds(t *testing.T) {
 	target := schedule.Ones(v)
 	cfg := defaultConfig(47)
 	cfg.SelfAdaptive = true
-	cfg.InitialSigma = 1
 	cfg.Generations = 40
 	res, err := Run(cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {

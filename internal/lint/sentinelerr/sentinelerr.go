@@ -1,7 +1,7 @@
 // Package sentinelerr enforces the sentinel-error discipline on hot paths.
 //
 // The admission pipeline distinguishes rejection causes by error identity:
-// listsched.ErrRejected is the umbrella sentinel and ErrRejectedPrefilter is
+// schedule.ErrRejected is the umbrella sentinel and ErrRejectedPrefilter is
 // a package-level `fmt.Errorf("%w ...")` wrap of it, so callers split the
 // two with errors.Is while the fast path stays allocation-free — both values
 // are constructed once, at package init. That contract breaks quietly if a

@@ -55,9 +55,9 @@ func checkBatchScalarIdentity(t testing.TB, m *Mapper, items []schedule.Allocati
 		}
 		if wantErr != nil || errs[i] != nil {
 			// Sentinels must match exactly: the engine distinguishes
-			// ErrRejectedPrefilter from ErrRejected when counting.
-			if !errors.Is(errs[i], ErrRejected) || !errors.Is(wantErr, ErrRejected) ||
-				errors.Is(errs[i], ErrRejectedPrefilter) != errors.Is(wantErr, ErrRejectedPrefilter) {
+			// schedule.ErrRejectedPrefilter from schedule.ErrRejected when counting.
+			if !errors.Is(errs[i], schedule.ErrRejected) || !errors.Is(wantErr, schedule.ErrRejected) ||
+				errors.Is(errs[i], schedule.ErrRejectedPrefilter) != errors.Is(wantErr, schedule.ErrRejectedPrefilter) {
 				t.Logf("row %d: batch err %v, scalar err %v (opt %+v)", i, errs[i], wantErr, opt)
 				ok = false
 			}
@@ -204,7 +204,7 @@ func TestBatchInvalidRows(t *testing.T) {
 		}
 	}
 	for _, r := range []int{1, 2} {
-		if errs[r] == nil || errors.Is(errs[r], ErrRejected) {
+		if errs[r] == nil || errors.Is(errs[r], schedule.ErrRejected) {
 			t.Errorf("row %d: err %v, want a validation error", r, errs[r])
 		}
 	}

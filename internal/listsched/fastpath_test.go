@@ -19,7 +19,7 @@ import (
 func checkPrefilterExactness(m *Mapper, alloc schedule.Allocation, bound float64) bool {
 	on, onErr := m.MakespanOpts(alloc, Options{RejectAbove: bound})
 	off, offErr := m.MakespanOpts(alloc, Options{RejectAbove: bound, DisablePrefilter: true})
-	if errors.Is(onErr, ErrRejected) != errors.Is(offErr, ErrRejected) {
+	if errors.Is(onErr, schedule.ErrRejected) != errors.Is(offErr, schedule.ErrRejected) {
 		return false
 	}
 	if (onErr == nil) != (offErr == nil) {
@@ -108,9 +108,9 @@ func mutateRandom(rng *rand.Rand, parent schedule.Allocation, k, procs int) sche
 // prefilter rejection, an in-loop rejection, or the makespan's bits.
 func outcome(f float64, err error) string {
 	switch {
-	case errors.Is(err, ErrRejectedPrefilter):
+	case errors.Is(err, schedule.ErrRejectedPrefilter):
 		return "prefilter"
-	case errors.Is(err, ErrRejected):
+	case errors.Is(err, schedule.ErrRejected):
 		return "rejected"
 	case err != nil:
 		return err.Error()

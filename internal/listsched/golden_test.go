@@ -102,9 +102,9 @@ func mapGoldenCorpus(t *testing.T) []mapGolden {
 				for _, f := range boundFactors {
 					got, err := mp.MakespanBounded(alloc, f*ms)
 					switch {
-					case errors.Is(err, ErrRejectedPrefilter):
+					case errors.Is(err, schedule.ErrRejectedPrefilter):
 						entry.Bounded = append(entry.Bounded, "prefilter")
-					case errors.Is(err, ErrRejected):
+					case errors.Is(err, schedule.ErrRejected):
 						entry.Bounded = append(entry.Bounded, "rejected")
 					case err != nil:
 						t.Fatal(err)

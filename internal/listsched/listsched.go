@@ -19,24 +19,11 @@ package listsched
 
 import (
 	"errors"
-	"fmt"
 
 	"emts/internal/dag"
 	"emts/internal/model"
 	"emts/internal/schedule"
 )
-
-// ErrRejected reports that mapping was aborted because a lower bound on the
-// makespan exceeded Options.RejectAbove: the makespan exceeds the bound, or
-// lies within rounding below it (see Mapper.MakespanBounded).
-var ErrRejected = errors.New("listsched: schedule rejected by makespan bound")
-
-// ErrRejectedPrefilter is the ErrRejected variant raised by the O(V)
-// lower-bound prefilter that runs before the map loop (DESIGN.md §10). It
-// wraps ErrRejected, so errors.Is(err, ErrRejected) matches both; callers
-// that care which layer fired (counters, benchmarks) test for this sentinel
-// specifically.
-var ErrRejectedPrefilter = fmt.Errorf("%w (lower-bound prefilter)", ErrRejected)
 
 // errIncomplete reports a map loop that drained its ready queue before
 // placing every task. dag.Builder rejects cyclic graphs and NewMapper
@@ -50,9 +37,9 @@ var errIncomplete = errors.New("listsched: mapping incomplete: ready queue drain
 // Options tunes the mapping step.
 type Options struct {
 	// RejectAbove, when positive, enables the rejection strategy of Section
-	// VI: mapping fails with ErrRejected as soon as start(v) + bl(v) — a
-	// dependence-only lower bound on the final makespan — exceeds the bound
-	// for some task v. A makespan above the bound is always rejected; one
+	// VI: mapping fails with schedule.ErrRejected as soon as start(v) +
+	// bl(v) — a dependence-only lower bound on the final makespan — exceeds
+	// the bound for some task v. A makespan above the bound is always rejected; one
 	// within rounding below it may be (see Mapper.MakespanBounded).
 	RejectAbove float64
 	// SkipProcSets, when true, leaves each entry's processor ID list nil and

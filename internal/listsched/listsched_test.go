@@ -197,8 +197,8 @@ func TestRejectionStrategy(t *testing.T) {
 	tab := model.MustTable(g, model.Amdahl{}, testCluster)
 	alloc := schedule.Ones(2)
 	// True makespan is 8; a bound of 5 must reject, a bound of 9 must pass.
-	if _, err := MapWithOptions(g, tab, alloc, Options{RejectAbove: 5}); !errors.Is(err, ErrRejected) {
-		t.Fatalf("want ErrRejected, got %v", err)
+	if _, err := MapWithOptions(g, tab, alloc, Options{RejectAbove: 5}); !errors.Is(err, schedule.ErrRejected) {
+		t.Fatalf("want schedule.ErrRejected, got %v", err)
 	}
 	s, err := MapWithOptions(g, tab, alloc, Options{RejectAbove: 9})
 	if err != nil {

@@ -51,8 +51,8 @@ const witnessSlots = 4
 // outcome: every result is the same as a fresh Mapper's.
 //
 // A Mapper is NOT safe for concurrent use: each worker goroutine must own its
-// own instance (see ea.Config.EvaluatorFactory). Results are bit-identical to
-// the package-level Map/Makespan functions, which are thin wrappers that
+// own instance (see ea.RunSeeded). Results are bit-identical to the
+// package-level Map/Makespan functions, which are thin wrappers that
 // construct a throwaway Mapper.
 type Mapper struct {
 	g     *dag.Graph
@@ -120,8 +120,8 @@ func (m *Mapper) Makespan(alloc schedule.Allocation) (float64, error) {
 }
 
 // MakespanBounded is Makespan with the rejection strategy of Section VI: it
-// fails with ErrRejected as soon as a dependence-only lower bound on the
-// final makespan exceeds rejectAbove (when positive).
+// fails with schedule.ErrRejected as soon as a dependence-only lower bound on
+// the final makespan exceeds rejectAbove (when positive).
 //
 // A makespan above the bound is always rejected: at the task achieving the
 // makespan the lower bound start + bl(v) is at least the task's end. A
@@ -245,12 +245,12 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 	// area bound, and only then the sweep's critical-path bound.
 	prefilter := opt.RejectAbove > 0 && !opt.DisablePrefilter
 	if prefilter && (m.witnessReject(alloc, opt.RejectAbove) || areaReject(tab, procs, alloc, opt.RejectAbove)) {
-		return 0, ErrRejectedPrefilter
+		return 0, schedule.ErrRejectedPrefilter
 	}
 	bl := st.bl[:n]
 	bottomLevelsRow(g, tab, alloc, bl, m.topoOrder)
 	if prefilter && m.criticalPathReject(bl, opt.RejectAbove) {
-		return 0, ErrRejectedPrefilter
+		return 0, schedule.ErrRejectedPrefilter
 	}
 	indeg := st.indeg[:n]
 	copy(indeg, g.Indegrees())
@@ -299,7 +299,7 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 			start = freeAt
 		}
 		if opt.RejectAbove > 0 && start+bl[v] > opt.RejectAbove {
-			return 0, ErrRejected
+			return 0, schedule.ErrRejected
 		}
 		end := start + tab.Time(v, s)
 		if end > makespan {

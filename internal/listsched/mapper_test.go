@@ -101,7 +101,7 @@ func TestMapperBoundedMatchesOptions(t *testing.T) {
 		for _, bound := range []float64{full * 0.5, full * 0.999, full, full * 1.5} {
 			want, wantErr := MapWithOptions(g, tab, alloc, Options{SkipProcSets: true, RejectAbove: bound})
 			got, gotErr := m.MakespanBounded(alloc, bound)
-			if errors.Is(wantErr, ErrRejected) != errors.Is(gotErr, ErrRejected) {
+			if errors.Is(wantErr, schedule.ErrRejected) != errors.Is(gotErr, schedule.ErrRejected) {
 				return false
 			}
 			if wantErr == nil && (gotErr != nil || got != want.Makespan()) {
@@ -137,7 +137,7 @@ func TestMapperRejectionExact(t *testing.T) {
 		}
 		for _, bound := range bounds {
 			_, err := m.MakespanBounded(alloc, bound)
-			rejected := errors.Is(err, ErrRejected)
+			rejected := errors.Is(err, schedule.ErrRejected)
 			if full > bound && !rejected {
 				return fmt.Errorf("makespan %v above bound %v was not rejected", full, bound)
 			}
@@ -235,7 +235,7 @@ func TestMapperMakespanZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg = testing.AllocsPerRun(100, func() {
-		if _, err := m.MakespanBounded(alloc, full/2); !errors.Is(err, ErrRejected) {
+		if _, err := m.MakespanBounded(alloc, full/2); !errors.Is(err, schedule.ErrRejected) {
 			t.Fatalf("expected rejection, got %v", err)
 		}
 	})
@@ -259,7 +259,7 @@ func TestMapperMakespanZeroAllocs(t *testing.T) {
 	}
 	avg = testing.AllocsPerRun(100, func() {
 		m.witnessLen = 0
-		if _, err := m.MakespanBounded(ones, bound); !errors.Is(err, ErrRejectedPrefilter) {
+		if _, err := m.MakespanBounded(ones, bound); !errors.Is(err, schedule.ErrRejectedPrefilter) {
 			t.Fatalf("expected a prefilter rejection, got %v", err)
 		}
 	})
@@ -271,7 +271,7 @@ func TestMapperMakespanZeroAllocs(t *testing.T) {
 		t.Fatalf("remembered %d paths, and none rejects the call", m.witnessLen)
 	}
 	avg = testing.AllocsPerRun(100, func() {
-		if _, err := m.MakespanBounded(ones, bound); !errors.Is(err, ErrRejectedPrefilter) {
+		if _, err := m.MakespanBounded(ones, bound); !errors.Is(err, schedule.ErrRejectedPrefilter) {
 			t.Fatalf("expected a prefilter rejection, got %v", err)
 		}
 	})

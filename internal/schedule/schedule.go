@@ -9,6 +9,7 @@
 package schedule
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -16,6 +17,19 @@ import (
 	"emts/internal/dag"
 	"emts/internal/model"
 )
+
+// ErrRejected reports an evaluation aborted by a makespan bound: the
+// allocation's makespan exceeds the bound, or lies within rounding below it.
+// listsched returns it when a lower bound on the makespan passes
+// Options.RejectAbove, and the EA scores such an individual +Inf (see
+// ea.Evaluator).
+var ErrRejected = errors.New("schedule: rejected by makespan bound")
+
+// ErrRejectedPrefilter is the ErrRejected variant decided by the O(V)
+// lower-bound prefilter before the map loop (DESIGN.md §10). It wraps
+// ErrRejected, so errors.Is(err, ErrRejected) matches both; the EA counts
+// it separately in ea.Result.PrefilterRejections.
+var ErrRejectedPrefilter = fmt.Errorf("%w (lower-bound prefilter)", ErrRejected)
 
 // Allocation holds the number of processors allocated to each task, indexed
 // by dag.TaskID. It is exactly the individual encoding of Figure 2.

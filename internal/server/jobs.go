@@ -263,11 +263,12 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 
 // handleJobCancel is DELETE /v1/jobs/{id}: request cooperative cancellation
 // and wait (bounded by the caller's own context) for the terminal state. The
-// EA observes its context once per generation, so the wait is at most one
-// generation; the answer then reports whether an incumbent was salvaged
-// (cancelled-with-result) or not (cancelled). Cancelling a terminal job is a
-// no-op that returns the existing outcome — NOT a purge, so a cancel that
-// races the job's own completion never costs the client its result.
+// EA observes its context before every epoch, so the wait is at most one
+// epoch (one generation, or the migration interval with islands > 1); the
+// answer then reports whether an incumbent was salvaged (cancelled-with-
+// result) or not (cancelled). Cancelling a terminal job is a no-op that
+// returns the existing outcome — NOT a purge, so a cancel that races the
+// job's own completion never costs the client its result.
 //
 // "?purge=1" adds explicit release-intent: once the job is terminal (on
 // entry or after the cancel lands) it is removed from the store, freeing its

@@ -23,9 +23,10 @@
 // with no positive finite time is the client's 400) and runs the plan. Each
 // admitted request carries a context assembled from the client connection
 // and the per-request deadline, and the evolutionary algorithm observes
-// that context once per generation (ea.RunContext) — a dropped connection
-// or an expired deadline stops an in-flight optimization within one
-// generation, at zero cost on the hot fitness path.
+// that context before every epoch (ea.RunContext: every generation, or
+// every migration interval with islands > 1) — a dropped connection or an
+// expired deadline stops an in-flight optimization within one epoch, at
+// zero cost on the hot fitness path.
 //
 // Because every scheduler in the repository is deterministic under a fixed
 // seed, the response body is a pure function of the request (wall-clock
@@ -325,7 +326,7 @@ func (s *Server) Handler() http.Handler {
 			rec.Header().Set("X-Emts-Instance", s.cfg.InstanceID)
 		}
 		start := time.Now()
-		s.mux.ServeHTTP(rec, r.WithContext(withRequestID(r.Context(), id)))
+		s.mux.ServeHTTP(rec, r)
 		s.metrics.countRequest(rec.code)
 		s.log.log(accessLog{
 			Req:    id,
@@ -670,19 +671,6 @@ func writeText(w http.ResponseWriter, code int, body string) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WriteTo(w)
-}
-
-// requestIDKey carries the request ID through handler contexts.
-type requestIDKey struct{}
-
-func withRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// RequestID extracts the request ID assigned by Handler, or "".
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
 }
 
 // statusRecorder captures the response status for metrics and logs.

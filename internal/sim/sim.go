@@ -117,10 +117,11 @@ type Plan struct {
 	Model     model.Model
 	ModelName string
 	Algorithm string
-	// Params is the seeded EMTS preset. Callers may set Workers and
-	// OnGeneration, which leave results bit-identical, and the island fields
-	// (Islands, MigrationInterval, MigrationCount, Topology), each setting of
-	// which is its own deterministic search; see core.Params.
+	// Params is the seeded EMTS preset. Callers may set the fields it
+	// promotes from ea.Config: Workers and OnGeneration, which leave results
+	// bit-identical, and Islands and MigrationInterval, each setting of
+	// which (with Islands > 1) is its own deterministic search; see
+	// core.Params.
 	Params *core.Params
 	// Allocator is the allocation step of a two-step heuristic.
 	Allocator alloc.Allocator
@@ -236,9 +237,9 @@ func (p *Plan) Run(ctx context.Context, g *dag.Graph, cluster platform.Cluster) 
 }
 
 // RunTable runs the plan on g with a table built for cluster, and validates
-// the schedule. EMTS runs observe ctx once per generation (see
+// the schedule. EMTS runs observe ctx before every epoch (see
 // core.RunContext) and the heuristics check it once up front, so a cancelled
-// run stops within one generation. An EMTS run cancelled mid-run still
+// run stops within one epoch. An EMTS run cancelled mid-run still
 // yields its incumbent (the anytime contract of core.RunContext): it is
 // validated and reported like a completed run, alongside the context error.
 func (p *Plan) RunTable(ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table) (*Report, error) {

@@ -67,6 +67,9 @@ type (
 	Allocator = alloc.Allocator
 	// Mutator generates EA offspring; see PaperMutator and UniformMutator.
 	Mutator = ea.Mutator
+	// Rand is the random stream a Mutator draws from: the values of
+	// rand.NewSource(seed), with *rand.Rand's Intn, Float64 and NormFloat64.
+	Rand = ea.Rand
 	// Params configures an EMTS run; use EMTS5, EMTS10, or DefaultParams.
 	// It is the EA's configuration (its fields promoted: Mu, Lambda,
 	// Generations, Mutator, Islands, Workers, Seed, ...) plus the seed

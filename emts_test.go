@@ -141,16 +141,30 @@ func TestDowneyModelExposed(t *testing.T) {
 	}
 }
 
+// leadingAlleles is an operator written against the facade alone: it
+// resamples the first m alleles from the stream it is handed.
+type leadingAlleles struct{}
+
+func (leadingAlleles) Name() string { return "leading" }
+
+func (leadingAlleles) Mutate(rng *emts.Rand, a emts.Allocation, m, procs int) {
+	for i := 0; i < m && i < len(a); i++ {
+		a[i] = 1 + rng.Intn(procs)
+	}
+}
+
 func TestMutatorsExposed(t *testing.T) {
 	g, _ := emts.GenerateStrassen(2)
-	p := emts.EMTS5(1)
-	p.Mutator = emts.UniformMutator()
-	res, err := emts.Optimize(g, emts.Chti(), emts.Synthetic(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan <= 0 {
-		t.Fatal("no makespan")
+	for _, mut := range []emts.Mutator{emts.UniformMutator(), leadingAlleles{}} {
+		p := emts.EMTS5(1)
+		p.Mutator = mut
+		res, err := emts.Optimize(g, emts.Chti(), emts.Synthetic(), p)
+		if err != nil {
+			t.Fatalf("%s: %v", mut.Name(), err)
+		}
+		if res.Makespan <= 0 {
+			t.Fatalf("%s: no makespan", mut.Name())
+		}
 	}
 	if emts.PaperMutator().Name() != "paper-eq1" {
 		t.Fatal("paper mutator name")

@@ -78,7 +78,7 @@ func checkCullMatchesUncut(t testing.TB, seed int64) int {
 			run := func(honour bool) *ea.Result {
 				cfg := ea.Config{Mu: 5, Lambda: 25, Generations: 5, Fm: 0.33, Seed: seed, Islands: islands, Workers: 2}
 				v.set(&cfg)
-				res, err := ea.RunSeeded(context.Background(), cfg, g.NumTasks(), cluster.Procs, seeds, cullEvaluators(g, tab, honour))
+				res, err := ea.Run(context.Background(), cfg, g.NumTasks(), cluster.Procs, seeds, cullEvaluators(g, tab, honour))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -285,7 +285,7 @@ func Run(g *dag.Graph, tab *model.Table, p Params) (*Result, error) {
 // RunContext is Run with cooperative cancellation: the evolutionary loop
 // observes ctx before every epoch, the first right after the initial
 // evaluation (an epoch is one generation, or MigrationInterval generations
-// with Islands > 1; see ea.RunContext), so an in-flight optimization stops
+// with Islands > 1; see ea.Run), so an in-flight optimization stops
 // within one epoch of ctx being cancelled or its deadline passing.
 // Cancellation never perturbs results — a run that completes is
 // bit-identical to the same seed without a context.
@@ -333,7 +333,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	// from a single worker goroutine, never concurrently. The EA checks every
 	// allocation where it enters the run and keeps its own within [1, P], so
 	// evaluations skip the Mapper's entry check.
-	baseOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
+	baseOpt := listsched.Options{DisablePrefilter: p.DisablePrefilter}
 	newEval := func() ea.Evaluator {
 		m, err := listsched.NewMapper(g, tab)
 		if err != nil {
@@ -348,7 +348,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		}
 	}
 
-	run, runErr := ea.RunSeeded(ctx, p.Config, g.NumTasks(), procs, seedInds, newEval)
+	run, runErr := ea.Run(ctx, p.Config, g.NumTasks(), procs, seedInds, newEval)
 	if run == nil {
 		// Hard failure or a cancellation before the initial evaluation:
 		// nothing usable to materialize.

@@ -8,6 +8,7 @@ import (
 
 	"emts/internal/alloc"
 	"emts/internal/daggen"
+	"emts/internal/ea"
 	"emts/internal/listsched"
 	"emts/internal/model"
 	"emts/internal/platform"
@@ -69,7 +70,7 @@ type badMutation struct{ value int }
 
 func (badMutation) Name() string { return "bad" }
 
-func (b badMutation) Mutate(_ *rand.Rand, a schedule.Allocation, _, _ int) { a[len(a)-1] = b.value }
+func (b badMutation) Mutate(_ *ea.Rand, a schedule.Allocation, _, _ int) { a[len(a)-1] = b.value }
 
 // TestRunRejectsOutsideMutatorChildren: a custom Mutator writing 0 or
 // procs+1 fails the run with schedule.Allocation.Validate's error, although

@@ -12,7 +12,7 @@ import (
 func TestRunContextCancelledUpfront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, defaultConfig(1), 8, 8, nil, sphereFitness(schedule.Ones(8)))
+	_, err := runAllocs(ctx, defaultConfig(1), 8, 8, nil, sphereFitness(schedule.Ones(8)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -31,7 +31,7 @@ func TestRunContextStopsWithinOneGeneration(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err := RunContext(ctx, cfg, 8, 8, nil, sphereFitness(schedule.Ones(8)))
+	_, err := runAllocs(ctx, cfg, 8, 8, nil, sphereFitness(schedule.Ones(8)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -56,7 +56,7 @@ func TestRunContextPartialResultOnCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunContext(ctx, cfg, 8, 8, nil, fit)
+	res, err := runAllocs(ctx, cfg, 8, 8, nil, fit)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -77,7 +77,7 @@ func TestRunContextPartialResultOnCancel(t *testing.T) {
 		t.Fatalf("len(History) = %d, want %d", len(res.History), res.Generations+1)
 	}
 
-	full, err := Run(defaultConfig(11), 8, 8, nil, fit)
+	full, err := runAllocs(context.Background(), defaultConfig(11), 8, 8, nil, fit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,21 +88,21 @@ func TestRunContextPartialResultOnCancel(t *testing.T) {
 
 // TestRunContextIsTransparent asserts the cancellation plumbing costs nothing
 // in terms of results: a run under a live context is bit-identical to the
-// same seed through the context-free entry point.
+// same seed under context.Background().
 func TestRunContextIsTransparent(t *testing.T) {
 	fit := sphereFitness(schedule.Ones(8))
-	plain, err := Run(defaultConfig(3), 8, 8, nil, fit)
+	plain, err := runAllocs(context.Background(), defaultConfig(3), 8, 8, nil, fit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	withCtx, err := RunContext(ctx, defaultConfig(3), 8, 8, nil, fit)
+	withCtx, err := runAllocs(ctx, defaultConfig(3), 8, 8, nil, fit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain.Best, withCtx.Best) || !reflect.DeepEqual(plain.History, withCtx.History) {
-		t.Fatal("RunContext result differs from Run with the same seed")
+		t.Fatal("a run under a live context differs from the same seed under context.Background()")
 	}
 }
 
@@ -120,7 +120,7 @@ func TestRunContextCancelDuringInitialization(t *testing.T) {
 		}
 		cfg := defaultConfig(13)
 		cfg.Islands = islands
-		res, err := RunContext(ctx, cfg, 8, 8, nil, cancelling)
+		res, err := runAllocs(ctx, cfg, 8, 8, nil, cancelling)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("islands=%d: err = %v, want context.Canceled", islands, err)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"emts/internal/schedule"
@@ -60,8 +59,8 @@ type Evaluator func(alloc schedule.Allocation, rejectAbove float64) (float64, er
 type Mutator interface {
 	// Name identifies the operator in ablation reports.
 	Name() string
-	// Mutate modifies m distinct alleles of alloc in place.
-	Mutate(rng *rand.Rand, alloc schedule.Allocation, m, procs int)
+	// Mutate modifies m distinct alleles of alloc in place, drawing from rng.
+	Mutate(rng *Rand, alloc schedule.Allocation, m, procs int)
 }
 
 // PaperMutator is the mutation operator of Section III-D. The number of
@@ -92,7 +91,7 @@ func DefaultPaperMutator() PaperMutator { return PaperMutator{A: 0.2, Sigma1: 5,
 func (PaperMutator) Name() string { return "paper-eq1" }
 
 // Delta samples the allocation adjustment C of Eq. (1).
-func (pm PaperMutator) Delta(rng *rand.Rand) int {
+func (pm PaperMutator) Delta(rng *Rand) int {
 	if rng.Float64() < pm.A {
 		return -(int(math.Floor(math.Abs(rng.NormFloat64()*pm.Sigma1))) + 1)
 	}
@@ -100,37 +99,20 @@ func (pm PaperMutator) Delta(rng *rand.Rand) int {
 }
 
 // Mutate implements Mutator: it adjusts m distinct random alleles by Delta,
-// clamping each result into [1, procs].
-func (pm PaperMutator) Mutate(rng *rand.Rand, alloc schedule.Allocation, m, procs int) {
-	for _, i := range samplePositions(rng, len(alloc), m) {
-		v := alloc[i] + pm.Delta(rng)
-		if v < 1 {
-			v = 1
-		}
-		if v > procs {
-			v = procs
-		}
-		alloc[i] = v
-	}
-}
-
-// mutateOn is Mutate on an island's stream, with the same draws in the same
-// order; perm holds the identity of [0, len(alloc)) on entry and on return,
-// so the island's offspring loop allocates nothing.
+// clamping each result into [1, procs]. Delta does not inline, so its draws
+// are written out here rather than called once per allele.
 //
 //schedlint:hotpath
-func (pm PaperMutator) mutateOn(r *islandRNG, alloc schedule.Allocation, m, procs int, perm []int) {
-	pos := r.positions(perm[:len(alloc)], m)
-	for _, i := range pos {
+func (pm PaperMutator) Mutate(rng *Rand, alloc schedule.Allocation, m, procs int) {
+	for _, i := range rng.positions(len(alloc), m) {
 		var v int
-		if r.Float64() < pm.A {
-			v = alloc[i] - (int(math.Floor(math.Abs(r.NormFloat64()*pm.Sigma1))) + 1)
+		if rng.Float64() < pm.A {
+			v = alloc[i] - (int(math.Floor(math.Abs(rng.NormFloat64()*pm.Sigma1))) + 1)
 		} else {
-			v = alloc[i] + int(math.Floor(math.Abs(r.NormFloat64()*pm.Sigma2))) + 1
+			v = alloc[i] + int(math.Floor(math.Abs(rng.NormFloat64()*pm.Sigma2))) + 1
 		}
 		alloc[i] = min(max(v, 1), procs)
 	}
-	resetPositions(perm, len(pos))
 }
 
 // UniformMutator resamples each selected allele uniformly from [1, procs].
@@ -142,73 +124,51 @@ type UniformMutator struct{}
 func (UniformMutator) Name() string { return "uniform" }
 
 // Mutate implements Mutator.
-func (UniformMutator) Mutate(rng *rand.Rand, alloc schedule.Allocation, m, procs int) {
-	for _, i := range samplePositions(rng, len(alloc), m) {
+//
+//schedlint:hotpath
+func (UniformMutator) Mutate(rng *Rand, alloc schedule.Allocation, m, procs int) {
+	for _, i := range rng.positions(len(alloc), m) {
 		alloc[i] = 1 + rng.Intn(procs)
 	}
 }
 
-// mutateOn is Mutate on an island's stream, as PaperMutator.mutateOn.
+// positions draws min(m, n) distinct indices from [0, n) by a partial
+// Fisher-Yates shuffle of the stream's position buffer, with m Intn draws,
+// and returns them in the buffer, valid until the next call. The buffer
+// holds the identity between calls except at the places the last call
+// swapped, and positions restores those first in O(m) instead of resetting
+// the buffer in O(n): only the first m places and the drawn positions at or
+// past m were written, since a place p ≥ m first swapped at step i sends its
+// own value p to place i, where it stays, so p was drawn. The buffer grows to
+// the longest allocation once per stream, so the offspring loop allocates
+// nothing.
 //
 //schedlint:hotpath
-func (UniformMutator) mutateOn(r *islandRNG, alloc schedule.Allocation, m, procs int, perm []int) {
-	pos := r.positions(perm[:len(alloc)], m)
-	for _, i := range pos {
-		alloc[i] = 1 + r.Intn(procs)
+func (r *Rand) positions(n, m int) []int {
+	perm := r.perm
+	for _, p := range perm[:r.drawn] {
+		if p >= r.drawn {
+			perm[p] = p
+		}
 	}
-	resetPositions(perm, len(pos))
-}
-
-// samplePositions draws min(m, n) distinct indices from [0, n) via a partial
-// Fisher-Yates shuffle, with m Intn draws.
-func samplePositions(rng *rand.Rand, n, m int) []int {
-	if m > n {
-		m = n
+	for i := range perm[:r.drawn] {
+		perm[i] = i
 	}
-	if m <= 0 {
-		return nil
+	if len(perm) < n {
+		//schedlint:allow hotescape -- grows once per stream, to the longest allocation mutated
+		perm = make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		r.perm = perm
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < m; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	return idx[:m]
-}
-
-// positions is samplePositions on an island's stream, with the same m Intn
-// draws, in perm, which must hold the identity of [0, len(perm)).
-// resetPositions restores it in O(m) instead of an O(V) reset per call.
-//
-//schedlint:hotpath
-func (r *islandRNG) positions(perm []int, m int) []int {
-	n := len(perm)
-	m = min(m, n)
+	m = max(min(m, n), 0)
 	for i := 0; i < m; i++ {
 		j := i + r.Intn(n-i)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	return perm[:max(m, 0)]
-}
-
-// resetPositions restores the identity in perm after positions drew m of
-// them. Only the first m places and the drawn positions at or past m were
-// written: a place p ≥ m first swapped at step i sends its own value p to
-// place i, where it stays, so p was drawn.
-//
-//schedlint:hotpath
-func resetPositions(perm []int, m int) {
-	for _, p := range perm[:m] {
-		if p >= m {
-			perm[p] = p
-		}
-	}
-	for i := range perm[:m] {
-		perm[i] = i
-	}
+	r.drawn = m
+	return perm[:m]
 }
 
 // MutationCount implements the adaptive schedule of Section III-C: in
@@ -412,69 +372,40 @@ type Result struct {
 
 // Run executes the (μ+λ) evolution strategy on allocations of length v for a
 // platform with procs processors, starting from the given seed individuals
-// (already-allocated vectors from heuristics such as MCPA and HCPA,
-// Section III-B). Missing parents are filled with uniform random individuals;
+// (allocations from heuristics such as MCPA and HCPA, Section III-B, with
+// their fitness). Missing parents are filled with uniform random individuals;
 // surplus seeds compete, and the best μ form the first parent generation.
-// fitness is shared by every worker.
+//
+// Each seed's Fitness must be what the run's evaluators return for its Alloc
+// without a bound, as core.Run's seeding workers compute it: the run takes
+// those values instead of evaluating the seeds, and it evaluates a random
+// fill individual only if no seed holds the same allocation. Evaluations
+// counts the seeds all the same. A seed must already hold v alleles in
+// [1, procs]: it is checked, not clamped, since its fitness belongs to
+// exactly that allocation.
+//
+// The engine calls newEval once for each worker it starts, and calls each
+// evaluator from one goroutine at a time, so an arena-backed evaluator (a
+// listsched.Mapper, as core.Run wires it) reuses its scratch state without
+// locks. The evaluators must obey Evaluator's purity contract.
 //
 // Because the paper uses a plus-strategy, the best solution is conserved: the
 // population never worsens across generations (Section IV, citing Schwefel &
 // Rudolph).
-func Run(cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluator) (*Result, error) {
-	return RunContext(context.Background(), cfg, v, procs, seeds, fitness)
-}
-
-// RunContext is Run with cooperative cancellation. ctx is observed before
-// the initial evaluation and before every epoch, the generations between two
-// migrations (one generation when Islands <= 1), so cancellation adds zero
-// cost to the hot fitness path and cannot perturb the RNG streams: a run that
-// completes under a live context is bit-identical to the same seed under
-// context.Background(). On cancellation the error wraps ctx's cause
-// (context.Canceled or DeadlineExceeded), so errors.Is works. A cancellation
-// after initialization returns the partial Result alongside the error: Best
-// is the incumbent at cancellation (a valid answer by plus-selection — the
-// population never worsens) and Result.Generations counts the generations
-// every island completed, 0 when ctx was cancelled during the initial
-// evaluation. Only a cancellation before the initial evaluation returns a
-// nil Result.
-func RunContext(ctx context.Context, cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluator) (*Result, error) {
-	inds := make([]Individual, len(seeds))
-	for i, s := range seeds {
-		inds[i] = Individual{Alloc: s}
-	}
-	var newEval func() Evaluator
-	if fitness != nil {
-		newEval = func() Evaluator { return fitness }
-	}
-	return run(ctx, cfg, v, procs, starts{inds: inds}, newEval)
-}
-
-// RunSeeded is RunContext for seeds whose fitness the caller already has,
-// with an evaluator per worker: the engine calls newEval once for each
-// worker it starts, and calls each evaluator from one goroutine at a time,
-// so an arena-backed evaluator (a listsched.Mapper, as core.Run wires it)
-// reuses its scratch state without locks. The evaluators must obey
-// Evaluator's purity contract. Each seed's Fitness must be what the run's
-// evaluators return for its Alloc without a bound, as core.Run's seeding
-// workers compute it. The run takes those values instead of evaluating the
-// seeds, and it evaluates a random fill individual only if no seed holds the
-// same allocation. Result, Evaluations and every GenStats are the same as
-// RunContext's on the seeds' allocations. A seed must already lie in
-// [1, procs]: it is checked, not clamped, since its fitness belongs to
-// exactly that allocation.
-func RunSeeded(ctx context.Context, cfg Config, v, procs int, seeds []Individual, newEval func() Evaluator) (*Result, error) {
-	return run(ctx, cfg, v, procs, starts{inds: seeds, known: true}, newEval)
-}
-
-// starts are a run's seed individuals; known says whether their Fitness
-// fields hold their fitness.
-type starts struct {
-	inds  []Individual
-	known bool
-}
-
-// run validates a run and hands it to the island coordinator.
-func run(ctx context.Context, cfg Config, v, procs int, seeds starts, newEval func() Evaluator) (*Result, error) {
+//
+// ctx is observed before the initial evaluation and before every epoch, the
+// generations between two migrations (one generation when Islands <= 1), so
+// cancellation adds zero cost to the hot fitness path and cannot perturb the
+// RNG streams: a run that completes under a live context is bit-identical to
+// the same seed under context.Background(). On cancellation the error wraps
+// ctx's cause (context.Canceled or DeadlineExceeded), so errors.Is works. A
+// cancellation after initialization returns the partial Result alongside the
+// error: Best is the incumbent at cancellation (a valid answer by
+// plus-selection — the population never worsens) and Result.Generations
+// counts the generations every island completed, 0 when ctx was cancelled
+// during the initial evaluation. Only a cancellation before the initial
+// evaluation returns a nil Result.
+func Run(ctx context.Context, cfg Config, v, procs int, seeds []Individual, newEval func() Evaluator) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -518,7 +449,7 @@ func poolStats(u int, pool []Individual, bestEver float64, rejected int) GenStat
 }
 
 // uniformCrossover overwrites roughly half of child's alleles with other's.
-func uniformCrossover(rng *islandRNG, child, other schedule.Allocation) {
+func uniformCrossover(rng *Rand, child, other schedule.Allocation) {
 	for i := range child {
 		if rng.Intn(2) == 0 {
 			child[i] = other[i]

@@ -1,6 +1,7 @@
 package ea
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -76,7 +77,7 @@ func TestMutationCountSchedule(t *testing.T) {
 
 func TestPaperMutatorDeltaProperties(t *testing.T) {
 	pm := DefaultPaperMutator()
-	rng := rand.New(rand.NewSource(1))
+	rng := NewRand(1)
 	const n = 200000
 	neg, pos := 0, 0
 	for i := 0; i < n; i++ {
@@ -99,7 +100,7 @@ func TestPaperMutatorDeltaProperties(t *testing.T) {
 
 func TestPaperMutatorSmallChangesMoreLikely(t *testing.T) {
 	pm := DefaultPaperMutator()
-	rng := rand.New(rand.NewSource(2))
+	rng := NewRand(2)
 	counts := map[int]int{}
 	for i := 0; i < 100000; i++ {
 		d := pm.Delta(rng)
@@ -117,7 +118,7 @@ func TestPaperMutatorSmallChangesMoreLikely(t *testing.T) {
 func TestPaperMutatorMutatesExactlyMAlleles(t *testing.T) {
 	pm := DefaultPaperMutator()
 	f := func(seed int64, rawM uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
+		rng := NewRand(seed)
 		const v, procs = 50, 64
 		m := 1 + int(rawM)%v
 		orig := make(schedule.Allocation, v)
@@ -146,7 +147,7 @@ func TestPaperMutatorMutatesExactlyMAlleles(t *testing.T) {
 
 func TestUniformMutatorBounds(t *testing.T) {
 	um := UniformMutator{}
-	rng := rand.New(rand.NewSource(3))
+	rng := NewRand(3)
 	a := schedule.Ones(20)
 	um.Mutate(rng, a, 20, 7)
 	for i, v := range a {
@@ -156,24 +157,26 @@ func TestUniformMutatorBounds(t *testing.T) {
 	}
 }
 
+// TestSamplePositionsDistinct: Rand.positions draws min(m, n) distinct
+// positions in [0, n), call after call on one stream, with n growing and
+// shrinking between calls.
 func TestSamplePositionsDistinct(t *testing.T) {
-	f := func(seed int64, rawN, rawM uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + int(rawN)%40
-		m := int(rawM) % 50
-		pos := samplePositions(rng, n, m)
-		if m > n && len(pos) != n {
-			return false
-		}
-		if m <= n && m >= 0 && len(pos) != m {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, p := range pos {
-			if p < 0 || p >= n || seen[p] {
+	f := func(seed int64, sizes []uint8) bool {
+		rng := NewRand(seed)
+		for k := 0; k+1 < len(sizes); k += 2 {
+			n := 1 + int(sizes[k])%40
+			m := int(sizes[k+1]) % 50
+			pos := rng.positions(n, m)
+			if len(pos) != min(m, n) {
 				return false
 			}
-			seen[p] = true
+			seen := map[int]bool{}
+			for _, p := range pos {
+				if p < 0 || p >= n || seen[p] {
+					return false
+				}
+				seen[p] = true
+			}
 		}
 		return true
 	}
@@ -194,7 +197,7 @@ func TestRunConvergesTowardOptimum(t *testing.T) {
 
 	cfg := defaultConfig(11)
 	cfg.Generations = 30
-	res, err := Run(cfg, v, procs, []schedule.Allocation{start}, fit)
+	res, err := runAllocs(context.Background(), cfg, v, procs, []schedule.Allocation{start}, fit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +219,7 @@ func TestRunHistoryNonIncreasing(t *testing.T) {
 		}
 		cfg := defaultConfig(seed)
 		cfg.Generations = 8
-		res, err := Run(cfg, v, procs, nil, sphereFitness(target))
+		res, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 		if err != nil {
 			return false
 		}
@@ -242,12 +245,12 @@ func TestRunDeterministicForSameSeed(t *testing.T) {
 		target[i] = 1 + i%procs
 	}
 	cfg := defaultConfig(99)
-	r1, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	r1, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 1 // sequential evaluation must not change the result
-	r2, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	r2, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +268,7 @@ func TestRunKeepsSeedIfUnbeatable(t *testing.T) {
 	const v, procs = 10, 4
 	target := schedule.Ones(v)
 	cfg := defaultConfig(5)
-	res, err := Run(cfg, v, procs, []schedule.Allocation{target.Clone()}, sphereFitness(target))
+	res, err := runAllocs(context.Background(), cfg, v, procs, []schedule.Allocation{target.Clone()}, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +287,7 @@ func TestRunWithRejection(t *testing.T) {
 	target := schedule.Ones(v)
 	cfg := defaultConfig(7)
 	cfg.UseRejection = true
-	res, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	res, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +310,8 @@ func TestRunRejectionDoesNotChangeBest(t *testing.T) {
 		plain := defaultConfig(seed)
 		rej := plain
 		rej.UseRejection = true
-		r1, err1 := Run(plain, v, procs, nil, sphereFitness(target))
-		r2, err2 := Run(rej, v, procs, nil, sphereFitness(target))
+		r1, err1 := runAllocs(context.Background(), plain, v, procs, nil, sphereFitness(target))
+		r2, err2 := runAllocs(context.Background(), rej, v, procs, nil, sphereFitness(target))
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -328,7 +331,7 @@ func TestRunCrossoverStillConverges(t *testing.T) {
 	cfg := defaultConfig(13)
 	cfg.CrossoverProb = 0.5
 	cfg.Generations = 20
-	res, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	res, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +345,7 @@ func TestRunCrossoverStillConverges(t *testing.T) {
 func TestRunPropagatesEvaluatorError(t *testing.T) {
 	boom := errors.New("boom")
 	fit := func(a schedule.Allocation, _ float64) (float64, error) { return 0, boom }
-	_, err := Run(defaultConfig(1), 5, 4, nil, fit)
+	_, err := runAllocs(context.Background(), defaultConfig(1), 5, 4, nil, fit)
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
 	}
@@ -350,18 +353,18 @@ func TestRunPropagatesEvaluatorError(t *testing.T) {
 
 func TestRunInputValidation(t *testing.T) {
 	fit := sphereFitness(schedule.Ones(5))
-	if _, err := Run(defaultConfig(1), 0, 4, nil, fit); err == nil {
+	if _, err := runAllocs(context.Background(), defaultConfig(1), 0, 4, nil, fit); err == nil {
 		t.Fatal("v=0 accepted")
 	}
-	if _, err := Run(defaultConfig(1), 5, 0, nil, fit); err == nil {
+	if _, err := runAllocs(context.Background(), defaultConfig(1), 5, 0, nil, fit); err == nil {
 		t.Fatal("procs=0 accepted")
 	}
-	if _, err := Run(defaultConfig(1), 5, 4, []schedule.Allocation{schedule.Ones(3)}, fit); err == nil {
+	if _, err := runAllocs(context.Background(), defaultConfig(1), 5, 4, []schedule.Allocation{schedule.Ones(3)}, fit); err == nil {
 		t.Fatal("wrong-length seed accepted")
 	}
 	bad := defaultConfig(1)
 	bad.Mu = 0
-	if _, err := Run(bad, 5, 4, nil, fit); err == nil {
+	if _, err := runAllocs(context.Background(), bad, 5, 4, nil, fit); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -371,7 +374,7 @@ func TestRunClampsOutOfRangeSeeds(t *testing.T) {
 	// heuristic output for a bigger cluster should still be usable.
 	seed := schedule.Allocation{100, 1, 1, 1, 1}
 	fit := sphereFitness(schedule.Ones(5))
-	res, err := Run(defaultConfig(3), 5, 4, []schedule.Allocation{seed}, fit)
+	res, err := runAllocs(context.Background(), defaultConfig(3), 5, 4, []schedule.Allocation{seed}, fit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +388,7 @@ func TestRunClampsOutOfRangeSeeds(t *testing.T) {
 func TestEvaluationsCounted(t *testing.T) {
 	cfg := defaultConfig(21)
 	cfg.Generations = 3
-	res, err := Run(cfg, 8, 8, nil, sphereFitness(schedule.Ones(8)))
+	res, err := runAllocs(context.Background(), cfg, 8, 8, nil, sphereFitness(schedule.Ones(8)))
 	if err != nil {
 		t.Fatal(err)
 	}

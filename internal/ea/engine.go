@@ -12,9 +12,9 @@ import (
 
 // evalEngine evaluates the individuals of one Run (of one island, for
 // Islands > 1) — the loop EMTS spends its time in (paper §III-A). It owns one
-// evaluator per worker, built once by the run's constructor (RunSeeded's
-// newEval), so arena-backed evaluators like listsched.Mapper are reused for
-// the whole run and never shared between goroutines.
+// evaluator per worker, built once by the run's constructor (Run's newEval),
+// so arena-backed evaluators like listsched.Mapper are reused for the whole
+// run and never shared between goroutines.
 //
 // A generation is evaluated in three steps, so that evaluation can start
 // while the caller (the producer) is still writing offspring: start resets

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -121,7 +120,22 @@ func shared(fitness Evaluator) func() Evaluator {
 	return func() Evaluator { return fitness }
 }
 
-// TestEvaluatorConstructorPerWorker: RunSeeded builds at most one evaluator
+// runAllocs runs the EA from allocation seeds, each clamped into [1, procs]
+// and scored by fitness, with fitness shared by every worker.
+func runAllocs(ctx context.Context, cfg Config, v, procs int, seeds []schedule.Allocation, fitness Evaluator) (*Result, error) {
+	inds := make([]Individual, len(seeds))
+	for i, s := range seeds {
+		a := s.Clone().Clamp(procs)
+		f, err := fitness(a, 0)
+		if err != nil {
+			return nil, err
+		}
+		inds[i] = Individual{Alloc: a, Fitness: f}
+	}
+	return Run(ctx, cfg, v, procs, inds, shared(fitness))
+}
+
+// TestEvaluatorConstructorPerWorker: Run builds at most one evaluator
 // per worker from its constructor and calls an evaluator exactly once per
 // counted evaluation, at one island and at three; without a constructor it
 // fails.
@@ -141,7 +155,7 @@ func TestEvaluatorConstructorPerWorker(t *testing.T) {
 				return fitness(a, rejectAbove)
 			}
 		}
-		res, err := RunSeeded(context.Background(), cfg, v, procs, seeds, newEval)
+		res, err := Run(context.Background(), cfg, v, procs, seeds, newEval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,11 +170,8 @@ func TestEvaluatorConstructorPerWorker(t *testing.T) {
 			t.Fatalf("islands=%d: no valid best found: %g", islands, res.Best.Fitness)
 		}
 	}
-	if _, err := RunSeeded(context.Background(), defaultConfig(11), v, procs, seeds, nil); err == nil {
-		t.Fatal("RunSeeded without an evaluator constructor succeeded")
-	}
-	if _, err := Run(defaultConfig(11), v, procs, nil, nil); err == nil {
-		t.Fatal("Run without a fitness function succeeded")
+	if _, err := Run(context.Background(), defaultConfig(11), v, procs, seeds, nil); err == nil {
+		t.Fatal("Run without an evaluator constructor succeeded")
 	}
 }
 
@@ -177,12 +188,12 @@ func TestSequentialFastPathMatchesParallel(t *testing.T) {
 		cfg.Generations = 6
 		cfg.UseRejection = useRejection
 		cfg.Workers = 1
-		seq, err := Run(cfg, v, procs, nil, sphereFitness(target))
+		seq, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 		if err != nil {
 			return false
 		}
 		cfg.Workers = 4
-		par, err := Run(cfg, v, procs, nil, sphereFitness(target))
+		par, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 		if err != nil {
 			return false
 		}
@@ -215,7 +226,7 @@ type slowMutator struct{ spin int }
 
 func (slowMutator) Name() string { return "slow-paper" }
 
-func (m slowMutator) Mutate(rng *rand.Rand, a schedule.Allocation, count, procs int) {
+func (m slowMutator) Mutate(rng *Rand, a schedule.Allocation, count, procs int) {
 	DefaultPaperMutator().Mutate(rng, a, count, procs)
 	busyWork(m.spin)
 }
@@ -245,7 +256,7 @@ func TestEngineCatchUpPath(t *testing.T) {
 				return fitness(a, rejectAbove)
 			}
 		}
-		res, err := RunSeeded(context.Background(), cfg, v, procs, nil, newEval)
+		res, err := Run(context.Background(), cfg, v, procs, nil, newEval)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -4,7 +4,7 @@
 // evaluators, so islands never contend on shared mutable state. Every run
 // goes through one coordinator (runIslands): a single-island run
 // (Config.Islands <= 1) is island 0 alone, with exactly the statement
-// sequence and the RNG stream of the pre-island RunContext, and more islands
+// sequence and the RNG stream of the pre-island engine, and more islands
 // compose the same island steps with deterministic migration barriers.
 
 package ea
@@ -28,16 +28,16 @@ type island struct {
 	idx      int
 	cfg      Config // private copy; Workers holds this island's budget
 	v, procs int
-	seeds    starts // shared, read-only
-	rng      *islandRNG
+	seeds    []Individual // shared, read-only
+	rng      *Rand
 	eng      *evalEngine
 	res      *Result
 
 	mut Mutator
-	// own is the mutation operator when it is this package's PaperMutator
-	// or UniformMutator, whose children need no check; nil for any other.
-	own ownMutator
-	tau float64
+	// outside is set when mut is neither PaperMutator nor UniformMutator,
+	// whose children are in range by construction: each child is checked.
+	outside bool
+	tau     float64
 
 	// Generation-loop arenas, allocated once in init (see the aliasing-rule
 	// comment there).
@@ -45,7 +45,6 @@ type island struct {
 	parents   []Individual
 	offspring []Individual
 	arena     schedule.Allocation
-	perm      []int // the identity of [0, v) between children
 
 	// Coordinator bookkeeping, touched only at barriers.
 	stats   []GenStats // per-generation stats when observed, indexed by generation
@@ -55,60 +54,41 @@ type island struct {
 
 // newIsland builds island idx of a run. cfg is the island's private copy:
 // the coordinator pre-divides the worker budget, everything else is shared
-// verbatim. The construction order (mutator, RNG, result, engine) mirrors
-// the pre-island RunContext.
-func newIsland(idx int, cfg Config, v, procs int, seeds starts, newEval func() Evaluator) *island {
+// verbatim.
+func newIsland(idx int, cfg Config, v, procs int, seeds []Individual, newEval func() Evaluator) *island {
 	mut := cfg.Mutator
 	if mut == nil {
 		mut = DefaultPaperMutator()
 	}
 	is := &island{idx: idx, cfg: cfg, v: v, procs: procs, seeds: seeds, mut: mut}
+	switch mut.(type) {
+	case PaperMutator, UniformMutator:
+	default:
+		is.outside = true
+	}
 	is.rng = newIslandRNG(cfg.Seed, idx)
 	is.res = &Result{}
 	is.eng = newEvalEngine(cfg.Workers, newEval)
-	switch m := mut.(type) {
-	case PaperMutator:
-		is.own = m
-	case UniformMutator:
-		is.own = m
-	}
 	if cfg.OnGeneration != nil {
 		is.stats = make([]GenStats, 0, cfg.Generations)
 	}
 	return is
 }
 
-// ownMutator is implemented by the mutation operators of this package, which
-// draw from an island's stream directly.
-type ownMutator interface {
-	mutateOn(r *islandRNG, alloc schedule.Allocation, m, procs int, perm []int)
-}
-
 // init seeds and evaluates the initial population, selects the first parent
 // generation, and allocates the generation-loop arenas.
 func (is *island) init() error {
 	cfg := &is.cfg
-	// Initial pool: seeds plus random fill. Seeds of unknown fitness are
-	// clamped defensively; seeds of known fitness must already be in range.
-	pool := make([]Individual, 0, max(len(is.seeds.inds), cfg.Mu))
-	for _, s := range is.seeds.inds {
-		if len(s.Alloc) != is.v {
-			return fmt.Errorf("ea: seed individual has %d alleles, want %d", len(s.Alloc), is.v)
-		}
-		a := s.Alloc.Clone()
-		if !is.seeds.known {
-			pool = append(pool, Individual{Alloc: a.Clamp(is.procs)})
-			continue
-		}
-		if err := a.ValidateLen(is.v, is.procs); err != nil {
+	// Initial pool: seeds, which carry their fitness and must already be in
+	// range, plus random fill.
+	pool := make([]Individual, 0, max(len(is.seeds), cfg.Mu))
+	for _, s := range is.seeds {
+		if err := s.Alloc.ValidateLen(is.v, is.procs); err != nil {
 			return err
 		}
-		pool = append(pool, Individual{Alloc: a, Fitness: s.Fitness})
+		pool = append(pool, Individual{Alloc: s.Alloc.Clone(), Fitness: s.Fitness})
 	}
-	known := 0
-	if is.seeds.known {
-		known = len(pool)
-	}
+	known := len(pool)
 	for len(pool) < cfg.Mu {
 		a := make(schedule.Allocation, is.v)
 		for i := range a {
@@ -150,18 +130,14 @@ func (is *island) init() error {
 	is.tau = 1 / math.Sqrt(2*float64(is.v))
 
 	// Offspring arena: one backing array serves all λ child vectors and is
-	// reused every generation, and one permutation buffer, kept the identity
-	// between children, serves every mutation call — offspring generation
-	// allocates nothing after this point. The aliasing rule making this safe:
+	// reused every generation, and the stream's position buffer serves every
+	// mutation call — offspring generation allocates nothing after the first
+	// generation. The aliasing rule making this safe:
 	// anything that must outlive the generation is copied out — selectBest
 	// clones arena-backed survivors — so overwriting the arena next
 	// generation cannot corrupt them.
 	is.offspring = make([]Individual, cfg.Lambda)
 	is.arena = make(schedule.Allocation, cfg.Lambda*is.v)
-	is.perm = make([]int, is.v)
-	for i := range is.perm {
-		is.perm[i] = i
-	}
 	is.pool = pool
 	return nil
 }
@@ -179,7 +155,7 @@ const cullSlack = 1e-9
 
 // step runs generation u: offspring generation, evaluation, selection,
 // incumbent/history update, and observer delivery. Every RNG draw is the
-// pre-island RunContext generation body's, in its order. Each child is
+// pre-island engine's generation body's, in its order. Each child is
 // published to the engine as soon as it is written, so the engine's helpers
 // evaluate the first children while the island's goroutine mutates the rest;
 // a child depends only on the RNG stream and its parents, never on another
@@ -223,15 +199,15 @@ func (is *island) step(u int) error {
 			if max := float64(is.procs); sigma > max {
 				sigma = max
 			}
-			PaperMutator{A: 0.2, Sigma1: sigma, Sigma2: sigma}.mutateOn(is.rng, child, m, is.procs, is.perm)
-		} else if is.own != nil {
-			is.own.mutateOn(is.rng, child, m, is.procs, is.perm)
+			PaperMutator{A: 0.2, Sigma1: sigma, Sigma2: sigma}.Mutate(is.rng, child, m, is.procs)
 		} else {
-			is.mut.Mutate(is.rng.std, child, m, is.procs)
+			is.mut.Mutate(is.rng, child, m, is.procs)
 			// A child of an outside operator enters the run here.
-			if err := child.ValidateLen(is.v, is.procs); err != nil {
-				is.eng.abandon()
-				return err
+			if is.outside {
+				if err := child.ValidateLen(is.v, is.procs); err != nil {
+					is.eng.abandon()
+					return err
+				}
 			}
 		}
 		offspring[i] = Individual{Alloc: child, Sigma: sigma}
@@ -278,7 +254,7 @@ func (is *island) step(u int) error {
 // barrier with all island goroutines parked, so the run is a deterministic
 // function of (Config, seeds) — worker counts, GOMAXPROCS, and goroutine
 // interleaving change timing but never bytes.
-func runIslands(ctx context.Context, cfg Config, v, procs int, seeds starts, newEval func() Evaluator) (*Result, error) {
+func runIslands(ctx context.Context, cfg Config, v, procs int, seeds []Individual, newEval func() Evaluator) (*Result, error) {
 	n := max(cfg.Islands, 1)
 	interval := 1
 	if n > 1 && cfg.MigrationInterval > 0 {

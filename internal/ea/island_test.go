@@ -91,7 +91,7 @@ func TestIslandSeedDerivationIdentity(t *testing.T) {
 func TestIslandSingleIslandIdentity(t *testing.T) {
 	const v, procs = 12, 6
 	fitness := sphereFitness(islandTarget(v, procs))
-	want, err := Run(defaultConfig(7), v, procs, nil, fitness)
+	want, err := runAllocs(context.Background(), defaultConfig(7), v, procs, nil, fitness)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestIslandSingleIslandIdentity(t *testing.T) {
 			// The migration interval is inert for a single population —
 			// the serving tier's cache key relies on that.
 			cfg.MigrationInterval = 3
-			got, err := Run(cfg, v, procs, nil, fitness)
+			got, err := runAllocs(context.Background(), cfg, v, procs, nil, fitness)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestIslandMigrationLatticeDeterminism(t *testing.T) {
 				cfg.Islands = islands
 				cfg.MigrationInterval = 2
 				cfg.Workers = workers
-				res, err := Run(cfg, v, procs, nil, fitness)
+				res, err := runAllocs(context.Background(), cfg, v, procs, nil, fitness)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,7 +175,7 @@ func TestIslandObserverDeliveryDeterminism(t *testing.T) {
 		cfg.Islands = 3
 		cfg.MigrationInterval = 2
 		cfg.OnGeneration = func(gs GenStats) { stats = append(stats, gs) }
-		res, err := Run(cfg, v, procs, nil, fitness)
+		res, err := runAllocs(context.Background(), cfg, v, procs, nil, fitness)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestIslandCancelBarrierIdentity(t *testing.T) {
 			cancel() // takes effect at the next barrier
 		}
 	}
-	res, err := RunContext(ctx, cfg, v, procs, nil, fitness)
+	res, err := runAllocs(ctx, cfg, v, procs, nil, fitness)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want a context.Canceled wrap", err)
 	}
@@ -281,14 +281,14 @@ func TestIslandSearchBenefit(t *testing.T) {
 	fitness := sphereFitness(islandTarget(v, procs))
 	better := false
 	for seed := int64(1); seed <= 3; seed++ {
-		single, err := Run(defaultConfig(seed), v, procs, nil, fitness)
+		single, err := runAllocs(context.Background(), defaultConfig(seed), v, procs, nil, fitness)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := defaultConfig(seed)
 		cfg.Islands = 4
 		cfg.MigrationInterval = 2
-		multi, err := Run(cfg, v, procs, nil, fitness)
+		multi, err := runAllocs(context.Background(), cfg, v, procs, nil, fitness)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,22 +2,24 @@ package ea
 
 import "math/rand"
 
-// islandRNG is an island's random stream: the values of rand.NewSource(seed),
-// drawn without a call. That source is an additive lagged Fibonacci
-// generator: each value is the sum, mod 2⁶⁴, of the values 607 and 273 draws
-// back. So after reading the source's first 607 values, the island holds its
-// whole state, and continuing the recurrence here yields every later value
-// too. Each draw method returns exactly what the same-named *rand.Rand
-// method returns on rand.NewSource(seed), and consumes the same values
+// Rand is a random stream: the values of rand.NewSource(seed), drawn without
+// a call. Each island of a run draws from its own (newIslandRNG), and every
+// mutation operator draws from the stream it is handed (Mutator.Mutate).
+//
+// That source is an additive lagged Fibonacci generator: each value is the
+// sum, mod 2⁶⁴, of the values 607 and 273 draws back. So after reading the
+// source's first 607 values, the stream holds its whole state, and
+// continuing the recurrence here yields every later value too. Each draw
+// method returns exactly what the same-named *rand.Rand method returns on
+// rand.NewSource(seed), and consumes the same values
 // (TestIslandRNGMatchesRand); the step is small enough to inline, which the
 // source's interface call is not. math/rand keeps the values of a seeded
 // source unchanged across Go releases, and the recurrence is a property of
 // those values, so it holds as long as they do.
 //
-// islandRNG is itself a rand.Source64, and std is a *rand.Rand over it:
-// Mutator implementations outside this package, and NormFloat64's rare
-// slow cases, read the same stream through std.
-type islandRNG struct {
+// Rand is itself a rand.Source64, and std is a *rand.Rand over it, from
+// which NormFloat64's rare slow cases draw.
+type Rand struct {
 	// vec is the recurrence's lag table and feed the place of the latest
 	// value, as in math/rand's source: the next value goes to feed−1 and adds
 	// the value rngTap places further on.
@@ -25,6 +27,12 @@ type islandRNG struct {
 	feed int
 	src  rand.Source64 // rand.NewSource(seed), read at construction and by Seed
 	std  *rand.Rand
+
+	// perm is the mutation operators' position buffer: the identity of
+	// [0, len(perm)) but for the places the last positions call swapped,
+	// which drew drawn positions.
+	perm  []int
+	drawn int
 }
 
 // The recurrence's lags and math/rand's mask for Int63.
@@ -39,7 +47,7 @@ const (
 // at place (333 − t) mod 607 (before any draw feed is rngLen − rngTap = 334),
 // adding the value at place (606 − t) mod 607: the state's own value there
 // for t < 273, u_{t−273} after. Solving those sums for the state gives it.
-func (r *islandRNG) load() {
+func (r *Rand) load() {
 	var u [rngLen]uint64
 	for t := range u {
 		u[t] = r.src.Uint64()
@@ -57,7 +65,7 @@ func (r *islandRNG) load() {
 // next returns the place and the value of the next draw without taking it.
 //
 //schedlint:hotpath
-func (r *islandRNG) next() (int, uint64) {
+func (r *Rand) next() (int, uint64) {
 	f := r.feed - 1
 	if f < 0 {
 		f += rngLen
@@ -73,7 +81,7 @@ func (r *islandRNG) next() (int, uint64) {
 // calling it, which keeps Float64 within Go's inlining budget.
 //
 //schedlint:hotpath
-func (r *islandRNG) Uint64() uint64 {
+func (r *Rand) Uint64() uint64 {
 	f := r.feed - 1
 	if f < 0 {
 		f = rngLen - 1
@@ -90,11 +98,11 @@ func (r *islandRNG) Uint64() uint64 {
 // Int63 implements rand.Source.
 //
 //schedlint:hotpath
-func (r *islandRNG) Int63() int64 { return int64(r.Uint64() & rngMask) }
+func (r *Rand) Int63() int64 { return int64(r.Uint64() & rngMask) }
 
 // Seed implements rand.Source: it reseeds the source and reloads the state
 // from it.
-func (r *islandRNG) Seed(seed int64) {
+func (r *Rand) Seed(seed int64) {
 	r.src.Seed(seed)
 	r.load()
 }
@@ -102,12 +110,12 @@ func (r *islandRNG) Seed(seed int64) {
 // int31 is rand.Rand.Int31.
 //
 //schedlint:hotpath
-func (r *islandRNG) int31() int32 { return int32(r.Int63() >> 32) }
+func (r *Rand) int31() int32 { return int32(r.Int63() >> 32) }
 
 // Intn is rand.Rand.Intn for n in [1, 2³¹), which is Int31n's draw.
 //
 //schedlint:hotpath
-func (r *islandRNG) Intn(n int) int {
+func (r *Rand) Intn(n int) int {
 	v := r.int31()
 	if n&(n-1) == 0 {
 		return int(v & int32(n-1))
@@ -122,7 +130,7 @@ func (r *islandRNG) Intn(n int) int {
 // Float64 is rand.Rand.Float64.
 //
 //schedlint:hotpath
-func (r *islandRNG) Float64() float64 {
+func (r *Rand) Float64() float64 {
 	for {
 		if f := float64(r.Int63()) / (1 << 63); f < 1 {
 			return f
@@ -136,7 +144,7 @@ func (r *islandRNG) Float64() float64 {
 // NormFloat64 start over from it.
 //
 //schedlint:hotpath
-func (r *islandRNG) NormFloat64() float64 {
+func (r *Rand) NormFloat64() float64 {
 	f, u := r.next()
 	j := int32(uint32(u >> 31)) // rand.Rand.Uint32, possibly negative
 	i := j & 0x7F

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -93,21 +92,52 @@ func TestIslandRNGSeed(t *testing.T) {
 	}
 }
 
+// refPositions, refDelta and refMutate are the mutation operators' bodies
+// on a *rand.Rand: positions by a partial Fisher-Yates shuffle of a fresh
+// identity, and Eq. (1)'s adjustment drawn by a call per allele.
+func refPositions(rng *rand.Rand, n, m int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	m = max(min(m, n), 0)
+	for i := 0; i < m; i++ {
+		j := i + rng.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	return idx[:m]
+}
+
+func refDelta(pm PaperMutator, rng *rand.Rand) int {
+	if rng.Float64() < pm.A {
+		return -(int(math.Floor(math.Abs(rng.NormFloat64()*pm.Sigma1))) + 1)
+	}
+	return int(math.Floor(math.Abs(rng.NormFloat64()*pm.Sigma2))) + 1
+}
+
+func refMutate(mut Mutator, rng *rand.Rand, alloc schedule.Allocation, m, procs int) {
+	for _, i := range refPositions(rng, len(alloc), m) {
+		switch mu := mut.(type) {
+		case PaperMutator:
+			alloc[i] = min(max(alloc[i]+refDelta(mu, rng), 1), procs)
+		case UniformMutator:
+			alloc[i] = 1 + rng.Intn(procs)
+		}
+	}
+}
+
 // TestMutatorsIslandPathMatchRand: PaperMutator (with the paper's and with
 // self-adaptive step sizes) and UniformMutator produce, child for child, the
-// same offspring on an island's stream as their Mutate on a *rand.Rand, with
-// the parent pick and crossover draws of a generation in between, and leave
-// the island's position buffer the identity.
+// same offspring on an island's stream as the reference bodies on a
+// *rand.Rand, with the parent pick and crossover draws of a generation and
+// the odd Delta in between, and positions leaves the stream's position
+// buffer the identity once it has restored the last call's swaps.
 func TestMutatorsIslandPathMatchRand(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		ctl := rand.New(rand.NewSource(seed + 1000))
 		v, procs := 1+ctl.Intn(200), 1+ctl.Intn(128)
 		isl := newIslandRNG(seed, 0)
 		ref := rand.New(rand.NewSource(seed))
-		perm := make([]int, v)
-		for i := range perm {
-			perm[i] = i
-		}
 		parents := make([]schedule.Allocation, 1+ctl.Intn(5))
 		for i := range parents {
 			parents[i] = make(schedule.Allocation, v)
@@ -131,10 +161,7 @@ func TestMutatorsIslandPathMatchRand(t *testing.T) {
 					}
 				}
 			}
-			var mut interface {
-				Mutator
-				ownMutator
-			}
+			var mut Mutator
 			switch ctl.Intn(3) {
 			case 0:
 				mut = DefaultPaperMutator()
@@ -144,15 +171,21 @@ func TestMutatorsIslandPathMatchRand(t *testing.T) {
 			default:
 				mut = UniformMutator{}
 			}
-			mut.mutateOn(isl, got, m, procs, perm)
-			mut.Mutate(ref, want, m, procs)
+			mut.Mutate(isl, got, m, procs)
+			refMutate(mut, ref, want, m, procs)
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d child %d (%s, m %d): island path %v, rand %v", seed, child, mut.Name(), m, got, want)
 			}
-			for i, p := range perm {
-				if p != i {
-					t.Fatalf("seed %d child %d: position buffer not the identity at %d", seed, child, i)
+			if ctl.Intn(4) == 0 {
+				if g, w := DefaultPaperMutator().Delta(isl), refDelta(DefaultPaperMutator(), ref); g != w {
+					t.Fatalf("seed %d child %d: Delta %d, rand %d", seed, child, g, w)
 				}
+			}
+		}
+		isl.positions(0, 0)
+		for i, p := range isl.perm {
+			if p != i {
+				t.Fatalf("seed %d: position buffer not the identity at %d", seed, i)
 			}
 		}
 		if g, w := isl.Int63(), ref.Int63(); g != w {
@@ -197,7 +230,7 @@ func checkOffspringInRange(t testing.TB, seed int64) {
 		cfg.Mu, cfg.Lambda, cfg.Generations = 1+ctl.Intn(6), 1+ctl.Intn(20), 1+ctl.Intn(5)
 		cfg.Fm = 0.01 + 0.99*ctl.Float64()
 		cfg.Seed, cfg.Workers = seed, 1
-		if _, err := Run(cfg, v, procs, seeds, inRangeEvaluator(v, procs, target)); err != nil {
+		if _, err := runAllocs(context.Background(), cfg, v, procs, seeds, inRangeEvaluator(v, procs, target)); err != nil {
 			t.Fatalf("seed %d config %d (v %d, procs %d): %v", seed, i, v, procs, err)
 		}
 	}
@@ -214,10 +247,10 @@ func FuzzOffspringInRange(f *testing.F) {
 	})
 }
 
-// TestRunSeededMatchesRunContext: seeds with their fitness give the same
-// result as the same seeds evaluated by the run, without evaluating them or a
-// random fill equal to one of them, and a seed out of range is an error.
-func TestRunSeededMatchesRunContext(t *testing.T) {
+// TestRunSkipsKnownFitness: a run takes each seed's fitness as given and
+// calls no evaluator for a seed or for a random fill equal to one, at one
+// island and at three, and a seed out of range is an error.
+func TestRunSkipsKnownFitness(t *testing.T) {
 	const v, procs = 30, 16
 	target := islandTarget(v, procs)
 	fit := sphereFitness(target)
@@ -226,43 +259,36 @@ func TestRunSeededMatchesRunContext(t *testing.T) {
 		calls.Add(1)
 		return fit(a, b)
 	}
+	// The island-0 stream's first random fill, as alloc.Random{Seed: 77}
+	// draws it.
+	rng := rand.New(rand.NewSource(77))
+	first := make(schedule.Allocation, v)
+	for i := range first {
+		first[i] = 1 + rng.Intn(procs)
+	}
+	// Ones carries a fitness no evaluation returns (sphere distances are
+	// never negative), so a run that took it stands out as the best.
+	seeds := []Individual{{Alloc: schedule.Ones(v), Fitness: -1}, {Alloc: target.Clone()}, {Alloc: first}}
+	seeds[2].Fitness, _ = fit(first, 0)
 	for _, islands := range []int{1, 3} {
 		cfg := Config{Mu: 10, Lambda: 40, Generations: 4, Fm: 0.33, Seed: 77, Workers: 1, Islands: islands}
-		// The island-0 stream's first random fill, as alloc.Random{Seed: 77}
-		// draws it.
-		rng := rand.New(rand.NewSource(77))
-		first := make(schedule.Allocation, v)
-		for i := range first {
-			first[i] = 1 + rng.Intn(procs)
-		}
-		allocs := []schedule.Allocation{schedule.Ones(v), target.Clone(), first}
 		calls.Store(0)
-		want, err := Run(cfg, v, procs, allocs, counting)
+		res, err := Run(context.Background(), cfg, v, procs, seeds, shared(counting))
 		if err != nil {
 			t.Fatal(err)
 		}
-		plainCalls := calls.Load()
-		seeds := make([]Individual, len(allocs))
-		for i, a := range allocs {
-			f, _ := fit(a, 0)
-			seeds[i] = Individual{Alloc: a, Fitness: f}
+		if res.Best.Fitness != -1 || !slices.Equal(res.Best.Alloc, seeds[0].Alloc) {
+			t.Fatalf("islands %d: best %v at %g, want the seed's fitness -1", islands, res.Best.Alloc, res.Best.Fitness)
 		}
-		calls.Store(0)
-		got, err := RunSeeded(context.Background(), cfg, v, procs, seeds, shared(counting))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fingerprintResult(got), fingerprintResult(want)) {
-			t.Fatalf("islands %d: RunSeeded %+v, RunContext %+v", islands, fingerprintResult(got), fingerprintResult(want))
-		}
-		// Island 0 skips its first random fill; other islands draw their own.
-		if skipped := int(plainCalls - calls.Load()); skipped != islands*len(allocs)+1 {
-			t.Fatalf("islands %d: RunSeeded saved %d evaluations, want %d", islands, skipped, islands*len(allocs)+1)
+		// Every island skips its seeds; island 0 also skips its first random
+		// fill, and the other islands draw their own.
+		if skipped := int64(res.Evaluations) - calls.Load(); skipped != int64(islands*len(seeds)+1) {
+			t.Fatalf("islands %d: %d of %d evaluations called no evaluator, want %d", islands, skipped, res.Evaluations, islands*len(seeds)+1)
 		}
 	}
 	bad := []Individual{{Alloc: append(schedule.Ones(v-1), procs+1), Fitness: 1}}
 	want := bad[0].Alloc.ValidateLen(v, procs)
-	if _, err := RunSeeded(context.Background(), defaultConfig(1), v, procs, bad, shared(fit)); err == nil || err.Error() != want.Error() {
-		t.Fatalf("RunSeeded on a seed out of range: err %v, want %v", err, want)
+	if _, err := Run(context.Background(), defaultConfig(1), v, procs, bad, shared(fit)); err == nil || err.Error() != want.Error() {
+		t.Fatalf("run on a seed out of range: err %v, want %v", err, want)
 	}
 }

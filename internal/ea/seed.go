@@ -3,7 +3,7 @@ package ea
 import "math/rand"
 
 // Island RNG derivation (DESIGN.md §17). Every island of a run owns a private
-// random stream, an islandRNG over rand.NewSource; the streams are
+// random stream, a Rand over rand.NewSource; the streams are
 // decorrelated by deriving each island's seed from the run seed with
 // splitmix64, the standard seed-spreading finalizer (Steele et al., "Fast
 // splittable pseudorandom number generators"). Island 0 keeps the raw run
@@ -46,9 +46,14 @@ func islandSeed(seed int64, idx int) int64 {
 
 // newIslandRNG builds island idx's private generator. All math/rand
 // construction in this package must flow through here (schedlint islandrng).
-func newIslandRNG(seed int64, idx int) *islandRNG {
-	r := &islandRNG{src: rand.NewSource(islandSeed(seed, idx)).(rand.Source64)}
+func newIslandRNG(seed int64, idx int) *Rand {
+	r := &Rand{src: rand.NewSource(islandSeed(seed, idx)).(rand.Source64)}
 	r.load()
 	r.std = rand.New(r)
 	return r
 }
+
+// NewRand returns the stream of rand.NewSource(seed), which is island 0's
+// stream of a run with that seed: its draws equal those of
+// rand.New(rand.NewSource(seed)).
+func NewRand(seed int64) *Rand { return newIslandRNG(seed, 0) }

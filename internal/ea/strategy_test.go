@@ -1,6 +1,7 @@
 package ea
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestCommaStrategyStillTracksBestEver(t *testing.T) {
 	cfg.Generations = 15
 	// Seed with the exact optimum: comma-selection discards parents, so the
 	// population may lose it, but Result.Best must keep it.
-	res, err := Run(cfg, v, procs, []schedule.Allocation{target.Clone()}, sphereFitness(target))
+	res, err := runAllocs(context.Background(), cfg, v, procs, []schedule.Allocation{target.Clone()}, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestCommaStrategyConverges(t *testing.T) {
 	cfg := defaultConfig(17)
 	cfg.Strategy = Comma
 	cfg.Generations = 25
-	res, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	res, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestOnGenerationCallback(t *testing.T) {
 	cfg.Generations = 4
 	var stats []GenStats
 	cfg.OnGeneration = func(gs GenStats) { stats = append(stats, gs) }
-	res, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	res, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestSelfAdaptiveConverges(t *testing.T) {
 	cfg := defaultConfig(41)
 	cfg.SelfAdaptive = true
 	cfg.Generations = 25
-	res, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	res, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ func TestSelfAdaptiveDeterministic(t *testing.T) {
 	target := schedule.Ones(v)
 	cfg := defaultConfig(43)
 	cfg.SelfAdaptive = true
-	r1, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	r1, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	r2, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestSelfAdaptiveSigmaBounds(t *testing.T) {
 	cfg := defaultConfig(47)
 	cfg.SelfAdaptive = true
 	cfg.Generations = 40
-	res, err := Run(cfg, v, procs, nil, sphereFitness(target))
+	res, err := runAllocs(context.Background(), cfg, v, procs, nil, sphereFitness(target))
 	if err != nil {
 		t.Fatal(err)
 	}

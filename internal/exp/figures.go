@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -133,7 +132,7 @@ func Figure3(samples int, seed int64) (*Figure3Result, error) {
 	}
 	const lo, hi = -20, 20
 	pm := ea.DefaultPaperMutator()
-	rng := rand.New(rand.NewSource(seed))
+	rng := ea.NewRand(seed)
 	counts := make([]int, hi-lo+1)
 	for i := 0; i < samples; i++ {
 		c := pm.Delta(rng)

@@ -36,23 +36,20 @@ func evalBatch(m *Mapper, items []schedule.Allocation, opt Options, fit []float6
 }
 
 // checkBatchScalarIdentity evaluates items as a batch through the warm
-// Mapper m and one by one through the package-level MapWithOptions (a fresh
-// Mapper per row), and reports whether every row's (fitness, sentinel)
-// outcome is bit-identical.
+// Mapper m and one by one through a fresh Mapper per row, and reports whether
+// every row's (fitness, sentinel) outcome is bit-identical.
 func checkBatchScalarIdentity(t testing.TB, m *Mapper, items []schedule.Allocation, opt Options) bool {
 	t.Helper()
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
 	evalBatch(m, items, opt, fit, errs)
-	scalarOpt := opt
-	scalarOpt.SkipProcSets = true
 	ok := true
 	for i, a := range items {
-		var want float64
-		s, wantErr := MapWithOptions(m.g, m.tab, a, scalarOpt)
-		if wantErr == nil {
-			want = s.Makespan()
+		fresh, err := NewMapper(m.g, m.tab)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, wantErr := fresh.MakespanOpts(a, opt)
 		if wantErr != nil || errs[i] != nil {
 			// Sentinels must match exactly: the engine distinguishes
 			// schedule.ErrRejectedPrefilter from schedule.ErrRejected when counting.

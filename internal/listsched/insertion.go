@@ -11,7 +11,7 @@ import (
 
 // MapInsertion is an insertion-based variant of the mapping step: instead of
 // placing each task after the chosen processors' last assignment (the
-// end-of-availability rule of MapWithOptions), it searches the earliest time
+// end-of-availability rule of Mapper.Map), it searches the earliest time
 // window — including gaps between already-placed tasks — where s(v)
 // processors are simultaneously free for the task's full duration.
 //
@@ -22,7 +22,7 @@ import (
 // run time; this variant quantifies the other side of that trade-off (see
 // BenchmarkAblationInsertionMapping).
 //
-// Task priorities and tie-breaks match MapWithOptions exactly, so the two
+// Task priorities and tie-breaks match Mapper.Map exactly, so the two
 // mappers differ only in placement policy.
 func MapInsertion(g *dag.Graph, tab *model.Table, alloc schedule.Allocation) (*schedule.Schedule, error) {
 	procs := tab.Procs()

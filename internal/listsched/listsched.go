@@ -42,12 +42,6 @@ type Options struct {
 	// the bound for some task v. A makespan above the bound is always rejected; one
 	// within rounding below it may be (see Mapper.MakespanBounded).
 	RejectAbove float64
-	// SkipProcSets, when true, leaves each entry's processor ID list nil and
-	// records only start/end times. The makespan is unaffected (processor
-	// choice is by earliest availability, so only availability *times*
-	// matter), but the resulting schedule will not pass Schedule.Validate.
-	// Fitness evaluation uses this to avoid per-task allocations.
-	SkipProcSets bool
 	// DisablePrefilter skips the O(V) admissible lower-bound prefilter that
 	// normally runs before the map loop when RejectAbove is set: the
 	// remembered critical paths and the area bound before the bottom-level
@@ -63,13 +57,17 @@ func Cost(tab *model.Table, alloc schedule.Allocation) dag.CostFunc {
 	return func(id dag.TaskID) float64 { return tab.Time(id, alloc[id]) }
 }
 
-// Map builds the schedule for the given allocation with default options.
+// Map builds the full schedule for the given allocation (see Mapper.Map).
 //
-// Map, Makespan, and MapWithOptions construct a throwaway Mapper per call;
-// loops that map repeatedly against one (graph, table) pair should hold a
-// Mapper and reuse its scratch arenas instead.
+// Map and Makespan construct a throwaway Mapper per call; loops that map
+// repeatedly against one (graph, table) pair should hold a Mapper and reuse
+// its scratch arenas instead.
 func Map(g *dag.Graph, tab *model.Table, alloc schedule.Allocation) (*schedule.Schedule, error) {
-	return MapWithOptions(g, tab, alloc, Options{})
+	m, err := NewMapper(g, tab)
+	if err != nil {
+		return nil, err
+	}
+	return m.Map(alloc)
 }
 
 // Makespan maps the allocation and returns only the resulting makespan — the
@@ -80,14 +78,4 @@ func Makespan(g *dag.Graph, tab *model.Table, alloc schedule.Allocation) (float6
 		return 0, err
 	}
 	return m.Makespan(alloc)
-}
-
-// MapWithOptions builds the schedule for the given allocation. See
-// Mapper.MapWithOptions for the algorithm.
-func MapWithOptions(g *dag.Graph, tab *model.Table, alloc schedule.Allocation, opt Options) (*schedule.Schedule, error) {
-	m, err := NewMapper(g, tab)
-	if err != nil {
-		return nil, err
-	}
-	return m.MapWithOptions(alloc, opt)
 }

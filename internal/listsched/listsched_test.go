@@ -2,7 +2,6 @@ package listsched
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -196,16 +195,20 @@ func TestRejectionStrategy(t *testing.T) {
 	g := buildGraph(t, []float64{4e9, 4e9}, [][2]int{{0, 1}})
 	tab := model.MustTable(g, model.Amdahl{}, testCluster)
 	alloc := schedule.Ones(2)
-	// True makespan is 8; a bound of 5 must reject, a bound of 9 must pass.
-	if _, err := MapWithOptions(g, tab, alloc, Options{RejectAbove: 5}); !errors.Is(err, schedule.ErrRejected) {
-		t.Fatalf("want schedule.ErrRejected, got %v", err)
-	}
-	s, err := MapWithOptions(g, tab, alloc, Options{RejectAbove: 9})
+	m, err := NewMapper(g, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Makespan() != 8 {
-		t.Fatalf("makespan = %g", s.Makespan())
+	// True makespan is 8; a bound of 5 must reject, a bound of 9 must pass.
+	if _, err := m.MakespanBounded(alloc, 5); !errors.Is(err, schedule.ErrRejected) {
+		t.Fatalf("want schedule.ErrRejected, got %v", err)
+	}
+	ms, err := m.MakespanBounded(alloc, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms != 8 {
+		t.Fatalf("makespan = %g", ms)
 	}
 }
 
@@ -217,7 +220,11 @@ func TestRejectionNeverFiresAboveTrueMakespan(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = MapWithOptions(g, tab, alloc, Options{RejectAbove: ms * 1.0001})
+		m, err := NewMapper(g, tab)
+		if err != nil {
+			return false
+		}
+		_, err = m.MakespanBounded(alloc, ms*1.0001)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -277,8 +284,9 @@ func TestMapPropertyProducesValidSchedules(t *testing.T) {
 	}
 }
 
-// TestMapPropertySkipProcSetsSameMakespan checks the fitness fast path agrees
-// with the full mapping for random instances.
+// TestMapPropertySkipProcSetsSameMakespan checks the fitness fast path, which
+// skips the processor sets, agrees with the full mapping for random
+// instances.
 func TestMapPropertySkipProcSetsSameMakespan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -287,11 +295,11 @@ func TestMapPropertySkipProcSetsSameMakespan(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fast, err := MapWithOptions(g, tab, alloc, Options{SkipProcSets: true})
+		fast, err := Makespan(g, tab, alloc)
 		if err != nil {
 			return false
 		}
-		return math.Abs(full.Makespan()-fast.Makespan()) == 0
+		return full.Makespan() == fast
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ const witnessSlots = 4
 // outcome: every result is the same as a fresh Mapper's.
 //
 // A Mapper is NOT safe for concurrent use: each worker goroutine must own its
-// own instance (see ea.RunSeeded). Results are bit-identical to the
+// own instance (see ea.Run). Results are bit-identical to the
 // package-level Map/Makespan functions, which are thin wrappers that
 // construct a throwaway Mapper.
 type Mapper struct {
@@ -139,7 +139,7 @@ func (m *Mapper) MakespanBounded(alloc schedule.Allocation, rejectAbove float64)
 }
 
 // MakespanOpts is Makespan with full Options control (rejection bound,
-// prefilter switch). SkipProcSets is implied: no schedule is materialized.
+// prefilter switch).
 //
 // Every public Mapper call first checks alloc with schedule.Allocation.Validate
 // and returns its error for an allocation of the wrong length or with an
@@ -163,7 +163,6 @@ func (m *Mapper) MakespanOpts(alloc schedule.Allocation, opt Options) (float64, 
 //
 //schedlint:hotpath
 func MakespanUnchecked(m *Mapper, alloc schedule.Allocation, opt Options) (float64, error) {
-	opt.SkipProcSets = true
 	return m.mapLoop(alloc, opt, nil, nil)
 }
 
@@ -187,26 +186,18 @@ func bottomLevelsRow(g *dag.Graph, tab *model.Table, alloc schedule.Allocation, 
 	}
 }
 
-// Map builds the full schedule for the given allocation with default options.
+// Map builds the full schedule for the given allocation, processor sets
+// included. The returned schedule is freshly allocated and independent of
+// the Mapper's scratch state: the entry array plus one processor-ID arena
+// shared by all entries' Procs slices (one allocation per Map instead of one
+// per task).
 func (m *Mapper) Map(alloc schedule.Allocation) (*schedule.Schedule, error) {
-	return m.MapWithOptions(alloc, Options{})
-}
-
-// MapWithOptions builds the schedule for the given allocation. The returned
-// schedule is freshly allocated and independent of the Mapper's scratch
-// state: the entry array plus, unless SkipProcSets is set, one processor-ID
-// arena shared by all entries' Procs slices (one allocation per Map instead
-// of one per task).
-func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedule.Schedule, error) {
 	if err := alloc.Validate(m.g, m.procs); err != nil {
 		return nil, err
 	}
 	entries := make([]schedule.Entry, m.g.NumTasks())
-	var procArena []int
-	if !opt.SkipProcSets {
-		procArena = make([]int, 0, alloc.TotalProcs())
-	}
-	if _, err := m.mapLoop(alloc, opt, entries, procArena); err != nil {
+	procArena := make([]int, 0, alloc.TotalProcs())
+	if _, err := m.mapLoop(alloc, Options{}, entries, procArena); err != nil {
 		return nil, err
 	}
 	return &schedule.Schedule{Graph: m.g.Name(), Procs: m.procs, Entries: entries}, nil
@@ -228,11 +219,11 @@ func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedu
 // against the O(E + V log V + V·P) quoted in Section III-E, plus one O(P)
 // scan per task when processor sets are recorded.
 //
-// When entries is non-nil, one Entry per task is recorded there; otherwise
-// only the makespan is tracked (the fitness path). procArena, consulted only
-// when processor sets are recorded, must have capacity for alloc.TotalProcs()
-// entries; each task's Procs is carved from it, so a full Map costs one arena
-// allocation instead of one per task.
+// When entries is non-nil, one Entry per task, processor set included, is
+// recorded there; otherwise only the makespan is tracked (the fitness path).
+// procArena, consulted only when entries are recorded, must have capacity
+// for alloc.TotalProcs() entries; each task's Procs is carved from it, so a
+// full Map costs one arena allocation instead of one per task.
 //
 // The caller has checked alloc (see MakespanUnchecked).
 //
@@ -269,9 +260,8 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 	}
 
 	steps := append(st.steps[:0], availStep{t: 0, n: procs})
-	recordProcs := entries != nil && !opt.SkipProcSets
 	avail := st.avail[:procs]
-	if recordProcs {
+	if entries != nil {
 		for i := range avail {
 			avail[i] = 0
 		}
@@ -306,12 +296,9 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 			makespan = end
 		}
 
-		if entries != nil {
-			entries[v] = schedule.Entry{Task: v, Start: start, End: end}
-		}
 		placed++
 
-		if recordProcs {
+		if entries != nil {
 			// The first processor set is every processor free before
 			// freeAt plus the lowest-numbered need of those free exactly at
 			// freeAt; one ascending scan yields them already in index order.
@@ -334,7 +321,7 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 					break
 				}
 			}
-			entries[v].Procs = procsOut
+			entries[v] = schedule.Entry{Task: v, Start: start, End: end, Procs: procsOut}
 		}
 
 		// Drop the taken processors, then give them back as one run at end,

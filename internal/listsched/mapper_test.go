@@ -84,8 +84,9 @@ func TestMapperPropertyMatchesAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestMapperBoundedMatchesOptions: MakespanBounded must agree with
-// MapWithOptions{RejectAbove} on both the rejection decision and the value.
+// TestMapperBoundedMatchesOptions: a warm Mapper's MakespanBounded must agree
+// with a fresh Mapper's MakespanOpts{RejectAbove} on both the rejection
+// decision and the value.
 func TestMapperBoundedMatchesOptions(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -99,12 +100,16 @@ func TestMapperBoundedMatchesOptions(t *testing.T) {
 			return false
 		}
 		for _, bound := range []float64{full * 0.5, full * 0.999, full, full * 1.5} {
-			want, wantErr := MapWithOptions(g, tab, alloc, Options{SkipProcSets: true, RejectAbove: bound})
+			fresh, err := NewMapper(g, tab)
+			if err != nil {
+				return false
+			}
+			want, wantErr := fresh.MakespanOpts(alloc, Options{RejectAbove: bound})
 			got, gotErr := m.MakespanBounded(alloc, bound)
 			if errors.Is(wantErr, schedule.ErrRejected) != errors.Is(gotErr, schedule.ErrRejected) {
 				return false
 			}
-			if wantErr == nil && (gotErr != nil || got != want.Makespan()) {
+			if wantErr == nil && (gotErr != nil || got != want) {
 				return false
 			}
 		}

@@ -61,10 +61,11 @@ type (
 // iteration submitting one job with a globally unique seed (so the
 // idempotency key never collapses two submissions into one job), following
 // its SSE stream to the terminal event, and fetching the result. With
-// o.CancelAt > 0 every second job is cancelled once its stream reaches that
-// generation, which exercises the anytime path end to end. SSE streams live
-// as long as their job runs, so they go through sseClient, which has no
-// timeout; the server closes a stream after its terminal event.
+// o.CancelAt > 0 every second job (see pickJob) is cancelled once its
+// stream reaches that generation, which exercises the anytime path end to
+// end. SSE streams live as long as their job runs, so they go through
+// sseClient, which has no timeout; the server closes a stream after its
+// terminal event.
 func runJobs(client, sseClient *http.Client, o Options) (tally, error) {
 	if o.Direct != "" {
 		return tally{}, errors.New("-jobs drives one front end; use -url, not -direct")
@@ -85,13 +86,14 @@ func runJobs(client, sseClient *http.Client, o Options) (tally, error) {
 			t := newTally()
 			for time.Now().Before(deadline) {
 				n := counter.Add(1)
-				body, err := o.body(graphs[int(n)%len(graphs)], o.Seed+n)
+				gi, cancel := pickJob(n, len(graphs))
+				body, err := o.body(graphs[gi], o.Seed+n)
 				if err != nil {
 					t.fail(err)
 					break
 				}
 				cancelGen := 0
-				if o.CancelAt > 0 && n%2 == 1 {
+				if o.CancelAt > 0 && cancel {
 					cancelGen = o.CancelAt
 				}
 				t.runJob(client, sseClient, base, body, cancelGen, o.Islands)
@@ -101,6 +103,14 @@ func runJobs(client, sseClient *http.Client, o Options) (tally, error) {
 	}
 	wg.Wait()
 	return merge(parts), nil
+}
+
+// pickJob chooses the graph of job n among graphs and whether the job is
+// one of the cancelled half. Jobs cycle through the graphs, and the cancel
+// flag alternates with each pass over the list, not with each job, so every
+// graph gets both cancelled and uncancelled jobs whatever the graph count.
+func pickJob(n int64, graphs int) (graph int, cancel bool) {
+	return int(n % int64(graphs)), (n/int64(graphs))%2 == 1
 }
 
 // runJob submits one job and follows it to a terminal state. islands is the

@@ -26,6 +26,36 @@ func TestGenerateSpecs(t *testing.T) {
 	}
 }
 
+// TestPickJobCancelsEveryGraph: for one to four graphs, every graph gets
+// both cancelled and uncancelled jobs, and half the jobs are cancelled.
+func TestPickJobCancelsEveryGraph(t *testing.T) {
+	for graphs := 1; graphs <= 4; graphs++ {
+		var seen [4][2]int // per graph: uncancelled, cancelled
+		const jobs = 48
+		for n := int64(1); n <= jobs; n++ {
+			g, cancel := pickJob(n, graphs)
+			if g < 0 || g >= graphs {
+				t.Fatalf("%d graphs: job %d picked graph %d", graphs, n, g)
+			}
+			if cancel {
+				seen[g][1]++
+			} else {
+				seen[g][0]++
+			}
+		}
+		cancelled := 0
+		for g := 0; g < graphs; g++ {
+			if seen[g][0] == 0 || seen[g][1] == 0 {
+				t.Errorf("%d graphs: graph %d got %d uncancelled and %d cancelled jobs", graphs, g, seen[g][0], seen[g][1])
+			}
+			cancelled += seen[g][1]
+		}
+		if cancelled != jobs/2 {
+			t.Errorf("%d graphs: %d of %d jobs cancelled, want half", graphs, cancelled, jobs)
+		}
+	}
+}
+
 func TestBuildBodies(t *testing.T) {
 	o := Options{Graphs: "fft4,strassen", Algo: "emts5", Model: "synthetic", Cluster: "chti", Seeds: 3, Seed: 1}
 	bodies, err := Bodies(o)

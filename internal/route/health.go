@@ -70,7 +70,6 @@ type backendHealth struct {
 	healthy bool
 	fails   int // consecutive probe failures while healthy
 	oks     int // consecutive probe successes while ejected
-	lastErr error
 }
 
 // Checker probes every configured backend's /readyz on a fixed interval and
@@ -185,7 +184,6 @@ func (c *Checker) probeRound() {
 func (c *Checker) record(st *backendHealth, err error) {
 	c.mu.Lock()
 	changed := false
-	st.lastErr = err
 	if err != nil {
 		st.oks = 0
 		if st.healthy {

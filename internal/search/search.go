@@ -13,7 +13,6 @@ package search
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"emts/internal/ea"
 	"emts/internal/schedule"
@@ -43,7 +42,7 @@ type Method interface {
 
 // validate checks the shared preconditions and returns the evaluated
 // incumbent (best seed by fitness, or a random individual).
-func validate(v, procs, budget int, seeds []schedule.Allocation, fitness ea.Evaluator, rng *rand.Rand) (ea.Individual, int, error) {
+func validate(v, procs, budget int, seeds []schedule.Allocation, fitness ea.Evaluator, rng *ea.Rand) (ea.Individual, int, error) {
 	if v < 1 || procs < 1 {
 		return ea.Individual{}, 0, fmt.Errorf("search: v=%d procs=%d, want >= 1", v, procs)
 	}
@@ -101,7 +100,7 @@ func (HillClimber) Name() string { return "hillclimb" }
 
 // Optimize implements Method.
 func (h HillClimber) Optimize(v, procs int, seeds []schedule.Allocation, fitness ea.Evaluator, budget int, seed int64) (*Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := ea.NewRand(seed)
 	cur, evals, err := validate(v, procs, budget, seeds, fitness, rng)
 	if err != nil {
 		return nil, err
@@ -155,7 +154,7 @@ func (Annealer) Name() string { return "anneal" }
 
 // Optimize implements Method.
 func (a Annealer) Optimize(v, procs int, seeds []schedule.Allocation, fitness ea.Evaluator, budget int, seed int64) (*Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := ea.NewRand(seed)
 	cur, evals, err := validate(v, procs, budget, seeds, fitness, rng)
 	if err != nil {
 		return nil, err
@@ -217,7 +216,7 @@ func (RandomSearch) Name() string { return "random-search" }
 
 // Optimize implements Method.
 func (RandomSearch) Optimize(v, procs int, seeds []schedule.Allocation, fitness ea.Evaluator, budget int, seed int64) (*Result, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := ea.NewRand(seed)
 	best, evals, err := validate(v, procs, budget, seeds, fitness, rng)
 	if err != nil {
 		return nil, err

@@ -16,16 +16,14 @@ type logger struct {
 
 // accessLog is one request log record.
 type accessLog struct {
-	TS        string  `json:"ts"`
-	Level     string  `json:"level"`
-	Req       string  `json:"req"`
-	Method    string  `json:"method"`
-	Path      string  `json:"path"`
-	Code      int     `json:"code"`
-	DurMS     float64 `json:"dur_ms"`
-	Algorithm string  `json:"algorithm,omitempty"`
-	Cache     string  `json:"cache,omitempty"`
-	Err       string  `json:"err,omitempty"`
+	TS     string  `json:"ts"`
+	Level  string  `json:"level"`
+	Req    string  `json:"req"`
+	Method string  `json:"method"`
+	Path   string  `json:"path"`
+	Code   int     `json:"code"`
+	DurMS  float64 `json:"dur_ms"`
+	Cache  string  `json:"cache,omitempty"`
 }
 
 func (l *logger) log(rec accessLog) {

@@ -23,7 +23,7 @@
 // with no positive finite time is the client's 400) and runs the plan. Each
 // admitted request carries a context assembled from the client connection
 // and the per-request deadline, and the evolutionary algorithm observes
-// that context before every epoch (ea.RunContext: every generation, or
+// that context before every epoch (ea.Run: every generation, or
 // every migration interval with islands > 1) — a dropped connection or an
 // expired deadline stops an in-flight optimization within one epoch, at
 // zero cost on the hot fitness path.

@@ -45,14 +45,3 @@ func ApproxEqualEps(a, b, eps float64) bool {
 	}
 	return diff <= eps*scale
 }
-
-// ApproxZero reports whether x is within DefaultEpsilon of zero.
-func ApproxZero(x float64) bool {
-	return math.Abs(x) <= DefaultEpsilon
-}
-
-// ApproxLessOrEqual reports whether a <= b up to DefaultEpsilon relative
-// tolerance — useful for asserting "no worse than" on computed makespans.
-func ApproxLessOrEqual(a, b float64) bool {
-	return a <= b || ApproxEqual(a, b)
-}

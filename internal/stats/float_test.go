@@ -44,24 +44,3 @@ func TestApproxEqualEpsCustom(t *testing.T) {
 		t.Error("ApproxEqualEps(100, 103, 0.02) should fail (3% apart, 2% tolerance)")
 	}
 }
-
-func TestApproxZero(t *testing.T) {
-	if !ApproxZero(0) || !ApproxZero(1e-12) || !ApproxZero(-1e-12) {
-		t.Error("values within eps of zero must be approx zero")
-	}
-	if ApproxZero(1e-3) || ApproxZero(math.NaN()) {
-		t.Error("1e-3 and NaN must not be approx zero")
-	}
-}
-
-func TestApproxLessOrEqual(t *testing.T) {
-	if !ApproxLessOrEqual(1, 2) {
-		t.Error("1 <= 2 must hold")
-	}
-	if !ApproxLessOrEqual(2, 2*(1-1e-12)) {
-		t.Error("2 <= 2-tiny must hold within tolerance")
-	}
-	if ApproxLessOrEqual(2.1, 2) {
-		t.Error("2.1 <= 2 must fail")
-	}
-}

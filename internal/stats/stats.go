@@ -1,13 +1,11 @@
 // Package stats provides the small statistical toolkit the experiment
 // harness needs: sample summaries with 95% Student-t confidence intervals
-// (every bar of Figures 4 and 5 carries one) and histograms/empirical
-// densities (Figure 3).
+// (every bar of Figures 4 and 5 carries one).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample: size, mean, sample standard deviation, and the
@@ -69,23 +67,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (0 for n < 2).
-func StdDev(xs []float64) float64 { return Summarize(xs).SD }
-
-// Median returns the sample median (0 for an empty slice).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // NormQuantile returns the quantile function (inverse CDF) of the standard
@@ -267,52 +248,4 @@ func betaCF(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// Histogram bins samples into equal-width buckets over [lo, hi); samples
-// outside the range are clamped into the edge buckets.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram creates a histogram with the given bucket count.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram range [%g, %g) empty", lo, hi)
-	}
-	if buckets < 1 {
-		return nil, fmt.Errorf("stats: %d buckets, want >= 1", buckets)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.Total++
-}
-
-// Density returns the empirical probability density of bucket i (count
-// normalized by total mass and bucket width).
-func (h *Histogram) Density(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.Total) * width)
-}
-
-// BucketCenter returns the midpoint of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
 }

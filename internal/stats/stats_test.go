@@ -45,19 +45,13 @@ func TestCI95KnownValue(t *testing.T) {
 	}
 }
 
-func TestMeanMedianStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 100}
 	if Mean(xs) != 22 {
 		t.Fatalf("Mean = %g", Mean(xs))
 	}
-	if Median(xs) != 3 {
-		t.Fatalf("Median = %g", Median(xs))
-	}
-	if Median([]float64{1, 2, 3, 4}) != 2.5 {
-		t.Fatal("even median")
-	}
-	if Mean(nil) != 0 || Median(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty-slice helpers")
+	if Mean(nil) != 0 {
+		t.Fatal("Mean of an empty slice")
 	}
 }
 
@@ -149,55 +143,6 @@ func TestCIShrinksWithN(t *testing.T) {
 	large := Summarize(gen(1000))
 	if large.CI95 >= small.CI95 {
 		t.Fatalf("CI did not shrink: %g vs %g", large.CI95, small.CI95)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.5, 1, 3, 3.9, 9.9, -5, 15} {
-		h.Add(x)
-	}
-	if h.Total != 7 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	// Bucket 0 ([0,2)): 0.5, 1, and the clamped -5 → 3 samples.
-	if h.Counts[0] != 3 {
-		t.Fatalf("bucket 0 = %d", h.Counts[0])
-	}
-	// Bucket 4 ([8,10)): 9.9 and the clamped 15 → 2 samples.
-	if h.Counts[4] != 2 {
-		t.Fatalf("bucket 4 = %d", h.Counts[4])
-	}
-	if c := h.BucketCenter(0); c != 1 {
-		t.Fatalf("center 0 = %g", c)
-	}
-}
-
-func TestHistogramDensityIntegratesToOne(t *testing.T) {
-	h, _ := NewHistogram(-10, 10, 40)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 10000; i++ {
-		h.Add(rng.NormFloat64() * 3)
-	}
-	width := 0.5
-	sum := 0.0
-	for i := range h.Counts {
-		sum += h.Density(i) * width
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("density mass = %g", sum)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(1, 1, 5); err == nil {
-		t.Fatal("empty range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("zero buckets accepted")
 	}
 }
 

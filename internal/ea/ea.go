@@ -269,11 +269,12 @@ type Config struct {
 	// would have become a parent, and rejection drops it. EXPERIMENTS.md A3
 	// gives the measured effect.
 	UseRejection bool
-	// Workers bounds the parallelism of the run (0 = GOMAXPROCS, see
-	// WorkerCount): each island's engine evaluates on an equal share of it,
-	// each worker through an evaluator of its own, and helpers start
-	// evaluating a generation's offspring while the rest are still being
-	// mutated. 1 forces sequential evaluation. Results never depend on it.
+	// Workers bounds the parallelism of the run (0 = GOMAXPROCS; a budget
+	// above GOMAXPROCS counts as GOMAXPROCS, see WorkerCount): each island's
+	// engine evaluates on an equal share of it, each worker through an
+	// evaluator of its own, and helpers start evaluating a generation's
+	// offspring while the rest are still being mutated. 1 forces sequential
+	// evaluation. Results never depend on it.
 	Workers int
 	// Seed drives all stochastic choices; equal seeds give equal runs.
 	Seed int64
@@ -384,10 +385,13 @@ type Result struct {
 // [1, procs]: it is checked, not clamped, since its fitness belongs to
 // exactly that allocation.
 //
-// The engine calls newEval once for each worker it starts, and calls each
+// Each island's engine calls newEval once for each of its workers, on the
+// island's goroutine, before the first parallel evaluation starts the
+// helpers that then serve the island until the run returns. It calls each
 // evaluator from one goroutine at a time, so an arena-backed evaluator (a
 // listsched.Mapper, as core.Run wires it) reuses its scratch state without
-// locks. The evaluators must obey Evaluator's purity contract.
+// locks. No helper outlives the run. The evaluators must obey Evaluator's
+// purity contract.
 //
 // Because the paper uses a plus-strategy, the best solution is conserved: the
 // population never worsens across generations (Section IV, citing Schwefel &

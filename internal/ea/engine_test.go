@@ -3,12 +3,14 @@ package ea
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"emts/internal/schedule"
 )
@@ -73,7 +75,9 @@ func TestEngineOutcomesAtFixedIndices(t *testing.T) {
 		eng := newEvalEngine(workers, shared(fitness))
 		inds := enginePopulation(n, v, procs)
 		var res Result
-		if err := eng.evaluateAll(inds, bound, &res); err != nil {
+		err := eng.evaluateAll(inds, bound, &res)
+		eng.stop()
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range inds {
@@ -108,7 +112,9 @@ func TestEngineLowestIndexError(t *testing.T) {
 		for rep := 0; rep < 20; rep++ {
 			eng := newEvalEngine(workers, shared(fitness))
 			var res Result
-			if err := eng.evaluateAll(inds, 0, &res); err != errLow {
+			err := eng.evaluateAll(inds, 0, &res)
+			eng.stop()
+			if err != errLow {
 				t.Fatalf("workers=%d: evaluateAll returned %v, want the lowest-index error %v", workers, err, errLow)
 			}
 		}
@@ -232,10 +238,10 @@ func (m slowMutator) Mutate(rng *Rand, a schedule.Allocation, count, procs int) 
 }
 
 // TestEngineCatchUpPath: when the producer is slower than the evaluators,
-// helpers catch up with the published count and return early, and worker 0
-// evaluates the rest in finish. Every offspring is still evaluated exactly
-// once, results and counters match one worker, and an evaluation error at a
-// late index surfaces as the lowest failing one.
+// helpers catch up with the published count and wait for the next publish,
+// and worker 0 evaluates whatever is left in finish. Every offspring is still
+// evaluated exactly once, results and counters match one worker, and an
+// evaluation error at a late index surfaces as the lowest failing one.
 func TestEngineCatchUpPath(t *testing.T) {
 	const v, procs = 12, 8
 	target := schedule.Ones(v)
@@ -278,8 +284,8 @@ func TestEngineCatchUpPath(t *testing.T) {
 	}
 
 	// Through the engine: index 0 is published and evaluated before anything
-	// else is, so every helper has caught up and returned before the failing
-	// late indices are published.
+	// else is, so every helper has caught up and waits for publishes while
+	// the failing late indices are published.
 	const n = 64
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	for _, workers := range []int{1, 2, 8} {
@@ -318,7 +324,9 @@ func TestEngineCatchUpPath(t *testing.T) {
 			eng.publish(i)
 		}
 		var res Result
-		if err := eng.finish(&res); err != errLow {
+		err := eng.finish(&res)
+		eng.stop()
+		if err != errLow {
 			t.Fatalf("workers=%d: finish returned %v, want the lowest-index error %v", workers, err, errLow)
 		}
 		if res.Evaluations != n || calls.Load() != n {
@@ -330,6 +338,110 @@ func TestEngineCatchUpPath(t *testing.T) {
 			}
 			if i != 50 && i != 60 && inds[i].Fitness != float64(i) {
 				t.Fatalf("workers=%d: individual %d fitness %g", workers, i, inds[i].Fitness)
+			}
+		}
+	}
+}
+
+// TestWorkerCountCapsAtGOMAXPROCS: a worker budget resolves to at most
+// GOMAXPROCS workers, GOMAXPROCS for a budget of 0, and 1 on one P.
+func TestWorkerCountCapsAtGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, c := range [][2]int{{8, 2}, {0, 2}, {-1, 2}, {2, 2}, {1, 1}} {
+		if got := WorkerCount(c[0]); got != c[1] {
+			t.Errorf("GOMAXPROCS=2: WorkerCount(%d) = %d, want %d", c[0], got, c[1])
+		}
+	}
+	runtime.GOMAXPROCS(1)
+	for _, workers := range []int{0, 1, 8} {
+		if got := WorkerCount(workers); got != 1 {
+			t.Errorf("GOMAXPROCS=1: WorkerCount(%d) = %d, want 1", workers, got)
+		}
+	}
+}
+
+// outOfRangeMutator is the paper's mutator except that its failAt-th call,
+// counted over every island of the run, leaves an allele above procs, or
+// panics when panics is set.
+type outOfRangeMutator struct {
+	calls  *atomic.Int64
+	failAt int64
+	panics bool
+}
+
+func (outOfRangeMutator) Name() string { return "out-of-range" }
+
+func (m outOfRangeMutator) Mutate(rng *Rand, a schedule.Allocation, count, procs int) {
+	DefaultPaperMutator().Mutate(rng, a, count, procs)
+	if m.calls.Add(1) == m.failAt {
+		if m.panics {
+			panic("mutator failed")
+		}
+		a[0] = procs + 1
+	}
+}
+
+// TestEngineHelpersStopWithRun: each engine's helpers live for the whole run
+// and no run leaves one behind, whether it completes, is cancelled between
+// generations, or fails on an outside mutator's out-of-range child in the
+// middle of a generation (the engine's abandon path), or that mutator panics
+// there on the caller's goroutine. EMTS10's shape runs at
+// Workers 2 on one island and at Workers 8 on four.
+func TestEngineHelpersStopWithRun(t *testing.T) {
+	const v, procs = 40, 16
+	target := schedule.Ones(v)
+	// A joined helper still counts until its goroutine exits, so the base is
+	// the count once it has stopped falling for 20 ms.
+	base := runtime.NumGoroutine()
+	for quiet := 0; quiet < 20; quiet++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n < base {
+			base, quiet = n, 0
+		}
+	}
+	for _, shape := range []struct{ workers, islands int }{{2, 1}, {8, 4}} {
+		perIsland := WorkerCount(max(WorkerCount(shape.workers)/shape.islands, 1))
+		wantHelpers := shape.islands * (perIsland - 1)
+		for _, end := range []string{"complete", "cancel", "abandon", "panic"} {
+			if end == "panic" && shape.islands > 1 {
+				continue // a panic on another island's goroutine ends the process
+			}
+			name := fmt.Sprintf("workers=%d islands=%d %s", shape.workers, shape.islands, end)
+			ctx, cancel := context.WithCancel(context.Background())
+			cfg := Config{Mu: 10, Lambda: 100, Generations: 10, Fm: 0.33, Seed: 9,
+				Workers: shape.workers, Islands: shape.islands}
+			running := 0 // goroutines while the run is between epochs
+			cfg.OnGeneration = func(gs GenStats) {
+				running = max(running, runtime.NumGoroutine())
+				if end == "cancel" && gs.Generation == 4 {
+					cancel()
+				}
+			}
+			if end == "abandon" || end == "panic" {
+				// Generation 3, halfway through one island's children.
+				cfg.Mutator = outOfRangeMutator{calls: new(atomic.Int64), failAt: int64(shape.islands) * 350, panics: end == "panic"}
+			}
+			var err error
+			panicked := func() (p any) {
+				defer func() { p = recover() }()
+				_, err = runAllocs(ctx, cfg, v, procs, nil, sphereFitness(target))
+				return nil
+			}()
+			cancel()
+			switch {
+			case (end == "panic") != (panicked != nil),
+				end == "complete" && err != nil,
+				end == "cancel" && !errors.Is(err, context.Canceled),
+				end == "abandon" && (err == nil || errors.Is(err, context.Canceled)):
+				t.Fatalf("%s: run returned %v, panicked with %v", name, err, panicked)
+			}
+			if running < base+wantHelpers {
+				t.Errorf("%s: %d goroutines during the run, want at least %d + %d helpers", name, running, base, wantHelpers)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %d goroutines after the run, %d before", name, runtime.NumGoroutine(), base)
+				}
 			}
 		}
 	}

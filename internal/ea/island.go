@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -264,12 +263,8 @@ func runIslands(ctx context.Context, cfg Config, v, procs int, seeds []Individua
 	// Divide the worker budget: each island's engine gets an equal share
 	// (floor, min 1) so N islands saturate the same core budget one island
 	// would. Purely a timing decision — results are worker-count independent.
-	totalW := cfg.Workers
-	if totalW <= 0 {
-		totalW = runtime.GOMAXPROCS(0)
-	}
 	icfg := cfg
-	icfg.Workers = max(totalW/n, 1)
+	icfg.Workers = max(WorkerCount(cfg.Workers)/n, 1)
 	isls := make([]*island, n)
 	for i := range isls {
 		isls[i] = newIsland(i, icfg, v, procs, seeds, newEval)
@@ -280,6 +275,15 @@ func runIslands(ctx context.Context, cfg Config, v, procs int, seeds []Individua
 	// a racing CAS). The WaitGroup and the span bounds live outside the
 	// epoch loop, so an epoch allocates nothing here.
 	var wg sync.WaitGroup
+	// Each engine keeps its helpers from its first parallel phase on, and
+	// no return path leaves one running. Should island 0's phase panic, the
+	// other islands first finish theirs.
+	defer func() {
+		wg.Wait()
+		for _, is := range isls {
+			is.eng.stop()
+		}
+	}()
 	barrier := func(phase func(*island) error) error {
 		for _, is := range isls[1:] {
 			wg.Add(1)

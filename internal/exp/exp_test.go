@@ -228,6 +228,55 @@ func TestRelativeMakespanValidation(t *testing.T) {
 	}
 }
 
+// TestRelativeMakespanWorkerCountIdentical checks that Figures 4/5 do not
+// depend on how many workers run the instances: every Cell, float bits
+// included, must equal the single-worker result. The sums behind Mean, SD
+// and CI95 round differently if the ratios arrive in another order, so the
+// instances must be aggregated in job order, not in completion order.
+func TestRelativeMakespanWorkerCountIdentical(t *testing.T) {
+	w, err := IrregularWorkload(50, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Graphs = w.Graphs[:24]
+	cfg := RelMakespanConfig{
+		ModelName: "synthetic",
+		EMTS:      "emts5",
+		Baselines: []string{"mcpa", "hcpa"},
+		Workloads: []Workload{w},
+		Clusters:  []platform.Cluster{platform.Chti(), platform.Grelon()},
+		Seed:      1,
+		Workers:   1,
+	}
+	want, err := RelativeMakespan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(c Cell) [5]uint64 {
+		r := c.Ratio
+		return [5]uint64{math.Float64bits(r.Mean), math.Float64bits(r.SD),
+			math.Float64bits(r.CI95), math.Float64bits(r.Min), math.Float64bits(r.Max)}
+	}
+	cfg.Workers = 4
+	for run := 0; run < 3; run++ {
+		got, err := RelativeMakespan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Cells) != len(want.Cells) {
+			t.Fatalf("run %d: %d cells, want %d", run, len(got.Cells), len(want.Cells))
+		}
+		for i, c := range got.Cells {
+			wc := want.Cells[i]
+			if c.Workload != wc.Workload || c.Baseline != wc.Baseline || c.Cluster != wc.Cluster ||
+				c.Ratio.N != wc.Ratio.N || bits(c) != bits(wc) {
+				t.Fatalf("run %d, cell %d (%s/%s/%s): 4 workers gave %#v, 1 worker %#v",
+					run, i, c.Workload, c.Baseline, c.Cluster, c.Ratio, wc.Ratio)
+			}
+		}
+	}
+}
+
 func TestFigure6(t *testing.T) {
 	r, err := Figure6(3)
 	if err != nil {

@@ -37,6 +37,7 @@ type RelMakespanConfig struct {
 	Seed int64
 	// Workers bounds instance-level parallelism (0 = GOMAXPROCS). EMTS runs
 	// single-threaded inside so parallel instances do not oversubscribe.
+	// The result does not depend on it.
 	Workers int
 }
 
@@ -61,15 +62,16 @@ type RelMakespanResult struct {
 
 // instanceOutcome carries the ratios computed for one PTG on one cluster.
 type instanceOutcome struct {
-	workload int
-	cluster  int
-	ratios   map[string]float64 // baseline name -> ratio
-	err      error
+	ratios []float64 // T_baseline / T_EMTS, in cfg.Baselines order
+	err    error
 }
 
 // RelativeMakespan runs the experiment. Instances fan out across a worker
 // pool; every (instance, cluster) pair shares a single execution-time table
 // across the baselines and EMTS, so all algorithms see identical task times.
+// Outcomes are filed and aggregated in job order, so every Cell, float bits
+// included, and the error returned (the first failing instance's) do not
+// depend on cfg.Workers or on which instance finished first.
 func RelativeMakespan(cfg RelMakespanConfig) (*RelMakespanResult, error) {
 	if len(cfg.Baselines) == 0 || len(cfg.Workloads) == 0 || len(cfg.Clusters) == 0 {
 		return nil, fmt.Errorf("exp: empty baselines, workloads, or clusters")
@@ -116,46 +118,43 @@ func RelativeMakespan(cfg RelMakespanConfig) (*RelMakespanResult, error) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	jobCh := make(chan job)
-	outCh := make(chan instanceOutcome, len(jobs))
+	jobCh := make(chan int)
+	outs := make([]instanceOutcome, len(jobs))
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
-				outCh <- runInstance(j.g, cfg.Clusters[j.cluster], plan.Model, baseliners, params, j.workload, j.cluster)
+			for i := range jobCh {
+				j := jobs[i]
+				outs[i] = runInstance(j.g, cfg.Clusters[j.cluster], plan.Model, baseliners, params)
 			}
 		}()
 	}
-	for _, j := range jobs {
-		jobCh <- j
+	for i := range jobs {
+		jobCh <- i
 	}
 	close(jobCh)
 	wg.Wait()
-	close(outCh)
 
-	// Aggregate ratios per (workload, baseline, cluster).
-	type key struct {
-		workload, cluster int
-		baseline          string
-	}
+	// Aggregate ratios per (workload, baseline, cluster), in job order.
+	type key struct{ workload, baseline, cluster int }
 	ratios := map[key][]float64{}
-	for out := range outCh {
+	for i, out := range outs {
 		if out.err != nil {
 			return nil, out.err
 		}
-		for b, r := range out.ratios {
-			k := key{out.workload, out.cluster, b}
+		for bi, r := range out.ratios {
+			k := key{jobs[i].workload, bi, jobs[i].cluster}
 			ratios[k] = append(ratios[k], r)
 		}
 	}
 
 	res := &RelMakespanResult{ModelName: cfg.ModelName, EMTS: cfg.EMTS}
 	for wi, w := range cfg.Workloads {
-		for _, b := range cfg.Baselines {
+		for bi, b := range cfg.Baselines {
 			for ci, cl := range cfg.Clusters {
-				rs := ratios[key{wi, ci, b}]
+				rs := ratios[key{wi, bi, ci}]
 				res.Cells = append(res.Cells, Cell{
 					Workload: w.Name,
 					Baseline: b,
@@ -179,9 +178,9 @@ type namedAllocator struct {
 // Baselines run in slice order so a failing instance reports the same
 // baseline's error on every run.
 func runInstance(g *dag.Graph, cluster platform.Cluster, m model.Model,
-	baseliners []namedAllocator, params core.Params, wi, ci int) instanceOutcome {
+	baseliners []namedAllocator, params core.Params) instanceOutcome {
 
-	out := instanceOutcome{workload: wi, cluster: ci, ratios: map[string]float64{}}
+	out := instanceOutcome{ratios: make([]float64, 0, len(baseliners))}
 	tab, err := model.NewTable(g, m, cluster)
 	if err != nil {
 		out.err = err
@@ -209,7 +208,7 @@ func runInstance(g *dag.Graph, cluster platform.Cluster, m model.Model,
 			out.err = err
 			return out
 		}
-		out.ratios[b.name] = ms / emtsRes.Makespan
+		out.ratios = append(out.ratios, ms/emtsRes.Makespan)
 	}
 	return out
 }

@@ -73,57 +73,82 @@ func TestPerfLayerBitIdentical(t *testing.T) {
 
 // TestInternedGraphStress hammers one interned graph from many goroutines —
 // all requests share a single dag.Graph and model.Table instance, so this is
-// the -race proof that interned objects are safe for concurrent use.
+// the -race proof that interned objects are safe for concurrent use. Every
+// concurrent body must also equal the one a lone, sequential server computes
+// for its seed, byte for byte: with the governor, concurrent runs get one to
+// GOMAXPROCS workers depending on what else is running, and without it each
+// one takes GOMAXPROCS.
 func TestInternedGraphStress(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 4, CacheEntries: -1})
 	graph := testGraphJSON(t)
+	const seeds = 3
+	body := func(seed int) []byte {
+		return []byte(fmt.Sprintf(
+			`{"graph":%s,"cluster":{"preset":"chti"},"algorithm":"emts5","seed":%d}`, graph, seed))
+	}
+	_, seqTS := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
+	var want [seeds][]byte
+	for seed := range want {
+		resp := post(t, seqTS.URL, body(seed))
+		want[seed] = readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sequential seed %d: status %d: %s", seed, resp.StatusCode, want[seed])
+		}
+	}
 
-	const goroutines = 8
-	const perG = 10
-	var wg sync.WaitGroup
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				// Few distinct seeds: every goroutine computes on the shared
-				// graph/table instead of replaying cached bodies.
-				body := []byte(fmt.Sprintf(
-					`{"graph":%s,"cluster":{"preset":"chti"},"algorithm":"emts5","seed":%d}`, graph, i%3))
-				resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					return
+	for _, noGovernor := range []bool{false, true} {
+		s, ts := newTestServer(t, Config{Workers: 4, CacheEntries: -1, DisableGovernor: noGovernor})
+		const goroutines = 8
+		const perG = 10
+		var wg sync.WaitGroup
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					// Few distinct seeds: every goroutine computes on the
+					// shared graph/table instead of replaying cached bodies.
+					seed := i % seeds
+					resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body(seed)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					b, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("no-governor %v, goroutine %d: status %d: %s", noGovernor, w, resp.StatusCode, b)
+						return
+					}
+					if !bytes.Equal(b, want[seed]) {
+						t.Errorf("no-governor %v, goroutine %d, seed %d: body differs from the sequential one:\n%s\nvs\n%s",
+							noGovernor, w, seed, b, want[seed])
+						return
+					}
 				}
-				b, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("goroutine %d: status %d: %s", w, resp.StatusCode, b)
-					return
-				}
+			}(w)
+		}
+		wg.Wait()
+
+		if hits, _ := s.graphs.Stats(); hits == 0 {
+			t.Errorf("no-governor %v: no graph-intern hits after hammering one graph", noGovernor)
+		}
+		if hits, _ := s.tables.Stats(); hits == 0 {
+			t.Errorf("no-governor %v: no table-intern hits after hammering one graph", noGovernor)
+		}
+
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics := string(readAll(t, resp))
+		series := []string{"emts_intern_graph_hits_total", "emts_intern_table_hits_total"}
+		if !noGovernor {
+			series = append(series, "emts_governor_tokens_capacity")
+		}
+		for _, name := range series {
+			if !strings.Contains(metrics, name) {
+				t.Errorf("no-governor %v: /metrics missing %s:\n%s", noGovernor, name, metrics)
 			}
-		}(w)
-	}
-	wg.Wait()
-
-	if hits, _ := s.graphs.Stats(); hits == 0 {
-		t.Error("no graph-intern hits after hammering one graph")
-	}
-	if hits, _ := s.tables.Stats(); hits == 0 {
-		t.Error("no table-intern hits after hammering one graph")
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(readAll(t, resp))
-	for _, series := range []string{
-		"emts_intern_graph_hits_total", "emts_intern_table_hits_total",
-		"emts_governor_tokens_capacity",
-	} {
-		if !strings.Contains(metrics, series) {
-			t.Errorf("/metrics missing %s:\n%s", series, metrics)
 		}
 	}
 }

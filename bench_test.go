@@ -591,6 +591,43 @@ func BenchmarkPerIndividual(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkerScaling times one EMTS run at Workers 1 and 2 over the
+// paper's 36 irregular 100-task PTG shapes on Grelon under Model 2, a new
+// graph and EA seed per op: EMTS10 with the Section VI rejection, as
+// perfbench's lib-emts10-reject runs it, and plain EMTS5, as every server
+// request runs it. Results do not depend on the worker count, so the ratio of
+// a pair's ns/op is the engine's two-worker speed-up, the gap ROADMAP item 18
+// tracks. Its name stays outside CI's BenchmarkEMTS(5|10) smoke.
+func BenchmarkWorkerScaling(b *testing.B) {
+	w, err := exp.IrregularWorkload(100, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tabs := make([]*model.Table, len(w.Graphs))
+	for i, g := range w.Graphs {
+		if tabs[i], err = model.NewTable(g, model.Synthetic{}, platform.Grelon()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, run := range []struct {
+		name   string
+		params func(int64) core.Params
+	}{{"emts10-reject", withRejection(core.EMTS10)}, {"emts5", core.EMTS5}} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers%d", run.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p := run.params(int64(i))
+					p.Workers = workers
+					k := i % len(w.Graphs)
+					if _, err := core.Run(w.Graphs[k], tabs[k], p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // islandInstanceBench runs the headline 100-task EMTS5 workload as an
 // island-model optimization and reports ns/generation — the number the
 // islands curve of artifacts/BENCH_PR10.json is built from. A generation of

@@ -316,11 +316,15 @@ func TestRuntimeTableSmall(t *testing.T) {
 			t.Fatalf("non-positive runtime for %+v", row)
 		}
 	}
-	// EMTS10 must cost more than EMTS5 on the same workload/cluster.
-	small5 := byKey["emts5/Strassen/grelon"].Seconds.Mean
-	small10 := byKey["emts10/Strassen/grelon"].Seconds.Mean
-	if small10 <= small5 {
-		t.Fatalf("EMTS10 (%g s) not slower than EMTS5 (%g s)", small10, small5)
+	// EMTS10 must do more work than EMTS5 on every workload and cluster.
+	// The work is counted in evaluations per run, (μ + λ·generations):
+	// comparing wall-clock means failed whenever a stall of a few
+	// milliseconds hit the EMTS5 runs while other test packages ran.
+	for _, key := range []string{"Strassen/chti", "Strassen/grelon", "irregular n=100/chti", "irregular n=100/grelon"} {
+		e5, e10 := byKey["emts5/"+key].Evaluations, byKey["emts10/"+key].Evaluations
+		if e5 != 130 || e10 != 1010 {
+			t.Fatalf("%s: %g EMTS5 and %g EMTS10 evaluations per run, want 130 and 1010", key, e5, e10)
+		}
 	}
 	if _, err := RuntimeTable(0, 1); err == nil {
 		t.Fatal("0 instances accepted")

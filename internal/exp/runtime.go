@@ -21,6 +21,9 @@ type RuntimeRow struct {
 	Cluster  string
 	// Seconds summarizes the optimization wall-clock over the instances.
 	Seconds stats.Summary
+	// Evaluations is the mean number of fitness evaluations per run, the
+	// work behind Seconds as a count that does not depend on the host.
+	Evaluations float64
 }
 
 // RuntimeResult is the full table.
@@ -86,22 +89,26 @@ func RuntimeTable(instances int, seed int64) (*RuntimeResult, error) {
 		for _, w := range []Workload{strassen, irregular} {
 			for _, cluster := range []platform.Cluster{platform.Chti(), platform.Grelon()} {
 				times := make([]float64, 0, len(w.Graphs))
+				evals := 0
 				for _, g := range w.Graphs {
 					tab, err := tableFor(g, cluster)
 					if err != nil {
 						return nil, err
 					}
 					start := time.Now()
-					if _, err := core.Run(g, tab, *plan.Params); err != nil {
+					r, err := core.Run(g, tab, *plan.Params)
+					if err != nil {
 						return nil, err
 					}
 					times = append(times, time.Since(start).Seconds())
+					evals += r.Evaluations
 				}
 				res.Rows = append(res.Rows, RuntimeRow{
-					EMTS:     emtsName,
-					Workload: w.Name,
-					Cluster:  cluster.Name,
-					Seconds:  stats.Summarize(times),
+					EMTS:        emtsName,
+					Workload:    w.Name,
+					Cluster:     cluster.Name,
+					Seconds:     stats.Summarize(times),
+					Evaluations: float64(evals) / float64(len(w.Graphs)),
 				})
 			}
 		}

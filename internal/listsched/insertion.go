@@ -38,10 +38,10 @@ func MapInsertion(g *dag.Graph, tab *model.Table, alloc schedule.Allocation) (*s
 	indeg := make([]int, n)
 	copy(indeg, g.Indegrees())
 	readyTime := make([]float64, n)
-	ready := &blHeap{bl: bl}
+	ready := &blHeap{}
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			ready.push(dag.TaskID(i))
+			ready.push(readyTask{bl: bl[i], id: dag.TaskID(i)})
 		}
 	}
 
@@ -50,7 +50,7 @@ func MapInsertion(g *dag.Graph, tab *model.Table, alloc schedule.Allocation) (*s
 	placed := 0
 
 	for ready.len() > 0 {
-		v := ready.pop()
+		v := ready.pop().id
 		s := alloc[v]
 		d := tab.Time(v, s)
 
@@ -64,12 +64,10 @@ func MapInsertion(g *dag.Graph, tab *model.Table, alloc schedule.Allocation) (*s
 		placed++
 
 		for _, w := range g.Successors(v) {
-			if end > readyTime[w] {
-				readyTime[w] = end
-			}
+			readyTime[w] = max(readyTime[w], end)
 			indeg[w]--
 			if indeg[w] == 0 {
-				ready.push(w)
+				ready.push(readyTask{bl: bl[w], id: w})
 			}
 		}
 	}

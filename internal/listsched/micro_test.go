@@ -11,7 +11,10 @@ import (
 	"emts/internal/schedule"
 )
 
-func microSetup(b *testing.B, m int) (*Mapper, schedule.Allocation, float64) {
+// microSetup returns a Mapper for a 100-task irregular PTG on Grelon under
+// Model 2, children distinct children of one random parent, each with m
+// positions mutated, and the parent's makespan.
+func microSetup(b *testing.B, m, children int) (*Mapper, []schedule.Allocation, float64) {
 	b.Helper()
 	g, err := daggen.Random(daggen.RandomConfig{
 		N: 100, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 2,
@@ -29,28 +32,46 @@ func microSetup(b *testing.B, m int) (*Mapper, schedule.Allocation, float64) {
 	for i := range parent {
 		parent[i] = 1 + rng.Intn(tab.Procs())
 	}
-	child := mutateRandom(rng, parent, m, tab.Procs())
+	kids := make([]schedule.Allocation, children)
+	for i := range kids {
+		kids[i] = mutateRandom(rng, parent, m, tab.Procs())
+	}
 	full, err := mp.Makespan(parent)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return mp, child, full
+	return mp, kids, full
 }
 
 func BenchmarkMicroFullRejected(b *testing.B) {
-	mp, child, full := microSetup(b, 7)
+	mp, kids, full := microSetup(b, 7, 1)
 	opt := Options{RejectAbove: full * 0.5, DisablePrefilter: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mp.MakespanOpts(child, opt)
+		mp.MakespanOpts(kids[0], opt)
 	}
 }
 
 func BenchmarkMicroFullAccepted(b *testing.B) {
-	mp, child, _ := microSetup(b, 7)
+	mp, kids, _ := microSetup(b, 7, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mp.Makespan(child); err != nil {
+		if _, err := mp.Makespan(kids[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMicroFullDistinct maps 256 distinct children of one parent in
+// turn, as an EA generation maps its offspring. Mapping one allocation over
+// and over, as BenchmarkMicroFullAccepted does, lets the branch predictor
+// learn the ready heap's and the profile's data-dependent branches; here it
+// cannot, so this is the map loop's cost on the fitness path.
+func BenchmarkMicroFullDistinct(b *testing.B) {
+	mp, kids, _ := microSetup(b, 7, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mp.Makespan(kids[i%len(kids)]); err != nil {
 			b.Fatal(err)
 		}
 	}

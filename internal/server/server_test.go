@@ -16,6 +16,7 @@ import (
 
 	"emts/internal/dag"
 	"emts/internal/daggen"
+	"emts/internal/ea"
 	"emts/internal/envelope"
 	"emts/internal/model"
 	"emts/internal/platform"
@@ -357,13 +358,22 @@ func TestDeadlineCancellation(t *testing.T) {
 	}
 }
 
-// TestRequestDeadlineCancelsEA drives a real EMTS10 run against a deadline
-// far shorter than the optimization and requires the per-generation context
-// check to abort it: the request fails fast with 504 and the outcome counter
-// records the deadline.
+// TestRequestDeadlineCancelsEA drives a real EMTS10 run into its request's
+// deadline and requires the per-generation context check to abort it: the
+// request fails fast with 504 and the outcome counter records the deadline.
+// The run's generation observer waits for the request's context to end, so
+// the EA cannot finish inside the deadline however fast the host or the
+// engine is; the deadline, the EA's check and the outcome are the server's
+// own.
 func TestRequestDeadlineCancelsEA(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	g, err := daggen.FFT(32, daggen.DefaultCosts(), 1) // 192 tasks: EMTS10 takes well over 5ms
+	s.run = func(p *sim.Plan, ctx context.Context, g *dag.Graph, cluster platform.Cluster, tab *model.Table) (*sim.Report, error) {
+		held, params := *p, *p.Params
+		params.OnGeneration = func(ea.GenStats) { <-ctx.Done() }
+		held.Params = &params
+		return held.RunTable(ctx, g, cluster, tab)
+	}
+	g, err := daggen.FFT(32, daggen.DefaultCosts(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

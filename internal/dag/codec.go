@@ -2,7 +2,6 @@ package dag
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -63,7 +62,7 @@ type fileTask struct {
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	b := make([]byte, 0, 48+96*len(g.tasks)+16*g.edges)
 	b = append(b, `{"name":`...)
-	b = appendJSONString(b, g.name)
+	b = AppendJSONString(b, g.name)
 	b = append(b, `,"tasks":[`...)
 	for i, t := range g.tasks {
 		if i > 0 {
@@ -72,7 +71,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		b = append(b, '{')
 		if t.Name != "" {
 			b = append(b, `"name":`...)
-			b = appendJSONString(b, t.Name)
+			b = AppendJSONString(b, t.Name)
 			b = append(b, ',')
 		}
 		for _, f := range [3]float64{t.Flops, t.Alpha, t.Data} {
@@ -81,12 +80,12 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 			}
 		}
 		b = append(b, `"flops":`...)
-		b = appendJSONFloat(b, t.Flops)
+		b = AppendJSONFloat(b, t.Flops)
 		b = append(b, `,"alpha":`...)
-		b = appendJSONFloat(b, t.Alpha)
+		b = AppendJSONFloat(b, t.Alpha)
 		if t.Data != 0 {
 			b = append(b, `,"data":`...)
-			b = appendJSONFloat(b, t.Data)
+			b = AppendJSONFloat(b, t.Data)
 		}
 		b = append(b, '}')
 	}
@@ -109,10 +108,11 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendJSONFloat appends the finite f as encoding/json encodes a float64:
+// AppendJSONFloat appends the finite f as encoding/json encodes a float64:
 // the shortest representation, in exponent form below 1e-6 and from 1e21
-// on, with the exponent unpadded.
-func appendJSONFloat(b []byte, f float64) []byte {
+// on, with the exponent unpadded. MarshalJSON and emts-serve's response
+// encoder write their floats with it.
+func AppendJSONFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -128,10 +128,11 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// appendJSONString appends s quoted as json.Marshal quotes a string: <, >
+// AppendJSONString appends s quoted as json.Marshal quotes a string: <, >
 // and & escaped for HTML, control characters escaped, invalid UTF-8 replaced
-// by U+FFFD, and U+2028 and U+2029 escaped.
-func appendJSONString(b []byte, s string) []byte {
+// by U+FFFD, and U+2028 and U+2029 escaped. MarshalJSON and emts-serve's
+// response encoder write their strings with it.
+func AppendJSONString(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
@@ -205,16 +206,32 @@ func Read(r io.Reader) (*Graph, error) {
 // same strict untrusted-input validation as Read. A PTG in the plain subset
 // of JSON that the Scanner reads, such as MarshalJSON's output, is decoded
 // in one pass; any other input goes through encoding/json, which alone
-// decides whether it is accepted and with which error.
+// decides whether it is accepted and with which error. Either way newGraph
+// validates the decoded tasks and edges and builds the Graph from them.
 func UnmarshalGraph(data []byte) (*Graph, error) {
-	fg, ok := scanGraph(data)
+	name, tasks, edges, ok := scanGraph(data)
 	if !ok {
-		fg = fileGraph{}
+		var fg fileGraph
 		if err := json.Unmarshal(data, &fg); err != nil {
 			return nil, fmt.Errorf("dag: decoding PTG: %w", err)
 		}
+		name, tasks, edges = fg.content()
 	}
-	return fromFileGraph(fg)
+	return newGraph(name, tasks, edges)
+}
+
+// content returns what newGraph takes: the name, the tasks, and the edges'
+// endpoints in pairs.
+func (fg *fileGraph) content() (name string, tasks []Task, edges []int) {
+	tasks = make([]Task, len(fg.Tasks))
+	for i, t := range fg.Tasks {
+		tasks[i] = Task{Name: t.Name, Flops: t.Flops, Alpha: t.Alpha, Data: t.Data}
+	}
+	edges = make([]int, 0, 2*len(fg.Edges))
+	for _, e := range fg.Edges {
+		edges = append(edges, e[0], e[1])
+	}
+	return fg.Name, tasks, edges
 }
 
 // Keys of the PTG file format, for Scanner.Fields.
@@ -223,15 +240,16 @@ var (
 	taskFields  = []string{"name", "flops", "alpha", "data"}
 )
 
-// scanGraph decodes data with a Scanner into the file structure that
-// json.Unmarshal would produce. It reports false, and the caller falls back
-// to encoding/json, when data leaves the Scanner's subset or has a key that
-// is not a field name spelled exactly, a repeated key or an edge that is
-// not a pair: encoding/json matches keys case-insensitively, ignores unknown
+// scanGraph decodes data with a Scanner into what json.Unmarshal would
+// decode into the file structure: the name, the tasks, and the edges'
+// endpoints in pairs. It reports false, and the caller falls back to
+// encoding/json, when data leaves the Scanner's subset or has a key that is
+// not a field name spelled exactly, a repeated key or an edge that is not a
+// pair: encoding/json matches keys case-insensitively, ignores unknown
 // ones, keeps the last of repeated ones, and truncates or pads edges.
-func scanGraph(data []byte) (fg fileGraph, ok bool) {
+func scanGraph(data []byte) (name string, tasks []Task, edges []int, ok bool) {
 	s := NewScanner(data)
-	var t fileTask
+	var t Task
 	task := func(name string) bool {
 		var ok bool
 		switch name {
@@ -246,56 +264,51 @@ func scanGraph(data []byte) (fg fileGraph, ok bool) {
 		}
 		return ok
 	}
-	var (
-		e [2]int
-		n int // endpoints read into e
-	)
+	n := 0 // endpoints read of the current edge
 	endpoint := func() bool {
-		var ok bool
-		if n < len(e) {
-			e[n], ok = s.Int()
+		v, ok := s.Int()
+		if n++; n > 2 {
+			return false
 		}
-		n++
+		edges = append(edges, v)
 		return ok
 	}
-	ok = s.Fields(graphFields, func(name string) bool {
-		switch name {
+	ok = s.Fields(graphFields, func(field string) bool {
+		switch field {
 		case "name":
 			var ok bool
-			fg.Name, ok = s.String()
+			name, ok = s.String()
 			return ok
 		case "tasks":
-			fg.Tasks = []fileTask{}
 			return s.Array(func() bool {
-				t = fileTask{}
+				t = Task{}
 				if !s.Fields(taskFields, task) {
 					return false
 				}
-				fg.Tasks = append(fg.Tasks, t)
+				tasks = append(tasks, t)
 				return true
 			})
 		default: // "edges"
-			fg.Edges = [][2]int{}
 			return s.Array(func() bool {
 				n = 0
-				if !s.Array(endpoint) || n != len(e) {
-					return false
-				}
-				fg.Edges = append(fg.Edges, e)
-				return true
+				return s.Array(endpoint) && n == 2
 			})
 		}
 	})
-	return fg, ok && s.End()
+	return name, tasks, edges, ok && s.End()
 }
 
-// fromFileGraph validates the decoded file structure field by field before
-// handing it to the Builder, so every rejection carries a JSON path. The
-// Builder re-checks some of the invariants (defense in depth for programmatic
-// construction), but its errors do not name file fields.
-func fromFileGraph(fg fileGraph) (*Graph, error) {
-	n := len(fg.Tasks)
-	for i, t := range fg.Tasks {
+// newGraph validates decoded PTG content field by field, so every rejection
+// carries a JSON path, and builds the Graph from it: tasks become its task
+// list, and edges holds the edges' endpoints in pairs. The tasks are checked
+// in order, then the edges, and the first failing field is reported: an
+// endpoint out of range, a self-loop, or a repeat of an earlier edge. Both
+// adjacency directions are built by counting sort, which also brings
+// repeated edges together, so no per-edge set is kept.
+func newGraph(name string, tasks []Task, edges []int) (*Graph, error) {
+	n := len(tasks)
+	for i := range tasks {
+		t := &tasks[i]
 		switch {
 		case math.IsNaN(t.Flops) || math.IsInf(t.Flops, 0):
 			return nil, decodeErrorf(nil, fmt.Sprintf("tasks[%d].flops", i), "non-finite value %g", t.Flops)
@@ -310,33 +323,86 @@ func fromFileGraph(fg fileGraph) (*Graph, error) {
 		case t.Data < 0:
 			return nil, decodeErrorf(nil, fmt.Sprintf("tasks[%d].data", i), "negative value %g", t.Data)
 		}
+		t.ID = TaskID(i)
 	}
-	seen := make(map[[2]int]bool, len(fg.Edges))
-	for i, e := range fg.Edges {
-		switch {
-		case e[0] < 0 || e[0] >= n:
-			return nil, decodeErrorf(nil, fmt.Sprintf("edges[%d]", i), "source %d out of range (have %d tasks)", e[0], n)
-		case e[1] < 0 || e[1] >= n:
-			return nil, decodeErrorf(nil, fmt.Sprintf("edges[%d]", i), "destination %d out of range (have %d tasks)", e[1], n)
-		case e[0] == e[1]:
-			return nil, decodeErrorf(nil, fmt.Sprintf("edges[%d]", i), "self-loop on task %d", e[0])
-		case seen[e]:
-			return nil, decodeErrorf(nil, fmt.Sprintf("edges[%d]", i), "duplicate edge (%d,%d)", e[0], e[1])
+	// m is the number of edges before the first one with an endpoint out of
+	// range or a self-loop: only those can be reported as repeats.
+	m := len(edges) / 2
+	for i := 0; i < m; i++ {
+		if src, dst := edges[2*i], edges[2*i+1]; src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
+			m = i
+			break
 		}
-		seen[e] = true
 	}
-	b := NewBuilder(fg.Name)
-	for _, t := range fg.Tasks {
-		b.AddTask(Task{Name: t.Name, Flops: t.Flops, Alpha: t.Alpha, Data: t.Data})
+	g := &Graph{name: name, tasks: tasks, edges: m}
+	off := make([]int32, 2*(n+1))
+	g.succOff, g.predOff = off[:n+1:n+1], off[n+1:]
+	for i := 0; i < m; i++ {
+		g.succOff[edges[2*i]+1]++
+		g.predOff[edges[2*i+1]+1]++
 	}
-	for _, e := range fg.Edges {
-		b.AddEdge(TaskID(e[0]), TaskID(e[1]))
+	for v := 0; v < n; v++ {
+		g.succOff[v+1] += g.succOff[v]
+		g.predOff[v+1] += g.predOff[v]
 	}
-	g, err := b.Build()
-	if errors.Is(err, ErrCycle) {
+	// Edge indices, sorted stably by destination into byDst and then by
+	// source into bySrc: bySrc is in (source, destination) order, with
+	// repeats of one edge together in input order.
+	scratch := make([]int32, n+2*m)
+	next, byDst, bySrc := scratch[:n], scratch[n:n+m], scratch[n+m:]
+	copy(next, g.predOff)
+	for i := 0; i < m; i++ {
+		dst := edges[2*i+1]
+		byDst[next[dst]] = int32(i)
+		next[dst]++
+	}
+	copy(next, g.succOff)
+	for _, i := range byDst {
+		src := edges[2*i]
+		bySrc[next[src]] = i
+		next[src]++
+	}
+	// The first repeat is the smallest index that follows an equal edge.
+	dup := m
+	for k := 1; k < m; k++ {
+		i, prev := bySrc[k], bySrc[k-1]
+		if int(i) < dup && edges[2*i] == edges[2*prev] && edges[2*i+1] == edges[2*prev+1] {
+			dup = int(i)
+		}
+	}
+	if dup < m {
+		return nil, decodeErrorf(nil, fmt.Sprintf("edges[%d]", dup), "duplicate edge (%d,%d)", edges[2*dup], edges[2*dup+1])
+	}
+	if m < len(edges)/2 {
+		field := fmt.Sprintf("edges[%d]", m)
+		switch src, dst := edges[2*m], edges[2*m+1]; {
+		case src < 0 || src >= n:
+			return nil, decodeErrorf(nil, field, "source %d out of range (have %d tasks)", src, n)
+		case dst < 0 || dst >= n:
+			return nil, decodeErrorf(nil, field, "destination %d out of range (have %d tasks)", dst, n)
+		default:
+			return nil, decodeErrorf(nil, field, "self-loop on task %d", src)
+		}
+	}
+	adj := make([]TaskID, 2*m)
+	g.succAdj, g.predAdj = adj[:m:m], adj[m:]
+	copy(next, g.predOff)
+	for k, i := range bySrc {
+		src, dst := edges[2*i], edges[2*i+1]
+		g.succAdj[k] = TaskID(dst)
+		g.predAdj[next[dst]] = TaskID(src)
+		next[dst]++
+	}
+	g.indeg = make([]int, n)
+	for v := range g.indeg {
+		g.indeg[v] = int(g.predOff[v+1] - g.predOff[v])
+	}
+	topo, err := g.computeTopo()
+	if err != nil {
 		return nil, decodeErrorf(ErrCycle, "edges", "graph contains a cycle")
 	}
-	return g, err
+	g.topo = topo
+	return g, nil
 }
 
 // DOT renders the graph in Graphviz DOT syntax. Node labels show the task name

@@ -312,7 +312,7 @@ func (g *Graph) computeTopo() ([]TaskID, error) {
 		indeg[i] = int(g.predOff[i+1] - g.predOff[i])
 	}
 	// Min-heap over task IDs keeps the order deterministic and stable.
-	h := &idHeap{}
+	h := &idHeap{a: make([]TaskID, 0, n)}
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			h.push(TaskID(i))

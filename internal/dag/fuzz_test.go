@@ -8,7 +8,9 @@ import (
 
 // FuzzRead checks that arbitrary input to the JSON PTG reader either fails
 // cleanly or produces a graph that satisfies the package invariants (valid
-// topological order, consistent adjacency) and round-trips.
+// topological order, consistent adjacency) and round-trips, and that the
+// decode builds the Graph the reference decode builds, or fails with its
+// error.
 func FuzzRead(f *testing.F) {
 	f.Add(`{"name":"g","tasks":[{"flops":1},{"flops":2}],"edges":[[0,1]]}`)
 	f.Add(`{"tasks":[],"edges":[]}`)
@@ -16,6 +18,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(`not json at all`)
 	f.Add(`{"tasks":[{"flops":-5}]}`)
 	f.Fuzz(func(t *testing.T, src string) {
+		checkMatchesReference(t, []byte(src))
 		g, err := Read(strings.NewReader(src))
 		if err != nil {
 			return

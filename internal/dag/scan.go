@@ -30,16 +30,14 @@ type Scanner struct {
 // NewScanner returns a Scanner positioned at the start of data.
 func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
 
-// space skips JSON whitespace.
+// space skips JSON whitespace. Like digits and plain, it scans with the
+// position in a local, which the compiler keeps in a register.
 func (s *Scanner) space() {
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
+	data, i := s.data, s.pos
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
 	}
+	s.pos = i
 }
 
 // consume skips whitespace and then c, if c is next.
@@ -148,15 +146,14 @@ func (s *Scanner) plain() ([]byte, bool) {
 		return nil, false
 	}
 	start := s.pos
-	for s.pos < len(s.data) {
-		switch c := s.data[s.pos]; {
+	for i := start; i < len(s.data); i++ {
+		switch c := s.data[i]; {
 		case c == '"':
-			s.pos++
-			return s.data[start : s.pos-1], true
+			s.pos = i + 1
+			return s.data[start:i], true
 		case c < 0x20 || c > 0x7e || c == '\\':
 			return nil, false
 		}
-		s.pos++
 	}
 	return nil, false
 }
@@ -203,11 +200,12 @@ func (s *Scanner) accept(c byte) bool {
 
 // digits consumes a run of decimal digits and returns its length.
 func (s *Scanner) digits() int {
-	start := s.pos
-	for s.pos < len(s.data) && '0' <= s.data[s.pos] && s.data[s.pos] <= '9' {
-		s.pos++
+	data, start, i := s.data, s.pos, s.pos
+	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
+		i++
 	}
-	return s.pos - start
+	s.pos = i
+	return i - start
 }
 
 // Float reads a number as encoding/json decodes it into a float64:
@@ -239,26 +237,62 @@ func (s *Scanner) Int() (int, bool) {
 }
 
 // Skip reads one value of the subset (object, array, string or number)
-// without decoding it and returns its bytes, which alias the input.
+// without decoding it and returns its bytes, which alias the input. It
+// accepts exactly what object, Array, plain and number accept, nesting
+// bound included, but walks the value in one loop that keeps the closing
+// bracket of every open container on a stack, so it makes no call per
+// member or element.
 func (s *Scanner) Skip() ([]byte, bool) {
-	c := s.peek()
+	s.space()
 	start := s.pos
-	var ok bool
-	switch c {
-	case '{':
-		ok = s.object(func([]byte) bool { return s.skip() })
-	case '[':
-		ok = s.Array(s.skip)
-	case '"':
-		_, ok = s.plain()
-	default:
-		_, _, ok = s.number()
+	var open [maxScanDepth]byte // closing brackets of the open containers
+	n := 0
+	for {
+		// A value starts here.
+		switch c := s.peek(); c {
+		case '{', '[':
+			if s.depth+n == maxScanDepth {
+				return nil, false
+			}
+			s.pos++
+			closing := byte(']')
+			if c == '{' {
+				closing = '}'
+			}
+			if s.consume(closing) {
+				break // empty; the value is complete
+			}
+			open[n] = closing
+			n++
+			if c == '{' && !s.key() {
+				return nil, false
+			}
+			continue
+		case '"':
+			if _, ok := s.plain(); !ok {
+				return nil, false
+			}
+		default:
+			if _, _, ok := s.number(); !ok {
+				return nil, false
+			}
+		}
+		// A value ended: close what it completes, then expect the next
+		// member or element.
+		for n > 0 && s.consume(open[n-1]) {
+			n--
+		}
+		if n == 0 {
+			return s.data[start:s.pos], true
+		}
+		if !s.consume(',') || (open[n-1] == '}' && !s.key()) {
+			return nil, false
+		}
 	}
-	return s.data[start:s.pos], ok
 }
 
-// skip is Skip without the bytes.
-func (s *Scanner) skip() bool {
-	_, ok := s.Skip()
-	return ok
+// key reads an object key and its colon.
+func (s *Scanner) key() bool {
+	_, ok := s.plain()
+	return ok && s.consume(':')
 }

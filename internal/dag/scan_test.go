@@ -5,30 +5,46 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// sameFileGraph reports whether two decoded PTGs are identical, float bits
-// included (so -0 and 0 differ).
-func sameFileGraph(a, b fileGraph) bool {
-	if a.Name != b.Name || len(a.Tasks) != len(b.Tasks) || len(a.Edges) != len(b.Edges) ||
-		(a.Tasks == nil) != (b.Tasks == nil) || (a.Edges == nil) != (b.Edges == nil) {
+// sameContent reports whether scanGraph's result is what encoding/json
+// decoded into the file structure, float bits included (so -0 and 0
+// differ).
+func sameContent(name string, tasks []Task, edges []int, fg fileGraph) bool {
+	refName, refTasks, refEdges := fg.content()
+	if name != refName || len(tasks) != len(refTasks) || !slices.Equal(edges, refEdges) {
 		return false
 	}
-	for i, t := range a.Tasks {
-		u := b.Tasks[i]
+	for i, t := range tasks {
+		u := refTasks[i]
 		if t.Name != u.Name || math.Float64bits(t.Flops) != math.Float64bits(u.Flops) ||
 			math.Float64bits(t.Alpha) != math.Float64bits(u.Alpha) || math.Float64bits(t.Data) != math.Float64bits(u.Data) {
 			return false
 		}
 	}
-	for i, e := range a.Edges {
-		if e != b.Edges[i] {
-			return false
-		}
-	}
 	return true
+}
+
+// referenceSkip is Skip as it was written before it became one loop: the
+// recursive descent through object and Array.
+func referenceSkip(s *Scanner) ([]byte, bool) {
+	c := s.peek()
+	start := s.pos
+	var ok bool
+	switch c {
+	case '{':
+		ok = s.object(func([]byte) bool { _, ok := referenceSkip(s); return ok })
+	case '[':
+		ok = s.Array(func() bool { _, ok := referenceSkip(s); return ok })
+	case '"':
+		_, ok = s.plain()
+	default:
+		_, _, ok = s.number()
+	}
+	return s.data[start:s.pos], ok
 }
 
 // referenceJSON is the canonical encoding as encoding/json produces it from
@@ -46,8 +62,12 @@ func referenceJSON(g *Graph) ([]byte, error) {
 
 // FuzzScannerMatchesJSON is the differential check of the PTG fast path:
 // whenever scanGraph accepts an input, encoding/json accepts it too and
-// decodes the identical file structure, and for every graph UnmarshalGraph
-// accepts, MarshalJSON equals encoding/json's encoding of it.
+// decodes the identical file structure; UnmarshalGraph builds the Graph the
+// reference decode (encoding/json, fromFileGraph and the Builder) builds,
+// or fails with its error; for every graph UnmarshalGraph accepts,
+// MarshalJSON equals encoding/json's encoding of it; and Skip accepts the
+// input, at every nesting depth a caller can start it from, exactly when
+// the recursive reference does, with the same bytes.
 func FuzzScannerMatchesJSON(f *testing.F) {
 	f.Add(`{"name":"g","tasks":[{"name":"a","flops":1e9,"alpha":0.25},{"flops":2,"data":8}],"edges":[[0,1]]}`)
 	f.Add(`{ "edges" : [ [1,0] ] , "tasks" : [ {"data":1E+2,"alpha":-0,"flops":-0.5e-3} , {"flops":1e21} ] }`)
@@ -59,16 +79,26 @@ func FuzzScannerMatchesJSON(f *testing.F) {
 	f.Add(`{"tasks":[{"flops":1}],"edges":null,"x":[{"y":"z"}]}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		data := []byte(src)
-		fg, ok := scanGraph(data)
+		name, tasks, edges, ok := scanGraph(data)
 		if ok {
 			var ref fileGraph
 			if err := json.Unmarshal(data, &ref); err != nil {
 				t.Fatalf("scanner accepted what encoding/json rejects: %v", err)
 			}
-			if !sameFileGraph(fg, ref) {
-				t.Fatalf("scanner decoded %+v, encoding/json %+v", fg, ref)
+			if !sameContent(name, tasks, edges, ref) {
+				t.Fatalf("scanner decoded %q %+v %v, encoding/json %+v", name, tasks, edges, ref)
 			}
 		}
+		for _, depth := range []int{0, 1, maxScanDepth - 2, maxScanDepth} {
+			s, ref := NewScanner(data), NewScanner(data)
+			s.depth, ref.depth = depth, depth
+			got, ok := s.Skip()
+			want, refOK := referenceSkip(ref)
+			if ok != refOK || (ok && (!bytes.Equal(got, want) || s.pos != ref.pos || s.depth != depth)) {
+				t.Fatalf("depth %d: Skip = %q, %v; reference %q, %v", depth, got, ok, want, refOK)
+			}
+		}
+		checkMatchesReference(t, data)
 		g, err := UnmarshalGraph(data)
 		if err != nil {
 			return
@@ -86,7 +116,7 @@ func FuzzScannerMatchesJSON(f *testing.F) {
 		}
 		// An edgeless graph encodes "edges":null, which is outside the
 		// subset; every other canonical encoding with plain names is in it.
-		if _, ok := scanGraph(got); !ok && g.NumEdges() > 0 && isPlainASCII(g) {
+		if _, _, _, ok := scanGraph(got); !ok && g.NumEdges() > 0 && isPlainASCII(g) {
 			t.Fatalf("scanner rejects the canonical encoding %s", got)
 		}
 	})
@@ -153,7 +183,7 @@ func TestMarshalJSONMatchesEncodingJSON(t *testing.T) {
 		if want, _ := referenceJSON(g); !bytes.Equal(got, want) {
 			t.Fatalf("random graph %d: MarshalJSON differs from encoding/json", i)
 		}
-		fg, ok := scanGraph(got)
+		name, tasks, edges, ok := scanGraph(got)
 		if g.NumEdges() == 0 {
 			continue // "edges":null is outside the subset
 		}
@@ -161,9 +191,10 @@ func TestMarshalJSONMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("random graph %d: scanner rejects %s", i, got)
 		}
 		var ref fileGraph
-		if err := json.Unmarshal(got, &ref); err != nil || !sameFileGraph(fg, ref) {
+		if err := json.Unmarshal(got, &ref); err != nil || !sameContent(name, tasks, edges, ref) {
 			t.Fatalf("random graph %d: scanner and encoding/json disagree (%v)", i, err)
 		}
+		checkMatchesReference(t, got)
 	}
 }
 

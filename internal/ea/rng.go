@@ -1,21 +1,24 @@
 package ea
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // Rand is a random stream: the values of rand.NewSource(seed), drawn without
 // a call. Each island of a run draws from its own (newIslandRNG), and every
 // mutation operator draws from the stream it is handed (Mutator.Mutate).
 //
 // That source is an additive lagged Fibonacci generator: each value is the
-// sum, mod 2⁶⁴, of the values 607 and 273 draws back. So after reading the
-// source's first 607 values, the stream holds its whole state, and
-// continuing the recurrence here yields every later value too. Each draw
-// method returns exactly what the same-named *rand.Rand method returns on
-// rand.NewSource(seed), and consumes the same values
-// (TestIslandRNGMatchesRand); the step is small enough to inline, which the
-// source's interface call is not. math/rand keeps the values of a seeded
-// source unchanged across Go releases, and the recurrence is a property of
-// those values, so it holds as long as they do.
+// sum, mod 2⁶⁴, of the values 607 and 273 draws back, over a lag table that
+// seeding fills (Seed). So a Rand seeds the same table and continues the
+// same recurrence. Each draw method returns exactly what the same-named
+// *rand.Rand method returns on rand.NewSource(seed), and consumes the same
+// values (TestIslandRNGMatchesRand); the step is small enough to inline,
+// which the source's interface call is not. math/rand keeps the values of a
+// seeded source unchanged across Go releases, and its seeding and
+// recurrence are properties of those values, so this holds as long as they
+// do.
 //
 // Rand is itself a rand.Source64, and std is a *rand.Rand over it, from
 // which NormFloat64's rare slow cases draw.
@@ -25,7 +28,6 @@ type Rand struct {
 	// the value rngTap places further on.
 	vec  [rngLen]uint64
 	feed int
-	src  rand.Source64 // rand.NewSource(seed), read at construction and by Seed
 	std  *rand.Rand
 
 	// perm is the mutation operators' position buffer: the identity of
@@ -42,15 +44,85 @@ const (
 	rngMask = 1<<63 - 1
 )
 
-// load sets the recurrence state to the one before the source's next value.
-// It reads the source's next rngLen values u_0..u_606. The source writes u_t
-// at place (333 − t) mod 607 (before any draw feed is rngLen − rngTap = 334),
-// adding the value at place (606 − t) mod 607: the state's own value there
-// for t < 273, u_{t−273} after. Solving those sums for the state gives it.
-func (r *Rand) load() {
+// Seed implements rand.Source: it sets the state rand.NewSource(seed)
+// starts from, as math/rand's source seeds itself. The seed, reduced mod
+// 2³¹−1 (0 becomes 89482311), starts a MINSTD sequence x ← 48271·x mod
+// (2³¹−1); after 20 steps, each place of the lag table takes the next three
+// values, shifted left by 40, 20 and 0 bits and XORed, XORed with the
+// source's fixed value for that place (cooked). A Rand comes from
+// newIslandRNG, which derives cooked before it seeds.
+func (r *Rand) Seed(seed int64) {
+	r.minstd(seed)
+	for i := range r.vec {
+		r.vec[i] ^= cooked[i]
+	}
+	r.feed = rngLen - rngTap
+}
+
+// minstd fills the lag table with the MINSTD part of Seed's values.
+func (r *Rand) minstd(seed int64) {
+	const m = 1<<31 - 1
+	seed %= m
+	if seed < 0 {
+		seed += m
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := uint64(seed)
+	for i := 0; i < 20; i++ {
+		x = minstdStep(x)
+	}
+	for i := range r.vec {
+		a := minstdStep(x)
+		b := minstdStep(a)
+		x = minstdStep(b)
+		r.vec[i] = a<<40 ^ b<<20 ^ x
+	}
+}
+
+// minstdStep returns 48271·x mod (2³¹−1) for x in [1, 2³¹−1), folding the
+// product's high bits onto its low ones (2³¹ ≡ 1) instead of dividing.
+func minstdStep(x uint64) uint64 {
+	const m = 1<<31 - 1
+	p := x * 48271
+	x = p&m + p>>31
+	if x >= m {
+		x -= m
+	}
+	return x
+}
+
+// cooked holds math/rand's fixed values of the lag table's places, which
+// its source XORs into the MINSTD values when it seeds. cook derives them
+// once from the source's own output, so that no copy of the table is kept
+// here.
+var (
+	cookOnce sync.Once
+	cooked   [rngLen]uint64
+)
+
+// cook derives cooked from src, a source seeded with 1 and not yet read:
+// load solves its first values for the lag table it started from, and
+// removing the MINSTD part of seed 1 leaves the fixed values.
+func cook(src rand.Source64) {
+	var seeded, plain Rand
+	seeded.load(src)
+	plain.minstd(1)
+	for i := range cooked {
+		cooked[i] = seeded.vec[i] ^ plain.vec[i]
+	}
+}
+
+// load sets the recurrence state to the one before src's next value. It
+// reads src's next rngLen values u_0..u_606. The source writes u_t at place
+// (333 − t) mod 607 (before any draw feed is rngLen − rngTap = 334), adding
+// the value at place (606 − t) mod 607: the state's own value there for
+// t < 273, u_{t−273} after. Solving those sums for the state gives it.
+func (r *Rand) load(src rand.Source64) {
 	var u [rngLen]uint64
 	for t := range u {
-		u[t] = r.src.Uint64()
+		u[t] = src.Uint64()
 	}
 	at := func(t int) int { return ((rngLen-rngTap-1-t)%rngLen + rngLen) % rngLen }
 	for t := rngTap; t < rngLen; t++ {
@@ -99,13 +171,6 @@ func (r *Rand) Uint64() uint64 {
 //
 //schedlint:hotpath
 func (r *Rand) Int63() int64 { return int64(r.Uint64() & rngMask) }
-
-// Seed implements rand.Source: it reseeds the source and reloads the state
-// from it.
-func (r *Rand) Seed(seed int64) {
-	r.src.Seed(seed)
-	r.load()
-}
 
 // int31 is rand.Rand.Int31.
 //

@@ -78,16 +78,21 @@ func TestIslandRNGMatchesRand(t *testing.T) {
 
 // TestIslandRNGSeed: reseeding through the island's std restarts the stream
 // as a fresh rand.NewSource of that seed would.
+// The seeds include the edges of Seed's reduction mod 2³¹−1: seeds that
+// reduce to 0, which math/rand replaces, and the extremes of int64.
 func TestIslandRNGSeed(t *testing.T) {
-	r := newIslandRNG(1, 0)
-	for i := 0; i < 1000; i++ {
-		r.Uint64()
-	}
-	r.std.Seed(99)
-	want := rand.New(rand.NewSource(99))
-	for i := 0; i < 2000; i++ {
-		if g, w := r.Int63(), want.Int63(); g != w {
-			t.Fatalf("draw %d after Seed: %d, rand %d", i, g, w)
+	const m = 1<<31 - 1
+	for _, seed := range []int64{99, 0, 1, -1, m, -m, 2 * m, m - 1, m + 1, 89482311, math.MinInt64, math.MaxInt64} {
+		r := newIslandRNG(1, 0)
+		for i := 0; i < 1000; i++ {
+			r.Uint64()
+		}
+		r.std.Seed(seed)
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			if g, w := r.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d, draw %d after Seed: %d, rand %d", seed, i, g, w)
+			}
 		}
 	}
 }

@@ -3,7 +3,7 @@ package ea
 import "math/rand"
 
 // Island RNG derivation (DESIGN.md §17). Every island of a run owns a private
-// random stream, a Rand over rand.NewSource; the streams are
+// random stream, a Rand that draws rand.NewSource's values; the streams are
 // decorrelated by deriving each island's seed from the run seed with
 // splitmix64, the standard seed-spreading finalizer (Steele et al., "Fast
 // splittable pseudorandom number generators"). Island 0 keeps the raw run
@@ -44,11 +44,14 @@ func islandSeed(seed int64, idx int) int64 {
 	return int64(splitmix64(uint64(seed) + uint64(idx)*splitmix64GoldenGamma))
 }
 
-// newIslandRNG builds island idx's private generator. All math/rand
-// construction in this package must flow through here (schedlint islandrng).
+// newIslandRNG builds island idx's private generator, seeded as
+// rand.NewSource(islandSeed(seed, idx)) is. All math/rand construction in
+// this package must flow through here (schedlint islandrng): the one source
+// it builds, once per process, gives cook math/rand's fixed seeding values.
 func newIslandRNG(seed int64, idx int) *Rand {
-	r := &Rand{src: rand.NewSource(islandSeed(seed, idx)).(rand.Source64)}
-	r.load()
+	cookOnce.Do(func() { cook(rand.NewSource(1).(rand.Source64)) })
+	r := &Rand{}
+	r.Seed(islandSeed(seed, idx))
 	r.std = rand.New(r)
 	return r
 }

@@ -24,7 +24,9 @@ package intern
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
+	"hash"
 
 	"emts/internal/dag"
 	"emts/internal/model"
@@ -57,6 +59,20 @@ type GraphEntry struct {
 	// CanonKey is hex(SHA-256(Canon)): the canonical identity of the graph,
 	// independent of the submitted spelling. Table interning keys on it.
 	CanonKey string
+	// canonState is the SHA-256 state after Canon, in the hash's
+	// MarshalBinary form, from which KeyHash continues.
+	canonState []byte
+}
+
+// KeyHash returns a SHA-256 hash that has already been written Canon, so a
+// digest over Canon and a suffix hashes only the suffix.
+func (e *GraphEntry) KeyHash() hash.Hash {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(e.canonState); err != nil {
+		// The state came from the same hash's MarshalBinary.
+		panic("intern: restoring the canonical hash state: " + err.Error())
+	}
+	return h
 }
 
 // Graphs is a bounded LRU of decoded graphs keyed by the SHA-256 of the raw
@@ -103,8 +119,14 @@ func NewGraphEntry(raw []byte) (*GraphEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(canon)
-	return &GraphEntry{Graph: g, Canon: canon, CanonKey: hex.EncodeToString(sum[:])}, nil
+	h := sha256.New()
+	h.Write(canon)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	var sum [sha256.Size]byte
+	return &GraphEntry{Graph: g, Canon: canon, CanonKey: hex.EncodeToString(h.Sum(sum[:0])), canonState: state}, nil
 }
 
 // TableKey identifies an execution-time table: the canonical graph digest

@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"emts/internal/dag"
 	"emts/internal/model"
@@ -137,42 +137,48 @@ const timeEps = 1e-9
 // Validate performs a full correctness audit of the schedule against its
 // graph, the platform size, and (optionally) an execution-time table:
 //
-//  1. every task of g has exactly one entry, with Start >= 0, End >= Start;
+//  1. every task of g has exactly one entry, with finite Start >= 0 and
+//     finite End >= Start;
 //  2. every entry occupies between 1 and Procs distinct in-range processors;
 //  3. no processor executes two tasks at overlapping times (Section IV:
 //     "a processor only executes one task at a time");
 //  4. precedence constraints hold: a task starts no earlier than the end of
 //     each of its predecessors;
 //  5. if tab is non-nil, End - Start equals tab.Time(v, len(Procs)).
+//
+// The first violation is reported: entries in task order (checks 1, 2 and
+// 5 for each), then processors in order, then edges in (src, dst) order.
+// Validate allocates once, whatever the graph and the platform: a stamp per
+// processor, which finds a processor an entry lists twice; the entries
+// sorted by start time (end time, then task, among equal starts), whose
+// order is each processor's order; and the entry each processor ran last
+// in that order, which the next one there must not overlap.
 func (s *Schedule) Validate(g *dag.Graph, tab *model.Table) error {
-	if len(s.Entries) != g.NumTasks() {
-		return fmt.Errorf("schedule: %d entries for %d tasks", len(s.Entries), g.NumTasks())
+	n := len(s.Entries)
+	if n != g.NumTasks() {
+		return fmt.Errorf("schedule: %d entries for %d tasks", n, g.NumTasks())
 	}
-	type span struct {
-		start, end float64
-		task       dag.TaskID
-	}
-	perProc := make([][]span, s.Procs)
+	procs := max(s.Procs, 0)
+	scratch := make([]int32, n+2*procs)
+	order, stamp, last := scratch[:n], scratch[n:n+procs], scratch[n+procs:]
 	for i, e := range s.Entries {
 		if e.Task != dag.TaskID(i) {
 			return fmt.Errorf("schedule: entry %d holds task %d", i, e.Task)
 		}
-		if e.Start < 0 || e.End < e.Start {
+		if !(e.Start >= 0 && e.End >= e.Start && e.End <= math.MaxFloat64) {
 			return fmt.Errorf("schedule: task %d has invalid interval [%g, %g)", i, e.Start, e.End)
 		}
 		if len(e.Procs) < 1 || len(e.Procs) > s.Procs {
 			return fmt.Errorf("schedule: task %d uses %d processors, want 1..%d", i, len(e.Procs), s.Procs)
 		}
-		seen := make(map[int]bool, len(e.Procs))
 		for _, p := range e.Procs {
 			if p < 0 || p >= s.Procs {
 				return fmt.Errorf("schedule: task %d placed on processor %d, want 0..%d", i, p, s.Procs-1)
 			}
-			if seen[p] {
+			if stamp[p] == int32(i+1) {
 				return fmt.Errorf("schedule: task %d lists processor %d twice", i, p)
 			}
-			seen[p] = true
-			perProc[p] = append(perProc[p], span{e.Start, e.End, e.Task})
+			stamp[p] = int32(i + 1)
 		}
 		if tab != nil {
 			want := tab.Time(e.Task, len(e.Procs))
@@ -182,22 +188,49 @@ func (s *Schedule) Validate(g *dag.Graph, tab *model.Table) error {
 					i, got, want, len(e.Procs))
 			}
 		}
+		order[i] = int32(i)
 	}
-	for p, spans := range perProc {
-		sort.Slice(spans, func(a, b int) bool { return spans[a].start < spans[b].start })
-		for k := 1; k < len(spans); k++ {
-			prev, cur := spans[k-1], spans[k]
-			if cur.start < prev.end-absEps(prev.end) {
-				return fmt.Errorf("schedule: processor %d runs task %d [%g,%g) and task %d [%g,%g) concurrently",
-					p, prev.task, prev.start, prev.end, cur.task, cur.start, cur.end)
+	slices.SortFunc(order, func(a, b int32) int {
+		ea, eb := &s.Entries[a], &s.Entries[b]
+		switch {
+		case ea.Start < eb.Start:
+			return -1
+		case ea.Start > eb.Start:
+			return 1
+		case ea.End < eb.End:
+			return -1
+		case ea.End > eb.End:
+			return 1
+		}
+		return int(a - b)
+	})
+	// Each processor's first overlap, in its order, is found when its later
+	// task comes up; the lowest processor's is reported.
+	for p := range last {
+		last[p] = -1
+	}
+	bad, prev, cur := procs, -1, -1
+	for _, i := range order {
+		e := &s.Entries[i]
+		for _, p := range e.Procs {
+			if k := last[p]; k >= 0 && p < bad && e.Start < s.Entries[k].End-absEps(s.Entries[k].End) {
+				bad, prev, cur = p, int(k), int(i)
 			}
+			last[p] = i
 		}
 	}
-	for _, e := range g.Edges() {
-		pred, succ := s.Entries[e.Src], s.Entries[e.Dst]
-		if succ.Start < pred.End-absEps(pred.End) {
-			return fmt.Errorf("schedule: task %d starts at %g before predecessor %d ends at %g",
-				e.Dst, succ.Start, e.Src, pred.End)
+	if bad < procs {
+		a, b := s.Entries[prev], s.Entries[cur]
+		return fmt.Errorf("schedule: processor %d runs task %d [%g,%g) and task %d [%g,%g) concurrently",
+			bad, a.Task, a.Start, a.End, b.Task, b.Start, b.End)
+	}
+	for src := range s.Entries {
+		pred := &s.Entries[src]
+		for _, dst := range g.Successors(dag.TaskID(src)) {
+			if succ := &s.Entries[dst]; succ.Start < pred.End-absEps(pred.End) {
+				return fmt.Errorf("schedule: task %d starts at %g before predecessor %d ends at %g",
+					dst, succ.Start, src, pred.End)
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -131,6 +132,30 @@ func TestValidateCatchesStructuralErrors(t *testing.T) {
 		mutate(s)
 		if err := s.Validate(g, nil); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsNonFiniteTimes: a NaN passes every comparison and an
+// infinite interval passes the duration check (its relative difference is
+// NaN), so two tasks on one processor with such times used to validate.
+func TestValidateRejectsNonFiniteTimes(t *testing.T) {
+	b := dag.NewBuilder("par")
+	b.AddTask(dag.Task{Flops: 1e9})
+	b.AddTask(dag.Task{Flops: 1e9})
+	g := b.MustBuild()
+	tab := model.MustTable(g, model.Amdahl{}, testCluster)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, iv := range [][2]float64{{nan, nan}, {inf, inf}, {0, nan}, {nan, 1}, {0, inf}, {math.Inf(-1), 0}} {
+		s := &Schedule{Graph: "par", Procs: 1, Entries: []Entry{
+			{Task: 0, Start: iv[0], End: iv[1], Procs: []int{0}},
+			{Task: 1, Start: iv[0], End: iv[1], Procs: []int{0}},
+		}}
+		for _, tab := range []*model.Table{nil, tab} {
+			err := s.Validate(g, tab)
+			if err == nil || !strings.Contains(err.Error(), "task 0 has invalid interval") {
+				t.Errorf("interval [%g, %g), table %v: error %v, want task 0's invalid interval", iv[0], iv[1], tab != nil, err)
+			}
 		}
 	}
 }

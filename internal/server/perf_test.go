@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"emts/internal/daggen"
+	"emts/internal/intern"
+	"emts/internal/model"
 )
 
 // perfConfigs enumerates the cross-request performance layer's A/B corners:
@@ -182,16 +184,17 @@ func computeJob(t testing.TB, s *Server, body []byte) *job {
 	return &job{ctx: context.Background(), parsed: p}
 }
 
-// TestWarmRequestAllocations extends PR 1's zero-alloc regression to the full
-// server schedule path: once graph and table are interned, a repeat request
-// must allocate several times less than the everything-disabled
-// configuration. The workload is the repeat-structure benchmark shape (one
-// 300-task irregular PTG, many seeds), where the warm path skips JSON decode,
-// graph construction, and V×P table evaluation; what remains is the per-run
-// Mapper construction and EA state (population clones) plus the response
-// marshal, which both paths pay. The precise factor is recorded in
-// artifacts/BENCH_PR14.json; this floor is conservative so the test stays
-// green across toolchains.
+// TestWarmRequestAllocations pins what interning saves on the full server
+// schedule path: once graph and table are interned, a repeat request pays
+// none of the allocations of the decode, the graph build, the canonical
+// encoding and the V×P table evaluation that a request to a server without
+// interns pays. The workload is the repeat-structure benchmark shape (one
+// 300-task irregular PTG, many seeds). The two servers differ only in
+// interning, so the EA, the response marshal and the validation allocate
+// alike on both, and the cold request must allocate at least the saved work
+// more than the warm one; a server whose interns always missed would allocate
+// alike on both. A ratio of the two counts would not pin this: it moves with
+// whatever the rest of a request allocates.
 func TestWarmRequestAllocations(t *testing.T) {
 	g, err := daggen.Random(daggen.RandomConfig{
 		N: 300, Width: 0.5, Regularity: 0.8, Density: 0.5, Jump: 1,
@@ -206,7 +209,7 @@ func TestWarmRequestAllocations(t *testing.T) {
 	body := []byte(fmt.Sprintf(
 		`{"graph":%s,"cluster":{"preset":"chti"},"algorithm":"emts5","seed":11}`, raw))
 
-	warmSrv := New(Config{Workers: 1, CacheEntries: -1})
+	warmSrv := New(Config{Workers: 1, CacheEntries: -1, DisableGovernor: true})
 	defer warmSrv.Shutdown(context.Background())
 	coldSrv := New(Config{Workers: 1, CacheEntries: -1,
 		GraphEntries: -1, TableEntries: -1, DisableGovernor: true})
@@ -225,8 +228,19 @@ func TestWarmRequestAllocations(t *testing.T) {
 	}
 	warm := measure(warmSrv)
 	cold := measure(coldSrv)
-	t.Logf("allocations per request: warm path %.0f, cold path %.0f (%.1fx)", warm, cold, cold/warm)
-	if warm*3 > cold {
-		t.Errorf("warm path allocates %.0f/request vs %.0f cold — want at least a 3x reduction", warm, cold)
+	p := computeJob(t, coldSrv, body).parsed
+	saved := testing.AllocsPerRun(10, func() {
+		entry, err := intern.NewGraphEntry(p.req.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := model.NewTable(entry.Graph, p.plan.Model, p.cluster); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per request: warm path %.0f, cold path %.0f; decode, build and table %.0f", warm, cold, saved)
+	if saved == 0 || cold-warm < saved {
+		t.Errorf("warm path allocates %.0f/request vs %.0f cold: it saves %.0f of the %.0f allocations of the decode, build and table",
+			warm, cold, cold-warm, saved)
 	}
 }

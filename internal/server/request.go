@@ -156,7 +156,7 @@ func validateScheduleRequest(req envelope.ScheduleRequest, maxTasks, maxIslands 
 		graph:         g,
 		cluster:       cluster,
 		plan:          plan,
-		key:           canonicalKey(entry.Canon, cluster, plan.ModelName, plan.Algorithm, req.Seed, req.Islands, req.MigrationInterval),
+		key:           canonicalKey(entry, cluster, plan.ModelName, plan.Algorithm, req.Seed, req.Islands, req.MigrationInterval),
 		graphKey:      entry.CanonKey,
 		graphInterned: hit,
 	}, nil
@@ -187,22 +187,31 @@ func resolveCluster(cs envelope.ClusterSpec) (platform.Cluster, error) {
 	return c, nil
 }
 
-// canonicalKey digests the semantic content of a request. canonGraph is the
-// graph's canonical MarshalJSON encoding (deterministic task and edge order,
-// cached by the intern), so two submissions that differ only in JSON
-// whitespace, field order, or float spelling of the same value stream map to
-// the same key. The digest layout is unchanged from the pre-intern code for
+// canonicalKey digests the semantic content of a request: the graph's
+// canonical MarshalJSON encoding (deterministic task and edge order, cached
+// by the intern with its hash state, so only what follows it is hashed
+// here), then the resolved cluster and the normalized run parameters, each
+// after a zero byte. Two submissions that differ only in JSON whitespace,
+// field order, or float spelling of the same value stream map to the same
+// key. The digest layout is unchanged from the pre-intern code for
 // single-population requests — the island parameters extend the digest ONLY
 // when islands > 1 (islands <= 1 is the classic run regardless of the
 // migration interval), so every pre-existing key stays byte-identical and the
 // response cache keys identically whether interning is on or off.
-func canonicalKey(canonGraph []byte, cluster platform.Cluster, model, algorithm string, seed int64, islands, migrationInterval int) string {
-	h := sha256.New()
-	h.Write(canonGraph)
-	fmt.Fprintf(h, "\x00%s\x00%d\x00%g\x00%s\x00%s\x00%s",
-		cluster.Name, cluster.Procs, cluster.SpeedGFlops, model, algorithm, strconv.FormatInt(seed, 10))
+func canonicalKey(graph *intern.GraphEntry, cluster platform.Cluster, model, algorithm string, seed int64, islands, migrationInterval int) string {
+	b := make([]byte, 0, 96+len(cluster.Name)+len(model)+len(algorithm))
+	b = append(append(b, 0), cluster.Name...)
+	b = strconv.AppendInt(append(b, 0), int64(cluster.Procs), 10)
+	b = strconv.AppendFloat(append(b, 0), cluster.SpeedGFlops, 'g', -1, 64)
+	b = append(append(b, 0), model...)
+	b = append(append(b, 0), algorithm...)
+	b = strconv.AppendInt(append(b, 0), seed, 10)
 	if islands > 1 {
-		fmt.Fprintf(h, "\x00islands\x00%d\x00%d", islands, migrationInterval)
+		b = strconv.AppendInt(append(b, "\x00islands\x00"...), int64(islands), 10)
+		b = strconv.AppendInt(append(b, 0), int64(migrationInterval), 10)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h := graph.KeyHash()
+	h.Write(b)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }

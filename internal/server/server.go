@@ -378,8 +378,11 @@ func (s *Server) worker() {
 		if j.started != nil {
 			j.started()
 		}
-		j.result <- s.compute(j)
+		res := s.compute(j)
+		// Leave the gauge before the handler can answer: a client that
+		// reads /metrics after its response must not count itself.
 		s.metrics.inflight.Add(-1)
+		j.result <- res
 	}
 }
 

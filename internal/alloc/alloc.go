@@ -21,7 +21,6 @@ package alloc
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"emts/internal/dag"
@@ -215,7 +214,7 @@ func (c *cpaLoop) fork(growable func(v dag.TaskID, s schedule.Allocation) bool, 
 }
 
 // bottomLevels keeps the bottom levels of a changing allocation equal, bit
-// for bit, to a full sweep of it (dag.Graph.BottomLevelsInto with
+// for bit, to a full sweep of it (dag.Graph.BottomLevels with
 // listsched.Cost), while recomputing only the tasks whose value can change:
 // the ones whose allocation changed, and the predecessors of a changed task
 // whose largest successor value it held or now exceeds.
@@ -330,52 +329,18 @@ func (CPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, error)
 
 // HCPA is the allocation procedure of Heterogeneous CPA (N'Takpé & Suter).
 // HCPA computes allocations on a virtual reference cluster and translates
-// them to each real cluster proportionally to processor speed. On a single
-// homogeneous cluster with the reference speed equal to the cluster speed the
-// translation is the identity and HCPA's allocation equals CPA's — which is
-// how the paper uses it.
-type HCPA struct {
-	// ReferenceSpeedGFlops is the speed of the virtual reference cluster's
-	// processors. Zero means "use the target cluster's speed" (identity
-	// translation, the paper's homogeneous setting).
-	ReferenceSpeedGFlops float64
-	// ClusterSpeedGFlops is the speed of the target cluster's processors,
-	// used for the translation. Zero means equal to the reference speed.
-	ClusterSpeedGFlops float64
-}
+// them to each real cluster in proportion to processor speed. On one
+// homogeneous cluster, the paper's setting, the reference cluster is that
+// cluster, the translation is the identity and HCPA's allocation is CPA's,
+// which is what Allocate returns.
+type HCPA struct{}
 
 // Name implements Allocator.
 func (HCPA) Name() string { return "hcpa" }
 
 // Allocate implements Allocator.
-func (h HCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, error) {
-	if err := checkInputs(g, tab); err != nil {
-		return nil, err
-	}
-	return h.translate(cpaCore(g, tab, nil, nil), tab.Procs()), nil
-}
-
-// translate turns the reference cluster's allocation s into the target
-// cluster's, in place.
-func (h HCPA) translate(s schedule.Allocation, procs int) schedule.Allocation {
-	ref, target := h.ReferenceSpeedGFlops, h.ClusterSpeedGFlops
-	//schedlint:allow floateq -- exact identity short-circuit on two configured speeds, not on computed values: translation is the identity iff they are bit-equal
-	if ref <= 0 || target <= 0 || ref == target {
-		return s
-	}
-	// Translate reference allocations to the target cluster: a task that got
-	// s_ref processors of speed ref needs ceil(s_ref·ref/target) processors
-	// of speed target to retain (at least) the same aggregate speed.
-	for i := range s {
-		s[i] = int(math.Ceil(float64(s[i]) * ref / target))
-		if s[i] < 1 {
-			s[i] = 1
-		}
-		if s[i] > procs {
-			s[i] = procs
-		}
-	}
-	return s
+func (HCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, error) {
+	return CPA{}.Allocate(g, tab)
 }
 
 // MCPA is the Modified CPA allocator of Bansal, Kumar & Singh: identical to
@@ -423,8 +388,8 @@ func (b *levelBound) onGrow(v dag.TaskID, _ schedule.Allocation) dag.TaskID {
 	return -1
 }
 
-// CPAPair returns MCPA{}'s and h's allocations, bit for bit, from one CPA
-// loop where the two agree.
+// CPAPair returns MCPA{}'s and HCPA{}'s allocations, bit for bit, from one
+// CPA loop where the two agree.
 //
 // MCPA's loop is CPA's with the level bound on the tasks that may grow. At a
 // step where CPA's pick passes the bound, MCPA picks the same task: it takes
@@ -435,11 +400,11 @@ func (b *levelBound) onGrow(v dag.TaskID, _ schedule.Allocation) dag.TaskID {
 // it copies the loop state and hands fork a function that runs the rest of
 // MCPA's loop from there, redoing that step under the bound, and returns
 // MCPA's allocation. That function may run on another goroutine, concurrently
-// with the rest of CPAPair, which finishes CPA's loop and returns h's
+// with the rest of CPAPair, which finishes CPA's loop and returns HCPA's
 // allocation with a nil mcpa. When the bound never excludes a pick, fork is
 // not called and mcpa is CPA's allocation. With a nil fork, CPAPair runs the
 // rest of MCPA's loop itself, after CPA's, and always returns both.
-func CPAPair(g *dag.Graph, tab *model.Table, h HCPA, fork func(mcpa func() schedule.Allocation)) (mcpa, hcpa schedule.Allocation, err error) {
+func CPAPair(g *dag.Graph, tab *model.Table, fork func(mcpa func() schedule.Allocation)) (mcpa, hcpa schedule.Allocation, err error) {
 	if err := checkInputs(g, tab); err != nil {
 		return nil, nil, err
 	}
@@ -472,7 +437,7 @@ func CPAPair(g *dag.Graph, tab *model.Table, h HCPA, fork func(mcpa func() sched
 	case fork == nil:
 		mcpa = rest()
 	}
-	return mcpa, h.translate(c.s, procs), nil
+	return mcpa, c.s, nil
 }
 
 // MCPA2 extends MCPA in the spirit of Hunold (CCGrid 2010): when a critical

@@ -180,24 +180,6 @@ func TestHCPAEqualsCPAOnHomogeneousCluster(t *testing.T) {
 	}
 }
 
-func TestHCPATranslatesReferenceAllocations(t *testing.T) {
-	g := fork(t, 5, 10e9)
-	tab := model.MustTable(g, model.Amdahl{}, testCluster)
-	// Reference processors twice as fast as the target: allocations double.
-	h := HCPA{ReferenceSpeedGFlops: 2, ClusterSpeedGFlops: 1}
-	ref, _ := CPA{}.Allocate(g, tab)
-	got, _ := h.Allocate(g, tab)
-	for i := range got {
-		want := 2 * ref[i]
-		if want > testCluster.Procs {
-			want = testCluster.Procs
-		}
-		if got[i] != want {
-			t.Fatalf("task %d: got %d, want %d (ref %d)", i, got[i], want, ref[i])
-		}
-	}
-}
-
 func TestMCPARespectsLevelBound(t *testing.T) {
 	g := fork(t, 8, 10e9)
 	tab := model.MustTable(g, model.Amdahl{}, testCluster)

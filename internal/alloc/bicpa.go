@@ -28,10 +28,6 @@ type BiCPA struct {
 	// Theta in [0, 1) weighs resource usage against makespan; 0 selects the
 	// pure-makespan candidate (default 0.5, an even tradeoff).
 	Theta float64
-	// Stride evaluates only every Stride-th cluster size (default 1). The
-	// mapping of a candidate costs O(E + V log V + V·K), K ≤ min(P, V+1);
-	// large platforms can trade optimality for speed.
-	Stride int
 }
 
 // Name implements Allocator.
@@ -75,13 +71,9 @@ func (b BiCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, er
 // Sweep generates the full candidate series (deduplicated by allocation
 // change) for q = 1..P. The first candidate is always the all-ones
 // allocation (q = 1).
-func (b BiCPA) Sweep(g *dag.Graph, tab *model.Table) ([]Candidate, error) {
+func (BiCPA) Sweep(g *dag.Graph, tab *model.Table) ([]Candidate, error) {
 	if err := checkInputs(g, tab); err != nil {
 		return nil, err
-	}
-	stride := b.Stride
-	if stride < 1 {
-		stride = 1
 	}
 	procs := tab.Procs()
 	c := newCPALoop(g, tab, nil, nil)
@@ -91,7 +83,7 @@ func (b BiCPA) Sweep(g *dag.Graph, tab *model.Table) ([]Candidate, error) {
 	}
 	var cands []Candidate
 	changedSinceLast := true // force the q=1 candidate
-	for q := 1; q <= procs; q += stride {
+	for q := 1; q <= procs; q++ {
 		if c.grow(q) {
 			changedSinceLast = true
 		}

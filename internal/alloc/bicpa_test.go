@@ -108,29 +108,6 @@ func TestBiCPATradeoffUsesLessWork(t *testing.T) {
 	}
 }
 
-func TestBiCPAStride(t *testing.T) {
-	g := fork(t, 4, 10e9)
-	tab := model.MustTable(g, model.Amdahl{}, testCluster)
-	all, err := BiCPA{}.Sweep(g, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strided, err := BiCPA{Stride: 4}.Sweep(g, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strided) > len(all) {
-		t.Fatalf("stride produced more candidates (%d) than full sweep (%d)", len(strided), len(all))
-	}
-	a, err := BiCPA{Stride: 4}.Allocate(g, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(g, testCluster.Procs); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParetoFront(t *testing.T) {
 	cands := []Candidate{
 		{Q: 1, Makespan: 10, Work: 5},

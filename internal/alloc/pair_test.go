@@ -37,14 +37,14 @@ func growths(g *dag.Graph, tab *model.Table) (cpa, mcpa []dag.TaskID) {
 // pairBoth runs CPAPair with fork nil and with a fork that runs MCPA's rest
 // on its own goroutine, checks that the two agree, and returns MCPA's and
 // HCPA's allocations.
-func pairBoth(t testing.TB, g *dag.Graph, tab *model.Table, h HCPA) (mcpa, hcpa schedule.Allocation) {
+func pairBoth(t testing.TB, g *dag.Graph, tab *model.Table) (mcpa, hcpa schedule.Allocation) {
 	t.Helper()
-	mcpa, hcpa, err := CPAPair(g, tab, h, nil)
+	mcpa, hcpa, err := CPAPair(g, tab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan schedule.Allocation, 1)
-	m2, h2, err := CPAPair(g, tab, h, func(rest func() schedule.Allocation) {
+	m2, h2, err := CPAPair(g, tab, func(rest func() schedule.Allocation) {
 		go func() { done <- rest() }()
 	})
 	if err != nil {
@@ -87,7 +87,7 @@ func TestCPAPairMatchesGolden(t *testing.T) {
 			for _, c := range platform.Both() {
 				tab := model.MustTable(gg.g, m, c)
 				prefix := fmt.Sprintf("%s/%s/%s", gg.name, m.Name(), c.Name)
-				mcpa, hcpa := pairBoth(t, gg.g, tab, HCPA{})
+				mcpa, hcpa := pairBoth(t, gg.g, tab)
 				for name, got := range map[string]schedule.Allocation{"mcpa": mcpa, "hcpa": hcpa} {
 					w, ok := want[prefix+"/"+name]
 					if !ok {
@@ -146,7 +146,7 @@ func TestCPAPairChtiAndGrelonShapes(t *testing.T) {
 		}
 		for _, c := range platform.Both() {
 			tab := model.MustTable(g, model.Synthetic{}, c)
-			mcpa, hcpa := pairBoth(t, g, tab, HCPA{})
+			mcpa, hcpa := pairBoth(t, g, tab)
 			wantM, _ := MCPA{}.Allocate(g, tab)
 			wantH, _ := HCPA{}.Allocate(g, tab)
 			if !slices.Equal(mcpa, wantM) || !slices.Equal(hcpa, wantH) {
@@ -167,14 +167,14 @@ func TestCPAPairRejectsMismatchedInputs(t *testing.T) {
 	g := chain(t, 4, 1e9)
 	other := chain(t, 5, 1e9)
 	tab := model.MustTable(other, model.Amdahl{}, testCluster)
-	if _, _, err := CPAPair(g, tab, HCPA{}, nil); err == nil {
+	if _, _, err := CPAPair(g, tab, nil); err == nil {
 		t.Fatal("mismatched table accepted")
 	}
 }
 
 // checkPairMatchesSeparate builds a graph, cluster and model from seed and
-// requires CPAPair to equal MCPA{}.Allocate and the HCPA's Allocate bit for
-// bit, with a serial and a concurrent fork.
+// requires CPAPair to equal MCPA{}.Allocate and HCPA{}.Allocate bit for bit,
+// with a serial and a concurrent fork.
 func checkPairMatchesSeparate(t testing.TB, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	g, err := daggen.Random(daggen.RandomConfig{
@@ -190,16 +190,12 @@ func checkPairMatchesSeparate(t testing.TB, seed int64) {
 		m = model.Synthetic{}
 	}
 	tab := model.MustTable(g, m, c)
-	h := HCPA{}
-	if rng.Intn(4) == 0 {
-		h = HCPA{ReferenceSpeedGFlops: 1 + 4*rng.Float64(), ClusterSpeedGFlops: c.SpeedGFlops}
-	}
-	mcpa, hcpa := pairBoth(t, g, tab, h)
+	mcpa, hcpa := pairBoth(t, g, tab)
 	wantM, err := MCPA{}.Allocate(g, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantH, err := h.Allocate(g, tab)
+	wantH, err := HCPA{}.Allocate(g, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +203,7 @@ func checkPairMatchesSeparate(t testing.TB, seed int64) {
 		t.Fatalf("seed %d: pair's MCPA %v, MCPA{}.Allocate %v", seed, mcpa, wantM)
 	}
 	if !slices.Equal(hcpa, wantH) {
-		t.Fatalf("seed %d: pair's HCPA %v, %+v.Allocate %v", seed, hcpa, h, wantH)
+		t.Fatalf("seed %d: pair's HCPA %v, HCPA{}.Allocate %v", seed, hcpa, wantH)
 	}
 }
 

@@ -213,7 +213,7 @@ func allocateSeeds(g *dag.Graph, tab *model.Table, m *listsched.Mapper, seeders 
 	forked := make(chan func() schedule.Allocation, 1) // the pair sends once
 	if iM >= 0 {
 		jobs = append(jobs, func(m *listsched.Mapper) {
-			mcpa, hcpa, err := alloc.CPAPair(g, tab, seeders[iH].(alloc.HCPA), func(rest func() schedule.Allocation) { forked <- rest })
+			mcpa, hcpa, err := alloc.CPAPair(g, tab, func(rest func() schedule.Allocation) { forked <- rest })
 			switch {
 			case err != nil:
 				out[iM].err, out[iH].err = err, err

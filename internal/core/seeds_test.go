@@ -28,7 +28,7 @@ func TestAllocateSeedsMatchesSeparate(t *testing.T) {
 		}
 		for _, c := range platform.Both() {
 			tab := model.MustTable(g, model.Synthetic{}, c)
-			seeders := append(DefaultSeeds(int64(i)), failingSeeder{"broken"}, shortSeeder{}, alloc.HCPA{ReferenceSpeedGFlops: 2 * c.SpeedGFlops, ClusterSpeedGFlops: c.SpeedGFlops})
+			seeders := append(DefaultSeeds(int64(i)), failingSeeder{"broken"}, shortSeeder{}, alloc.CPA{})
 			if i%2 == 1 {
 				// HCPA before MCPA, and a second MCPA outside the pair.
 				seeders[0], seeders[1] = seeders[1], seeders[0]

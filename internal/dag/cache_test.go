@@ -55,30 +55,3 @@ func TestTopologicalOrderReturnsCopy(t *testing.T) {
 		}
 	}
 }
-
-// TestBottomLevelsIntoMatchesBottomLevels: the buffer-reusing variant must
-// compute identical values and actually reuse a large-enough buffer.
-func TestBottomLevelsIntoMatchesBottomLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var buf []float64
-	for trial := 0; trial < 50; trial++ {
-		g := randomLayeredGraph(rng, 30)
-		cost := func(id TaskID) float64 { return g.Task(id).Flops }
-		want := g.BottomLevels(cost)
-		buf = g.BottomLevelsInto(cost, buf)
-		if !reflect.DeepEqual(want, buf) {
-			t.Fatalf("trial %d: BottomLevelsInto differs from BottomLevels", trial)
-		}
-	}
-	// With a buffer at least as large as the graph, no reallocation happens.
-	g := diamond(t)
-	cost := func(id TaskID) float64 { return g.Task(id).Flops }
-	big := make([]float64, 16)
-	out := g.BottomLevelsInto(cost, big)
-	if len(out) != g.NumTasks() {
-		t.Fatalf("len(out) = %d, want %d", len(out), g.NumTasks())
-	}
-	if &out[0] != &big[0] {
-		t.Fatal("BottomLevelsInto reallocated despite sufficient capacity")
-	}
-}

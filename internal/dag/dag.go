@@ -58,9 +58,9 @@ type Edge struct {
 // Adjacency is stored in compressed sparse row (CSR) form: one flat backing
 // array per direction plus an offsets array, so the successor lists of all
 // tasks are contiguous in memory. The fitness evaluation sweeps every
-// adjacency list once per call (BottomLevelsInto plus the map loop), and a
-// slice-of-slices layout costs one pointer chase and a potential cache miss
-// per task; CSR turns the whole sweep into a linear scan of two arrays.
+// adjacency list once per call (the bottom-level sweep plus the map loop),
+// and a slice-of-slices layout costs one pointer chase and a potential cache
+// miss per task; CSR turns the whole sweep into a linear scan of two arrays.
 // Successors/Predecessors return subslices of the backing arrays, so the API
 // is unchanged.
 type Graph struct {
@@ -376,24 +376,7 @@ type CostFunc func(id TaskID) float64
 // every task: the length of the longest path from v to a sink including v's
 // own execution time (footnote 1 of the paper).
 func (g *Graph) BottomLevels(cost CostFunc) []float64 {
-	return g.BottomLevelsInto(cost, nil)
-}
-
-// BottomLevelsInto is BottomLevels writing into dst, which is grown if its
-// capacity is insufficient and reused otherwise. It performs no heap
-// allocation when cap(dst) >= NumTasks(), which makes repeated bottom-level
-// computations (one per fitness evaluation) allocation-free; see
-// listsched.Mapper.
-//
-//schedlint:hotpath
-func (g *Graph) BottomLevelsInto(cost CostFunc, dst []float64) []float64 {
-	n := len(g.tasks)
-	if cap(dst) < n {
-		//schedlint:allow hotescape -- grow-on-demand: allocates only when the caller's buffer is too small, never on the steady state
-		dst = make([]float64, n)
-	}
-	bl := dst[:n]
-	//schedlint:allow hotescape -- topoOrder returns the order cached at Build time; the non-inlined call is one indirect load, no allocation
+	bl := make([]float64, len(g.tasks))
 	order := g.topoOrder()
 	// Walk the CSR arrays directly: the reverse-topological sweep touches
 	// every successor list once, and indexing succAdj through succOff keeps

@@ -167,7 +167,7 @@ func MakespanUnchecked(m *Mapper, alloc schedule.Allocation, opt Options) (float
 }
 
 // bottomLevelsRow fills bl with the bottom levels of alloc by the same
-// reverse-topological sweep as dag.BottomLevelsInto — same order, same float
+// reverse-topological sweep as dag.Graph.BottomLevels — same order, same float
 // operation sequence (bl[v] = T(v, s(v)) + maxSucc), so the bits match — but
 // with the execution time indexed straight out of the table instead of called
 // through a cost closure.

@@ -123,16 +123,12 @@ func isPerfectSquare(p int) bool {
 // "A Model for Speedup of Parallel Programs", UCB CSD-97-933). Each task is
 // characterized by its average parallelism A and the variance of parallelism
 // sigma. T(v,p) = T(v,1) / S(p) with the piecewise speedup function below.
-//
-// If PerTask is nil, A and Sigma apply to every task; otherwise PerTask
-// supplies per-task parameters (e.g. derived from the task's alpha).
+// A and Sigma apply to every task.
 type Downey struct {
 	// A is the average parallelism (>= 1).
 	A float64
 	// Sigma is the coefficient of variance of parallelism (>= 0).
 	Sigma float64
-	// PerTask optionally overrides A and Sigma per task.
-	PerTask func(v dag.Task) (a, sigma float64)
 }
 
 // Name implements Model.
@@ -166,11 +162,7 @@ func Speedup(p int, a, sigma float64) float64 {
 
 // Time implements Model.
 func (d Downey) Time(v dag.Task, p int, c platform.Cluster) float64 {
-	a, sigma := d.A, d.Sigma
-	if d.PerTask != nil {
-		a, sigma = d.PerTask(v)
-	}
-	s := Speedup(p, a, sigma)
+	s := Speedup(p, d.A, d.Sigma)
 	if s < 1 {
 		s = 1
 	}

@@ -156,14 +156,6 @@ func TestDowneyTime(t *testing.T) {
 	}
 }
 
-func TestDowneyPerTask(t *testing.T) {
-	d := Downey{A: 2, Sigma: 0, PerTask: func(v dag.Task) (float64, float64) { return 4, 0 }}
-	v := task(4e9, 0)
-	if got := d.Time(v, 4, testCluster); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("per-task A not used: T = %g, want 1", got)
-	}
-}
-
 func TestFuncModel(t *testing.T) {
 	m := Func{ModelName: "custom", F: func(v dag.Task, p int, c platform.Cluster) float64 {
 		return float64(p)

@@ -23,40 +23,23 @@ import (
 	"emts/internal/schedule"
 )
 
-// GreedyEFT configures the one-step scheduler.
-type GreedyEFT struct {
-	// MaxAlloc caps the processor count considered per task (0 = P). A cap
-	// below P models the "maximum look-ahead" bound discussed in Section
-	// II-C and keeps single tasks from monopolizing the cluster.
-	MaxAlloc int
-	// Efficiency, in [0, 1], prunes allocations whose marginal speedup is
-	// poor: growing from p to p+1 must reduce the finish time by at least
-	// Efficiency/(p+1) of the current value, a standard guard against
-	// wasting processors on barely-parallel tasks. 0 disables the guard and
-	// picks the pure earliest-finish allocation.
-	Efficiency float64
-}
+// GreedyEFT is the one-step scheduler. Each task gets the processor count,
+// from 1 to P, that finishes it earliest.
+type GreedyEFT struct{}
 
 // Name identifies the scheduler in reports.
 func (GreedyEFT) Name() string { return "eft" }
 
 // Schedule builds a complete schedule for g using the execution times of
 // tab. The result passes schedule.Validate.
-func (o GreedyEFT) Schedule(g *dag.Graph, tab *model.Table) (*schedule.Schedule, error) {
+func (GreedyEFT) Schedule(g *dag.Graph, tab *model.Table) (*schedule.Schedule, error) {
 	if tab.NumTasks() != g.NumTasks() {
 		return nil, fmt.Errorf("onestep: table covers %d tasks, graph has %d", tab.NumTasks(), g.NumTasks())
 	}
 	if g.NumTasks() == 0 {
 		return nil, fmt.Errorf("onestep: empty graph")
 	}
-	if o.Efficiency < 0 || o.Efficiency > 1 {
-		return nil, fmt.Errorf("onestep: efficiency %g outside [0,1]", o.Efficiency)
-	}
 	procs := tab.Procs()
-	maxAlloc := o.MaxAlloc
-	if maxAlloc <= 0 || maxAlloc > procs {
-		maxAlloc = procs
-	}
 
 	// Priorities: bottom levels under single-processor times, the common
 	// one-step choice (the final allocation is unknown up front).
@@ -97,15 +80,10 @@ func (o GreedyEFT) Schedule(g *dag.Graph, tab *model.Table) (*schedule.Schedule,
 		bestP := 1
 		bestStart := maxf(readyTime[v], avail[order[0]])
 		bestFinish := bestStart + tab.Time(v, 1)
-		for p := 2; p <= maxAlloc; p++ {
+		for p := 2; p <= procs; p++ {
 			start := maxf(readyTime[v], avail[order[p-1]])
 			finish := start + tab.Time(v, p)
-			improvement := bestFinish - finish
-			threshold := 0.0
-			if o.Efficiency > 0 {
-				threshold = o.Efficiency / float64(p) * bestFinish
-			}
-			if improvement > threshold {
+			if bestFinish-finish > 0 {
 				bestP, bestStart, bestFinish = p, start, finish
 			}
 		}

@@ -44,40 +44,6 @@ func TestSingleTaskGetsAllUsefulProcs(t *testing.T) {
 	}
 }
 
-func TestMaxAllocCap(t *testing.T) {
-	b := dag.NewBuilder("one")
-	b.AddTask(dag.Task{Flops: 8e9, Alpha: 0})
-	g := b.MustBuild()
-	tab := model.MustTable(g, model.Amdahl{}, testCluster)
-	s, err := GreedyEFT{MaxAlloc: 3}.Schedule(g, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Entries[0].Procs) != 3 {
-		t.Fatalf("cap ignored: %d procs", len(s.Entries[0].Procs))
-	}
-}
-
-func TestEfficiencyGuardLimitsAllocation(t *testing.T) {
-	// A poorly scalable task: with the guard on, fewer processors are used.
-	b := dag.NewBuilder("serial")
-	b.AddTask(dag.Task{Flops: 8e9, Alpha: 0.5})
-	g := b.MustBuild()
-	tab := model.MustTable(g, model.Amdahl{}, testCluster)
-	pure, err := GreedyEFT{}.Schedule(g, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guarded, err := GreedyEFT{Efficiency: 0.5}.Schedule(g, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(guarded.Entries[0].Procs) >= len(pure.Entries[0].Procs) {
-		t.Fatalf("guard did not reduce allocation: %d vs %d",
-			len(guarded.Entries[0].Procs), len(pure.Entries[0].Procs))
-	}
-}
-
 func TestIndependentTasksShareCluster(t *testing.T) {
 	// Two identical perfectly-parallel tasks: the one-step scheduler gives
 	// the first everything, then the second runs after — or splits. Either
@@ -117,10 +83,6 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := (GreedyEFT{}).Schedule(empty, emptyTab); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	gtab := model.MustTable(g, model.Amdahl{}, testCluster)
-	if _, err := (GreedyEFT{Efficiency: 2}).Schedule(g, gtab); err == nil {
-		t.Fatal("bad efficiency accepted")
-	}
 }
 
 func TestPropertyValidSchedules(t *testing.T) {
@@ -145,7 +107,7 @@ func TestPropertyValidSchedules(t *testing.T) {
 			m = model.Synthetic{}
 		}
 		tab := model.MustTable(g, m, cluster)
-		s, err := GreedyEFT{Efficiency: rng.Float64() / 2}.Schedule(g, tab)
+		s, err := GreedyEFT{}.Schedule(g, tab)
 		if err != nil {
 			return false
 		}

@@ -108,7 +108,7 @@ func trimTrailingNewline(b []byte) []byte {
 // /v1/schedule, dedup by canonical digest, admit to the worker queue under
 // the same 429 discipline, and answer 202 with the job id.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readRequestBody(w, r, s.cfg.MaxRequestBytes)
+	body, err := readRequestBody(w, r)
 	if err != nil {
 		return // readRequestBody already answered
 	}
@@ -131,7 +131,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	jb, created, jerr := s.jobStore.GetOrCreate(id, parsed.key, cancel)
 	if jerr != nil {
 		cancel()
-		s.setRetryAfter(w)
+		setRetryAfter(w)
 		writeJSONError(w, http.StatusTooManyRequests, "job store full", "")
 		return
 	}
@@ -254,7 +254,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := jb.Snapshot()
 	if !snap.State.Terminal() {
-		w.Header().Set("Retry-After", "1")
+		setRetryAfter(w)
 		writeJSONError(w, http.StatusConflict, "job not finished (state "+string(snap.State)+")", "")
 		return
 	}
@@ -370,10 +370,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readRequestBody reads a bounded request body, answering 413/400 itself on
-// failure (shared by /v1/schedule and /v1/jobs).
-func readRequestBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+// maxRequestBytes bounds every request body the server reads.
+const maxRequestBytes = 8 << 20
+
+// readRequestBody reads a request body of at most maxRequestBytes, answering
+// 413/400 itself on failure (shared by /v1/schedule and /v1/jobs).
+func readRequestBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

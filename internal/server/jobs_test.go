@@ -440,7 +440,7 @@ func TestJobIdempotentResubmit(t *testing.T) {
 // TestJobStoreFull: a new key beyond MaxJobs bounces with 429 + Retry-After,
 // mirroring queue admission.
 func TestJobStoreFull(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxJobs: 1, RetryAfter: 2 * time.Second, SSEKeepAlive: time.Hour})
+	s, ts := newTestServer(t, Config{Workers: 1, MaxJobs: 1, SSEKeepAlive: time.Hour})
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	s.run = blockingRun(started, release)
@@ -458,8 +458,8 @@ func TestJobStoreFull(t *testing.T) {
 	if r2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second submit status %d, want 429 (%s)", r2.StatusCode, b)
 	}
-	if ra := r2.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want 2", ra)
+	if ra := r2.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want 1", ra)
 	}
 }
 
@@ -467,7 +467,7 @@ func TestJobStoreFull(t *testing.T) {
 // submission answers 429 and the store entry is rolled back — the same
 // request can be resubmitted once capacity returns.
 func TestJobQueueFullRollsBack(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: time.Second, SSEKeepAlive: time.Hour})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, SSEKeepAlive: time.Hour})
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	releaseOnce := sync.OnceFunc(func() { close(release) })

@@ -77,8 +77,6 @@ type Config struct {
 	// negative disables). Requests may lower it via timeout_ms, never raise
 	// it.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// CacheEntries bounds the canonical-hash response cache (default 256;
 	// negative disables caching).
 	CacheEntries int
@@ -90,8 +88,6 @@ type Config struct {
 	// its own subpopulation, so the cap bounds per-request memory the same
 	// way MaxTasks bounds graph size.
 	MaxIslands int
-	// MaxRequestBytes bounds the request body (default 8 MiB).
-	MaxRequestBytes int64
 	// LogWriter receives JSON-line request logs (nil disables logging).
 	LogWriter io.Writer
 	// InstanceID, when non-empty, is stamped on every response as the
@@ -136,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
 	}
@@ -147,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIslands == 0 {
 		c.MaxIslands = 16
-	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = 8 << 20
 	}
 	if c.GraphEntries == 0 {
 		c.GraphEntries = intern.DefaultEntries
@@ -499,7 +489,7 @@ func (s *Server) cancelResult(err error, algorithm string) jobResult {
 // handleSchedule is the POST /v1/schedule lifecycle described in the package
 // comment.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	body, err := readRequestBody(w, r, s.cfg.MaxRequestBytes)
+	body, err := readRequestBody(w, r)
 	if err != nil {
 		return // readRequestBody already answered
 	}
@@ -592,13 +582,14 @@ func (s *Server) refuse(w http.ResponseWriter, err error) {
 		writeJSONError(w, http.StatusServiceUnavailable, err.Error(), "")
 		return
 	}
-	s.setRetryAfter(w)
+	setRetryAfter(w)
 	writeJSONError(w, http.StatusTooManyRequests, err.Error(), "")
 }
 
-// setRetryAfter stamps a 429 with RetryAfter in whole seconds, rounded up.
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+// setRetryAfter tells a refused or early client to come back in a second:
+// every 429, and the 409 of a job result polled before the job ends.
+func setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
 }
 
 // maxTasks is the admission graph-size limit (0 = unlimited).

@@ -153,6 +153,41 @@ func TestScheduleValidationErrors(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimit: /v1/schedule and /v1/jobs answer a body one byte over
+// maxRequestBytes with a 413 on the body, and read a body of exactly
+// maxRequestBytes, which then fails as malformed JSON.
+func TestRequestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, path := range []string{"/v1/schedule", "/v1/jobs"} {
+		for _, tc := range []struct {
+			size int
+			code int
+			msg  string
+		}{
+			{maxRequestBytes + 1, http.StatusRequestEntityTooLarge, "request body exceeds 8388608 bytes"},
+			{maxRequestBytes, http.StatusBadRequest, "malformed JSON: unexpected EOF"},
+		} {
+			body := bytes.Repeat([]byte(" "), tc.size)
+			body[0] = '{'
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := readAll(t, resp)
+			var er struct {
+				Error string `json:"error"`
+				Field string `json:"field"`
+			}
+			if err := json.Unmarshal(b, &er); err != nil {
+				t.Fatalf("%s, %d bytes: non-JSON error body %q", path, tc.size, b)
+			}
+			if resp.StatusCode != tc.code || er.Error != tc.msg || er.Field != "body" {
+				t.Errorf("%s, %d bytes: got %d %s, want %d %q on field body", path, tc.size, resp.StatusCode, b, tc.code, tc.msg)
+			}
+		}
+	}
+}
+
 // TestScheduleUnknownNames expects bad algorithm/model names to surface as
 // 400s.
 func TestScheduleUnknownNames(t *testing.T) {
@@ -290,7 +325,7 @@ func blockingRun(started chan<- string, release <-chan struct{}) runFunc {
 // TestAdmissionOverflow fills the single worker and the depth-1 queue, then
 // requires the next submission to bounce with 429 + Retry-After.
 func TestAdmissionOverflow(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	releaseOnce := sync.OnceFunc(func() { close(release) })
@@ -319,8 +354,8 @@ func TestAdmissionOverflow(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want 2", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want 1", ra)
 	}
 
 	releaseOnce()
